@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,23 @@ def test_reports_are_deterministic(doc_file, capsys, tmp_path):
     assert main(["forms", "--input", str(doc_file), "--seed", "7", "--output", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = [
+    "validate", "forms", "frobenius", "classify", "embed", "tensor", "hopf", "hopf-verify",
+]
+
+
+@pytest.mark.parametrize("command", GOLDEN_COMMANDS)
+def test_report_matches_golden(command, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = [command, "--input", str(GOLDEN / "doc.qcf"), "--output", str(out)]
+    if command == "tensor":
+        argv += ["--targets", "P,P"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / f"{command}.json").read_bytes()
 
 
 def test_parse_errors_exit_nonzero(tmp_path, capsys):
