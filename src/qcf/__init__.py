@@ -43,10 +43,9 @@ from .frobenius import (
     iso_key,
 )
 from .hopf import (
-    AinfProduct,
-    CnProduct,
     FiniteGroupData,
     HopfTable,
+    LineProduct,
     build_Hn,
     compute_antipode,
     cyclic_hopf_datum,

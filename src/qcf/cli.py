@@ -296,7 +296,7 @@ def _resolve_hopf(d: dsl.HopfDecl, base) -> HopfValue:
     s = e.s
     alpha = _scalar_value(e.alpha) if e.alpha is not None else Cyc.zero()
     if e.chi is not None:
-        chi = tuple(_as_root_expr(c) for c in e.chi)
+        chi = tuple(_root_value(c) for c in e.chi)
         if len(chi) != len(table):
             raise InputError("chi must list one value per group element")
     else:
@@ -312,10 +312,6 @@ def _resolve_hopf(d: dsl.HopfDecl, base) -> HopfValue:
         datum = _default_datum(e.group, s, q, table, names, identity, chi)
     datum.validate(s, q, alpha)
     return HopfValue("hn", s=s, q=q, group=datum, alpha=alpha)
-
-
-def _as_root_expr(sc: dsl.ScalarExpr) -> RootOfUnity:
-    return _root_value(sc)
 
 
 def _default_datum(gexpr, s, q, table, names, identity, chi):

@@ -83,6 +83,57 @@ def _unique_suffix_max(paths: list[Path]) -> Path | None:
     return best
 
 
+def _side_reason(v, forward: dict, backward: dict, reasons: tuple, back_name: str) -> str | None:
+    """Why following `forward` from v and then `backward` (called
+    `back_name` in the message) fails to return to v, or None when it
+    returns. `reasons` holds the templates for a missing forward image and
+    for an image with no backward image."""
+    if v not in forward:
+        return reasons[0]
+    w = forward[v]
+    if w not in backward:
+        return reasons[1].format(w)
+    if backward[w] != v:
+        return f"{back_name} map sends {w!r} to {backward[w]!r}, not back to {v!r}"
+    return None
+
+
+def _assemble(kind: str, vertices, r_of: dict, l_of: dict, left_reasons, right_reasons):
+    """Per-vertex verdicts from the forward map r_of and the backward map
+    l_of; the first failing vertex on each side is its witness."""
+    per_vertex = {}
+    for v in vertices:
+        left_reason = _side_reason(v, r_of, l_of, left_reasons, "backward")
+        right_reason = _side_reason(v, l_of, r_of, right_reasons, "forward")
+        per_vertex[v] = VertexVerdict(
+            vertex=v,
+            in_R=v in r_of,
+            r=r_of.get(v),
+            in_L=v in l_of,
+            l=l_of.get(v),
+            left_ok=left_reason is None,
+            right_ok=right_reason is None,
+            left_reason=left_reason,
+            right_reason=right_reason,
+        )
+    left_witness = next(
+        ((v, per_vertex[v].left_reason) for v in vertices if not per_vertex[v].left_ok),
+        None,
+    )
+    right_witness = next(
+        ((v, per_vertex[v].right_reason) for v in vertices if not per_vertex[v].right_ok),
+        None,
+    )
+    return FrobeniusReport(
+        kind=kind,
+        per_vertex=per_vertex,
+        left_verdict=NO if left_witness else YES,
+        right_verdict=NO if right_witness else YES,
+        left_witness=left_witness,
+        right_witness=right_witness,
+    )
+
+
 def _analyze_path(coalg: PathSubcoalgebra) -> FrobeniusReport:
     vertices = coalg.vertices()
     out_paths: dict[str, list[Path]] = {v: [] for v in vertices}
@@ -103,50 +154,19 @@ def _analyze_path(coalg: PathSubcoalgebra) -> FrobeniusReport:
         if d is not None:
             l_of[v] = d.source
 
-    per_vertex: dict[str, VertexVerdict] = {}
-    for v in vertices:
-        info = VertexVerdict(
-            vertex=v,
-            in_R=v in r_of,
-            r=r_of.get(v),
-            in_L=v in l_of,
-            l=l_of.get(v),
-            left_ok=False,
-            right_ok=False,
-        )
-        if not info.in_R:
-            info.left_reason = "no unique maximal outgoing path"
-        elif info.r not in l_of:
-            info.left_reason = f"endpoint {info.r!r} has no unique maximal incoming path"
-        elif l_of[info.r] != v:
-            info.left_reason = f"backward map sends {info.r!r} to {l_of[info.r]!r}, not back to {v!r}"
-        else:
-            info.left_ok = True
-        if not info.in_L:
-            info.right_reason = "no unique maximal incoming path"
-        elif info.l not in r_of:
-            info.right_reason = f"start {info.l!r} has no unique maximal outgoing path"
-        elif r_of[info.l] != v:
-            info.right_reason = f"forward map sends {info.l!r} to {r_of[info.l]!r}, not back to {v!r}"
-        else:
-            info.right_ok = True
-        per_vertex[v] = info
-
-    left_witness = next(
-        ((v, per_vertex[v].left_reason) for v in vertices if not per_vertex[v].left_ok),
-        None,
-    )
-    right_witness = next(
-        ((v, per_vertex[v].right_reason) for v in vertices if not per_vertex[v].right_ok),
-        None,
-    )
-    return FrobeniusReport(
-        kind="path",
-        per_vertex=per_vertex,
-        left_verdict=NO if left_witness else YES,
-        right_verdict=NO if right_witness else YES,
-        left_witness=left_witness,
-        right_witness=right_witness,
+    return _assemble(
+        "path",
+        vertices,
+        r_of,
+        l_of,
+        (
+            "no unique maximal outgoing path",
+            "endpoint {!r} has no unique maximal incoming path",
+        ),
+        (
+            "no unique maximal incoming path",
+            "start {!r} has no unique maximal outgoing path",
+        ),
     )
 
 
@@ -165,50 +185,19 @@ def _analyze_incidence(coalg: IncidenceSubcoalgebra) -> FrobeniusReport:
         if bottoms:
             l_of[a] = bottoms[0]
 
-    per_vertex: dict = {}
-    for a in elements:
-        info = VertexVerdict(
-            vertex=a,
-            in_R=a in r_of,
-            r=r_of.get(a),
-            in_L=a in l_of,
-            l=l_of.get(a),
-            left_ok=False,
-            right_ok=False,
-        )
-        if not info.in_R:
-            info.left_reason = "no maximum among segments starting here"
-        elif info.r not in l_of:
-            info.left_reason = f"endpoint {info.r!r} has no minimum among incoming segments"
-        elif l_of[info.r] != a:
-            info.left_reason = f"backward map sends {info.r!r} to {l_of[info.r]!r}, not back to {a!r}"
-        else:
-            info.left_ok = True
-        if not info.in_L:
-            info.right_reason = "no minimum among segments ending here"
-        elif info.l not in r_of:
-            info.right_reason = f"start {info.l!r} has no maximum among outgoing segments"
-        elif r_of[info.l] != a:
-            info.right_reason = f"forward map sends {info.l!r} to {r_of[info.l]!r}, not back to {a!r}"
-        else:
-            info.right_ok = True
-        per_vertex[a] = info
-
-    left_witness = next(
-        ((a, per_vertex[a].left_reason) for a in elements if not per_vertex[a].left_ok),
-        None,
-    )
-    right_witness = next(
-        ((a, per_vertex[a].right_reason) for a in elements if not per_vertex[a].right_ok),
-        None,
-    )
-    return FrobeniusReport(
-        kind="incidence",
-        per_vertex=per_vertex,
-        left_verdict=NO if left_witness else YES,
-        right_verdict=NO if right_witness else YES,
-        left_witness=left_witness,
-        right_witness=right_witness,
+    return _assemble(
+        "incidence",
+        elements,
+        r_of,
+        l_of,
+        (
+            "no maximum among segments starting here",
+            "endpoint {!r} has no minimum among incoming segments",
+        ),
+        (
+            "no minimum among segments ending here",
+            "start {!r} has no maximum among outgoing segments",
+        ),
     )
 
 

@@ -244,19 +244,37 @@ def group_from_csv_rows(rows: list[list[int]], names: list[str] | None = None):
 # closed-form products on the line and cycle families
 
 
-class _QTables:
-    def __init__(self, s: int, q: RootOfUnity, alpha: Cyc):
+class _OnDemand(dict):
+    """A dict that computes a missing entry on first lookup and keeps it."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+class LineProduct:
+    """Product on labels (i, u) = the path from vertex i of length u, 0 <= u <= s.
+
+    Without a modulus this is the line family; with a modulus n the vertex
+    indices are reduced mod n, which gives the cycle family and needs s+1 | n.
+    """
+
+    def __init__(self, s: int, q: RootOfUnity, alpha: Cyc, n: int | None = None):
         if s < 1:
             raise HopfError(f"s must be >= 1, got {s}")
         if q.order != s + 1:
             raise HopfError(
                 f"q must be a primitive root of order {s + 1}, got order {q.order}"
             )
+        if n is not None and n % (s + 1) != 0:
+            raise HopfError(f"{s + 1} does not divide {n}")
         self.s = s
-        self.q = q
-        self.alpha = alpha
+        self.n = n
         qs = q.scalar()
-        self.q_scalar = qs
         self.qpow = [Cyc.one()]
         for _ in range(s):
             self.qpow.append(self.qpow[-1] * qs)
@@ -277,76 +295,53 @@ class _QTables:
                     coef = q_factorial(u + v - s - 1, qs) * self.fac_inv[u] * self.fac_inv[v]
                     self.overflow[(u, v)] = alpha * coef
 
-
-class AinfProduct:
-    """Product on labels (i, u) = the path from vertex i of length u, 0 <= u <= s."""
-
-    def __init__(self, s: int, q: RootOfUnity, alpha: Cyc):
-        self.t = _QTables(s, q, alpha)
-        self.s = s
+    def _vertex(self, i: int) -> int:
+        return i if self.n is None else i % self.n
 
     def product(self, a: Label, b: Label) -> LinComb:
         (i, u), (j, v) = a, b
         s = self.s
-        t = self.t
-        c = t.qpow[(j * u) % (s + 1)]
+        c = self.qpow[(j * u) % (s + 1)]
         if u + v <= s:
-            return LinComb.basis((i + j, u + v), cached_mul(c, t.binom[(u + v, u)]))
-        coef = cached_mul(c, t.overflow[(u, v)])
+            coef = cached_mul(c, self.binom[(u + v, u)])
+            return LinComb.basis((self._vertex(i + j), u + v), coef)
+        coef = cached_mul(c, self.overflow[(u, v)])
         if coef.is_zero():
             return LinComb.zero()
         w = u + v - s - 1
-        out = LinComb.basis((i + j + s + 1, w), coef)
-        out.add_term((i + j, w), -coef)
+        out = LinComb.basis((self._vertex(i + j + s + 1), w), coef)
+        out.add_term((self._vertex(i + j), w), -coef)
         return out
 
     def coproduct(self, a: Label) -> LinComb:
         i, u = a
         out = LinComb()
         for h in range(u + 1):
-            out.add_term(((i, h), (i + h, u - h)), Cyc.one())
+            out.add_term(((i, h), (self._vertex(i + h), u - h)), Cyc.one())
         return out
 
     def counit(self, a: Label) -> Cyc:
         return Cyc.one() if a[1] == 0 else Cyc.zero()
 
+    def table(self, labels=None) -> "HopfTable":
+        """A HopfTable on the given labels (all n(s+1) of them on a cycle).
 
-class CnProduct:
-    """The same product with vertex indices reduced mod n; needs s+1 | n."""
-
-    def __init__(self, n: int, s: int, q: RootOfUnity, alpha: Cyc):
-        if n % (s + 1) != 0:
-            raise HopfError(f"{s + 1} does not divide {n}")
-        self.t = _QTables(s, q, alpha)
-        self.n = n
-        self.s = s
-
-    def labels(self) -> list[Label]:
-        return [(i, u) for i in range(self.n) for u in range(self.s + 1)]
-
-    def product(self, a: Label, b: Label) -> LinComb:
-        (i, u), (j, v) = a, b
-        n, s, t = self.n, self.s, self.t
-        c = t.qpow[(j * u) % (s + 1)]
-        if u + v <= s:
-            return LinComb.basis(((i + j) % n, u + v), cached_mul(c, t.binom[(u + v, u)]))
-        coef = cached_mul(c, t.overflow[(u, v)])
-        if coef.is_zero():
-            return LinComb.zero()
-        w = u + v - s - 1
-        out = LinComb.basis(((i + j + s + 1) % n, w), coef)
-        out.add_term(((i + j) % n, w), -coef)
-        return out
-
-    def coproduct(self, a: Label) -> LinComb:
-        i, u = a
-        out = LinComb()
-        for h in range(u + 1):
-            out.add_term(((i, h), ((i + h) % self.n, u - h)), Cyc.one())
-        return out
-
-    def counit(self, a: Label) -> Cyc:
-        return Cyc.one() if a[1] == 0 else Cyc.zero()
+        Its structure maps are computed on first lookup, also at labels
+        outside the given ones, so a finite window of the line can be used
+        wherever a table is expected.
+        """
+        if labels is None:
+            if self.n is None:
+                raise HopfError("the line family is infinite: labels are needed")
+            labels = [(i, u) for i in range(self.n) for u in range(self.s + 1)]
+        return HopfTable(
+            labels=tuple(labels),
+            unit=(0, 0),
+            degree={label: label[1] for label in labels},
+            product=_OnDemand(lambda key: self.product(*key)),
+            coproduct=_OnDemand(self.coproduct),
+            counit=_OnDemand(self.counit),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +350,8 @@ class CnProduct:
 
 @dataclass
 class HopfTable:
-    """Fully materialized structure maps on a finite basis."""
+    """Structure maps on a finite basis, as dicts keyed by labels and label
+    pairs; `LineProduct.table` fills them on first lookup."""
 
     labels: tuple
     unit: Label
@@ -546,16 +542,27 @@ def compute_antipode(table: HopfTable, order=None) -> dict:
             acc = acc - table.mul_lin_basis(antipode[a], b).scale(coeff)
         antipode[c] = table.mul_lin_basis(acc, inverse[gamma]).scale(lead.inv())
 
-    for c in table.labels:
-        expect = LinComb.basis(unit, table.counit[c])
+    failure = _convolution_failure(table, antipode)
+    if failure is not None:
+        raise HopfError(f"computed antipode fails the convolution identity at {failure[0]!r}")
+    return antipode
+
+
+def _convolution_failure(table: HopfTable, antipode: dict):
+    """The first (label, side) at which S * id (side "left") or id * S
+    (side "right") differs from unit times counit; None when both hold."""
+    for b in table.labels:
+        expect = LinComb.basis(table.unit, table.counit[b])
         left = LinComb()
         right = LinComb()
-        for (a, b), coeff in table.coproduct[c].items():
-            left = left + table.mul_lin_basis(antipode[a], b).scale(coeff)
-            right = right + table.mul(LinComb.basis(a), antipode[b]).scale(coeff)
-        if left != expect or right != expect:
-            raise HopfError(f"computed antipode fails the convolution identity at {c!r}")
-    return antipode
+        for (x, y), c in table.coproduct[b].items():
+            left = left + table.mul_lin_basis(antipode[x], y).scale(c)
+            right = right + table.mul_basis_lin(x, antipode[y]).scale(c)
+        if left != expect:
+            return b, "left"
+        if right != expect:
+            return b, "right"
+    return None
 
 
 def with_antipode(table: HopfTable) -> HopfTable:
@@ -672,19 +679,10 @@ def verify_hopf(table: HopfTable) -> HopfVerifyReport:
 
     if table.antipode is not None:
         def antipode_identities():
-            for b in labels:
-                expect = LinComb.basis(unit, table.counit[b])
-                left = LinComb()
-                right = LinComb()
-                for (x, y), c in table.coproduct[b].items():
-                    left = left + table.mul_lin_basis(table.antipode[x], y).scale(c)
-                    right = right + table.mul(LinComb.basis(x), table.antipode[y]).scale(c)
-                if left != expect:
-                    yield f"left convolution at {b!r}"
-                    return
-                if right != expect:
-                    yield f"right convolution at {b!r}"
-                    return
+            failure = _convolution_failure(table, table.antipode)
+            if failure is not None:
+                label, side = failure
+                yield f"{side} convolution at {label!r}"
 
         run("antipode_identities", antipode_identities())
     else:
@@ -711,46 +709,42 @@ def verify_coalgebra_iso_Cn(n: int, s: int, q: RootOfUnity, alpha: Cyc) -> Coalg
     """Identify the cycle-family basis with rescaled monomials c^i x^u / (u)_q!
     inside the cyclic-group table; check it is a bijective coalgebra map and
     that pulling the table product back gives the closed-form cycle product."""
-    if n % (s + 1) != 0:
-        raise HopfError(f"{s + 1} does not divide {n}")
-    G = cyclic_hopf_datum(n, s, q)
-    table = build_Hn(s, q, G, alpha)
-    cn = CnProduct(n, s, q, alpha)
-    tq = cn.t
+    line = LineProduct(s, q, alpha, n)
+    cn = line.table()
+    table = build_Hn(s, q, cyclic_hopf_datum(n, s, q), alpha)
 
     def phi(label: Label) -> LinComb:
         i, u = label
-        return LinComb.basis((i, u), tq.fac_inv[u])
+        return LinComb.basis((i, u), line.fac_inv[u])
 
     def phi_inv_label(label: Label) -> LinComb:
         i, u = label
-        return LinComb.basis((i, u), tq.fac[u])
+        return LinComb.basis((i, u), line.fac[u])
 
-    cn_labels = cn.labels()
     # bijectivity: distinct basis images with nonzero scale, dimensions match
-    if len(cn_labels) != table.dimension:
+    if cn.dimension != table.dimension:
         return CoalgIsoReport(False, n, s, 0, "dimension mismatch")
 
-    for b in cn_labels:
+    for b in cn.labels:
         lhs = map_linear(phi(b), lambda l: table.coproduct[l])
         rhs = map_linear(
-            cn.coproduct(b), lambda pair: pair_tensor(phi(pair[0]), phi(pair[1]))
+            cn.coproduct[b], lambda pair: pair_tensor(phi(pair[0]), phi(pair[1]))
         )
         if lhs != rhs:
             return CoalgIsoReport(False, n, s, 0, f"coproduct mismatch at {b!r}")
         eps = Cyc.zero()
         for l, c in phi(b).items():
             eps = eps + c * table.counit[l]
-        if not (eps - cn.counit(b)).is_zero():
+        if not (eps - cn.counit[b]).is_zero():
             return CoalgIsoReport(False, n, s, 0, f"counit mismatch at {b!r}")
 
     checked = 0
-    for a in cn_labels:
-        for b in cn_labels:
+    for a in cn.labels:
+        for b in cn.labels:
             through_table = map_linear(
                 table.mul(phi(a), phi(b)), phi_inv_label
             )
-            direct = cn.product(a, b)
+            direct = cn.product[(a, b)]
             if through_table != direct:
                 return CoalgIsoReport(
                     False, n, s, checked, f"pulled-back product mismatch at ({a!r}, {b!r})"

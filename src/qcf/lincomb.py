@@ -54,10 +54,11 @@ class LinComb:
     def scale(self, c: Cyc) -> "LinComb":
         if c.is_zero():
             return LinComb()
-        if c.is_one():
-            return self
         out = LinComb()
-        out.terms = {k: cached_mul(v, c) for k, v in self.terms.items()}
+        if c.is_one():
+            out.terms = dict(self.terms)  # a copy: add_term on it must not reach self
+        else:
+            out.terms = {k: cached_mul(v, c) for k, v in self.terms.items()}
         return out
 
     def add_term(self, label, coeff: Cyc) -> None:

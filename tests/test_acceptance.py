@@ -18,7 +18,7 @@ from qcf.frobenius import (
     iso_key,
 )
 from qcf.hopf import (
-    AinfProduct,
+    LineProduct,
     build_Hn,
     cyclic_hopf_datum,
     cyclic_x_c2_hopf_datum,
@@ -27,7 +27,7 @@ from qcf.hopf import (
     verify_hopf,
     with_antipode,
 )
-from qcf.lincomb import LinComb
+from qcf.lincomb import LinComb, map_linear
 from qcf.posets import embed, full_incidence_coalgebra, tensor_iso_check
 from qcf.quiver import (
     A_0INF,
@@ -41,7 +41,7 @@ from qcf.rand import (
     random_descriptor_multiset,
     random_poset,
 )
-from qcf.scalars import Cyc, RootOfUnity, cached_mul
+from qcf.scalars import Cyc, RootOfUnity
 
 
 def test_criterion_01_balanced_form_bijection_path(path_instances):
@@ -184,76 +184,36 @@ def test_criterion_07_hopf_axiom_grid():
     )
 
 
-def _memo_product(prod):
-    cache = {}
-
-    def product(a, b):
-        key = (a, b)
-        got = cache.get(key)
-        if got is None:
-            got = prod.product(a, b)
-            cache[key] = got
-        return got
-
-    return product
-
-
-def _mul_lin(product, x, label):
-    out = LinComb()
-    for l, c in x.items():
-        for l2, c2 in product(l, label).items():
-            out.add_term(l2, cached_mul(c, c2))
-    return out
-
-
-def _mul_lin_left(product, label, y):
-    out = LinComb()
-    for l, c in y.items():
-        for l2, c2 in product(label, l).items():
-            out.add_term(l2, cached_mul(c, c2))
-    return out
-
-
 def test_criterion_08_line_product_consistency():
     window = range(-6, 7)
     triples = 0
     for s in (1, 2, 3):
         q = RootOfUnity(s + 1, 1)
         for alpha in (Cyc.zero(), Cyc.rational(1)):
-            prod = AinfProduct(s, q, alpha)
-            product = _memo_product(prod)
+            prod = LineProduct(s, q, alpha)
             degrees = range(s + 1)
             labels = [(i, u) for i in window for u in degrees]
+            table = prod.table(labels)
+            product = table.product
             for a in labels:
                 for b in labels:
-                    ab = product(a, b)
+                    ab = product[(a, b)]
                     for c in labels:
-                        left = _mul_lin(product, ab, c)
-                        right = _mul_lin_left(product, a, product(b, c))
+                        left = table.mul_lin_basis(ab, c)
+                        right = table.mul_basis_lin(a, product[(b, c)])
                         assert left == right, (s, alpha, a, b, c)
                         triples += 1
             # comultiplication is an algebra map on the same window
             for a in labels:
-                da = prod.coproduct(a)
+                da = table.coproduct[a]
                 for b in labels:
-                    lhs = LinComb()
-                    for l, c in product(a, b).items():
-                        for pair, c2 in prod.coproduct(l).items():
-                            lhs.add_term(pair, cached_mul(c, c2))
-                    rhs = LinComb()
-                    for (a1, a2), c1 in da.items():
-                        for (b1, b2), c2 in prod.coproduct(b).items():
-                            c12 = cached_mul(c1, c2)
-                            for l1, d1 in product(a1, b1).items():
-                                for l2, d2 in product(a2, b2).items():
-                                    rhs.add_term(
-                                        (l1, l2), cached_mul(c12, cached_mul(d1, d2))
-                                    )
+                    lhs = map_linear(product[(a, b)], lambda l: table.coproduct[l])
+                    rhs = table.mul_tensor2(da, table.coproduct[b])
                     assert lhs == rhs, (s, alpha, a, b)
             # translation: shifting the left factor shifts output labels
             for a in labels[:40]:
                 for b in labels[:40]:
-                    base = product(a, b)
+                    base = product[(a, b)]
                     for t in (-3, 5):
                         shifted = prod.product((a[0] + t, a[1]), b)
                         assert shifted == LinComb(

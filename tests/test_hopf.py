@@ -4,10 +4,9 @@ import pytest
 
 from qcf.lincomb import LinComb
 from qcf.hopf import (
-    AinfProduct,
-    CnProduct,
     FiniteGroupData,
     HopfError,
+    LineProduct,
     build_Hn,
     compute_antipode,
     cyclic_hopf_datum,
@@ -28,50 +27,54 @@ ZETA4 = RootOfUnity(4, 1)
 
 
 def test_line_product_grouplike_factor():
-    prod = AinfProduct(2, ZETA3, Cyc.rational(1))
+    prod = LineProduct(2, ZETA3, Cyc.rational(1))
     assert prod.product((2, 0), (5, 1)) == LinComb.basis((7, 1))
     assert prod.product((5, 1), (2, 0)) == LinComb.basis((7, 1), ZETA3.scalar() ** 2)
 
 
 def test_line_product_overflow_branch():
-    prod = AinfProduct(1, MINUS_ONE, Cyc.rational(1))
+    prod = LineProduct(1, MINUS_ONE, Cyc.rational(1))
     r = prod.product((0, 1), (0, 1))
     assert r == LinComb({(2, 0): Cyc.one(), (0, 0): Cyc.rational(-1)})
-    zero_side = AinfProduct(1, MINUS_ONE, Cyc.zero())
+    zero_side = LineProduct(1, MINUS_ONE, Cyc.zero())
     assert zero_side.product((0, 1), (0, 1)).is_zero()
 
 
 def test_line_product_first_branch_coefficient():
-    prod = AinfProduct(2, ZETA3, Cyc.zero())
+    prod = LineProduct(2, ZETA3, Cyc.zero())
     q = ZETA3.scalar()
     assert prod.product((0, 1), (1, 1)) == LinComb.basis((1, 2), q * (Cyc.one() + q))
 
 
 def test_cycle_product_examples():
-    prod = CnProduct(2, 1, MINUS_ONE, Cyc.zero())
+    prod = LineProduct(1, MINUS_ONE, Cyc.zero(), n=2)
     assert prod.product((0, 0), (1, 1)) == LinComb.basis((1, 1))
     assert prod.product((0, 1), (0, 1)).is_zero()
-    prod4 = CnProduct(4, 1, MINUS_ONE, Cyc.rational(1))
+    prod4 = LineProduct(1, MINUS_ONE, Cyc.rational(1), n=4)
     r = prod4.product((0, 1), (0, 1))
     assert r == LinComb({(2, 0): Cyc.one(), (0, 0): Cyc.rational(-1)})
 
 
 def test_cycle_product_requires_divisibility():
     with pytest.raises(HopfError):
-        CnProduct(3, 1, MINUS_ONE, Cyc.zero())
+        LineProduct(1, MINUS_ONE, Cyc.zero(), n=3)
 
 
-def _mul(prod, x, y):
-    out = LinComb()
-    for a, ca in x.items():
-        for b, cb in y.items():
-            for l, c in prod.product(a, b).items():
-                out.add_term(l, ca * cb * c)
-    return out
+@pytest.mark.parametrize("alpha", [0, 1])
+@pytest.mark.parametrize("n, s", [(2, 1), (4, 1), (6, 2), (4, 3)])
+def test_cycle_product_is_hopf(n, s, alpha):
+    table = LineProduct(s, RootOfUnity(s + 1, 1), Cyc.rational(alpha), n).table()
+    assert table.dimension == n * (s + 1)
+    assert verify_hopf(with_antipode(table)).ok
+
+
+def test_line_table_needs_labels():
+    with pytest.raises(HopfError):
+        LineProduct(1, MINUS_ONE, Cyc.zero()).table()
 
 
 def test_line_product_translation_behavior():
-    prod = AinfProduct(2, ZETA3, Cyc.rational(1))
+    prod = LineProduct(2, ZETA3, Cyc.rational(1))
     for (i, u) in [(0, 1), (1, 2), (-2, 2)]:
         for (j, v) in [(0, 2), (2, 1), (-1, 2)]:
             base = prod.product((i, u), (j, v))
@@ -232,7 +235,7 @@ def test_line_coproduct_matches_window_comultiplication():
     from qcf.quiver import A_INF, WindowedFamily, build_family
 
     s = 2
-    prod = AinfProduct(s, ZETA3, Cyc.zero())
+    prod = LineProduct(s, ZETA3, Cyc.zero())
     fam = WindowedFamily.line(A_INF, {k: k + s for k in range(0, 7)})
     coalg = build_family(fam)
 
