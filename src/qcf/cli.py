@@ -137,7 +137,7 @@ def _group_value(expr: dsl.GroupExpr, base: FilePath | None):
     try:
         with open(path, newline="") as fh:
             rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read group table {path}: {exc}") from exc
     return hopf.group_from_csv_rows(rows)
 
@@ -287,6 +287,8 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
 
 def _resolve_hopf(d: dsl.HopfDecl, base) -> HopfValue:
     e = d.expr
+    if e.group is None:
+        raise InputError("hn(...) needs group")
     table, names, identity = _group_value(e.group, base)
     if e.kind == "group_algebra":
         return HopfValue("group_algebra", plain_table=(table, names, identity))

@@ -424,7 +424,10 @@ class _Parser:
         if tok.kind == "int":
             num = self.expect_int()
             if self.accept("punct", "/"):
-                den = self.expect_int()
+                den_tok = self.expect("int")
+                den = int(den_tok.text)
+                if den == 0:
+                    self.error(den_tok.pos, "zero denominator in scalar")
                 return ScalarExpr("rational", num=num, den=den)
             return ScalarExpr("rational", num=num)
         if tok.kind == "name" and tok.text == "root":

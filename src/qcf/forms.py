@@ -11,8 +11,9 @@ describe the same space and the two routes are checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .lincomb import LinComb
+from .lincomb import LinComb, linear
 from .linalg import field_nullspace, sparse_int_nullspace
 from .posets import IncidenceSubcoalgebra
 from .quiver import Path, PathSubcoalgebra, path_sort_key
@@ -51,11 +52,10 @@ def is_balanced(form: BilinearForm) -> BalancedCheck:
     comuls = {p: coalg.comul(p) for p in basis}
     for p in basis:
         for q in basis:
-            diff = LinComb()
-            for (p1, p2), c in comuls[p].items():
-                diff.add_term(p1, c * form.entry(p2, q))
-            for (q1, q2), c in comuls[q].items():
-                diff.add_term(q2, -(c * form.entry(p, q1)))
+            diff = linear(chain(
+                ((p1, c * form.entry(p2, q)) for (p1, p2), c in comuls[p].items()),
+                ((q2, -(c * form.entry(p, q1))) for (q1, q2), c in comuls[q].items()),
+            ))
             if not diff.is_zero():
                 coordinate = sorted(diff.labels(), key=repr)[0]
                 return BalancedCheck(False, (p, q, coordinate))

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lincomb import LinComb, expand_slot, map_linear, pair_tensor
-from .scalars import Cyc, RootOfUnity, cached_mul, q_binomial, q_factorial
+from .lincomb import Accumulator, LinComb, expand_slot, linear, map_linear, pair_tensor
+from .scalars import MINUS_ONE, ONE_ROOT, Cyc, RootOfUnity, cached_mul, q_binomial, q_factorial
 
 Label = tuple  # (group element index, x-degree) for the finite tables
 
@@ -67,14 +67,6 @@ class FiniteGroupData:
             if k > self.order:
                 raise HopfError("multiplication table is not a group")
         return k
-
-    def power(self, a: int, t: int) -> int:
-        if t < 0:
-            return self.power(self.inverse(a), -t)
-        cur = self.identity
-        for _ in range(t):
-            cur = self.table[cur][a]
-        return cur
 
     def validate(self, s: int, q: RootOfUnity, alpha: Cyc) -> None:
         n_elems = self.order
@@ -187,16 +179,15 @@ def dihedral_hopf_datum(n: int, s: int, q: RootOfUnity) -> FiniteGroupData | Non
         for a in range(order)
         if all(table[a][h] == table[h][a] for h in range(order)) and elem_order(a) == n
     ]
-    qs = q.scalar()
     elems = [(i, f) for i in range(n) for f in range(2)]
-    one, minus = Cyc.one(), Cyc.rational(-1)
+    # chi(r^i s^f) = (-1)^(er i + es f); the rotation's sign must have order dividing n
     for g in central:
-        for cr in (one, minus):
-            if not (cr ** n).is_one():
+        for er in (0, 1):
+            if er * n % 2:
                 continue
-            for cs in (one, minus):
-                chi = tuple(_as_root(cr ** i * cs ** f) for (i, f) in elems)
-                if chi[g].scalar() != qs:
+            for es in (0, 1):
+                chi = tuple(MINUS_ONE if (er * i + es * f) % 2 else ONE_ROOT for (i, f) in elems)
+                if chi[g] != q:
                     continue
                 datum = FiniteGroupData(table, names, identity, g, chi)
                 try:
@@ -205,22 +196,6 @@ def dihedral_hopf_datum(n: int, s: int, q: RootOfUnity) -> FiniteGroupData | Non
                     continue
                 return datum
     return None
-
-
-def _as_root(value: Cyc) -> RootOfUnity:
-    """Recognize an exact root of unity, normalized to primitive form."""
-    from math import gcd
-
-    if value.is_one():
-        return RootOfUnity(1, 0)
-    if value == Cyc.rational(-1):
-        return RootOfUnity(2, 1)
-    m = value.m
-    for k in range(m):
-        if value == Cyc.root(m, k):
-            d = gcd(k, m)
-            return RootOfUnity(m // d, k // d)
-    raise HopfError(f"{value!r} is not a root of unity")
 
 
 def group_from_csv_rows(rows: list[list[int]], names: list[str] | None = None):
@@ -306,19 +281,13 @@ class LineProduct:
             coef = cached_mul(c, self.binom[(u + v, u)])
             return LinComb.basis((self._vertex(i + j), u + v), coef)
         coef = cached_mul(c, self.overflow[(u, v)])
-        if coef.is_zero():
-            return LinComb.zero()
         w = u + v - s - 1
-        out = LinComb.basis((self._vertex(i + j + s + 1), w), coef)
-        out.add_term((self._vertex(i + j), w), -coef)
-        return out
+        # on a cycle with n = s+1 both terms have one label and cancel
+        return linear((((self._vertex(i + j + s + 1), w), coef), ((self._vertex(i + j), w), -coef)))
 
     def coproduct(self, a: Label) -> LinComb:
         i, u = a
-        out = LinComb()
-        for h in range(u + 1):
-            out.add_term(((i, h), (self._vertex(i + h), u - h)), Cyc.one())
-        return out
+        return linear((((i, h), (self._vertex(i + h), u - h)), Cyc.one()) for h in range(u + 1))
 
     def counit(self, a: Label) -> Cyc:
         return Cyc.one() if a[1] == 0 else Cyc.zero()
@@ -367,30 +336,28 @@ class HopfTable:
         return len(self.labels)
 
     def mul_lin_basis(self, x: LinComb, b) -> LinComb:
-        out = LinComb()
+        acc = Accumulator()
+        add = acc.add
         for l, c in x.items():
             for l2, c2 in self.product[(l, b)].items():
-                out.add_term(l2, cached_mul(c, c2))
-        return out
+                add(l2, cached_mul(c, c2))
+        return acc.result()
 
     def mul_basis_lin(self, a, y: LinComb) -> LinComb:
-        out = LinComb()
+        acc = Accumulator()
+        add = acc.add
         for l, c in y.items():
             for l2, c2 in self.product[(a, l)].items():
-                out.add_term(l2, cached_mul(c, c2))
-        return out
+                add(l2, cached_mul(c, c2))
+        return acc.result()
 
     def mul(self, x: LinComb, y: LinComb) -> LinComb:
-        out = LinComb()
-        for l1, c1 in x.items():
-            for l2, c2 in y.items():
-                for l3, c3 in self.product[(l1, l2)].items():
-                    out.add_term(l3, cached_mul(cached_mul(c1, c2), c3))
-        return out
+        return map_linear(pair_tensor(x, y), self.product.__getitem__)
 
     def mul_tensor2(self, x: LinComb, y: LinComb) -> LinComb:
         # componentwise product on the tensor square
-        out = LinComb()
+        acc = Accumulator()
+        add = acc.add
         for (a1, a2), c1 in x.items():
             for (b1, b2), c2 in y.items():
                 left = self.product[(a1, b1)]
@@ -398,8 +365,8 @@ class HopfTable:
                 c = cached_mul(c1, c2)
                 for l1, d1 in left.items():
                     for l2, d2 in right.items():
-                        out.add_term((l1, l2), cached_mul(c, cached_mul(d1, d2)))
-        return out
+                        add((l1, l2), cached_mul(c, cached_mul(d1, d2)))
+        return acc.result()
 
     def grouplike_labels(self) -> list:
         out = []
@@ -433,28 +400,23 @@ def build_Hn(s: int, q: RootOfUnity, G: FiniteGroupData, alpha: Cyc) -> HopfTabl
     for (h, u) in labels:
         for (k, v) in labels:
             c = chi_pow[k][u]
+            hk = G.mul(h, k)
             if u + v <= s:
-                product[((h, u), (k, v))] = LinComb.basis((G.mul(h, k), u + v), c)
+                product[((h, u), (k, v))] = LinComb.basis((hk, u + v), c)
             else:
                 coef = c * alpha
-                if coef.is_zero():
-                    product[((h, u), (k, v))] = LinComb.zero()
-                else:
-                    w = u + v - s - 1
-                    hk = G.mul(h, k)
-                    out = LinComb.basis((G.mul(hk, g_pows[s + 1]), w), coef)
-                    out.add_term((hk, w), -coef)
-                    product[((h, u), (k, v))] = out
+                w = u + v - s - 1
+                # when g^(s+1) = e both terms have one label and cancel
+                product[((h, u), (k, v))] = linear(
+                    (((G.mul(hk, g_pows[s + 1]), w), coef), ((hk, w), -coef))
+                )
     coproduct: dict = {}
     counit: dict = {}
     degree: dict = {}
     for (h, u) in labels:
-        out = LinComb()
-        for j in range(u + 1):
-            out.add_term(
-                ((h, u - j), (G.mul(h, g_pows[u - j]), j)), binom[(u, j)]
-            )
-        coproduct[(h, u)] = out
+        coproduct[(h, u)] = linear(
+            (((h, u - j), (G.mul(h, g_pows[u - j]), j)), binom[(u, j)]) for j in range(u + 1)
+        )
         counit[(h, u)] = Cyc.one() if u == 0 else Cyc.zero()
         degree[(h, u)] = u
     return HopfTable(
@@ -642,11 +604,9 @@ def verify_hopf(table: HopfTable) -> HopfVerifyReport:
 
     def counit_laws():
         for b in labels:
-            left = LinComb()
-            right = LinComb()
-            for (x, y), c in table.coproduct[b].items():
-                left.add_term(y, cached_mul(c, table.counit[x]))
-                right.add_term(x, cached_mul(c, table.counit[y]))
+            d = table.coproduct[b].items()
+            left = linear((y, cached_mul(c, table.counit[x])) for (x, y), c in d)
+            right = linear((x, cached_mul(c, table.counit[y])) for (x, y), c in d)
             if left != LinComb.basis(b) or right != LinComb.basis(b):
                 yield f"{b!r}"
                 return

@@ -140,10 +140,6 @@ def field_echelon(matrix: list[list[Cyc]]) -> tuple[list[list[Cyc]], list[int]]:
     return m, pivot_cols
 
 
-def field_rank(matrix: list[list[Cyc]]) -> int:
-    return len(field_echelon(matrix)[1])
-
-
 def field_nullspace(matrix: list[list[Cyc]]) -> list[list[Cyc]]:
     """Nullspace basis over the scalar field, one vector per free column."""
     if not matrix:

@@ -1,12 +1,19 @@
-"""Formal linear combinations of basis labels with exact scalar coefficients."""
+"""Formal linear combinations of basis labels with exact scalar coefficients.
+
+A `LinComb` is an immutable value. New ones are summed up term by term in an
+`Accumulator`, or all at once by `linear`.
+"""
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .scalars import Cyc, cached_mul
 
 
 class LinComb:
-    """Sparse map label -> Cyc with no stored zero coefficients."""
+    """Sparse map label -> Cyc with no stored zero coefficients; never
+    changed after it is built."""
 
     __slots__ = ("terms",)
 
@@ -25,25 +32,10 @@ class LinComb:
         c = Cyc.one() if coeff is None else coeff
         if c.is_zero():
             return LinComb()
-        out = LinComb()
-        out.terms[label] = c
-        return out
+        return _wrap({label: c})
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            if cur is None:
-                out[k] = v
-            else:
-                s = cur + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-        res = LinComb()
-        res.terms = out
-        return res
+        return linear(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + other.scale(Cyc.rational(-1))
@@ -54,21 +46,9 @@ class LinComb:
     def scale(self, c: Cyc) -> "LinComb":
         if c.is_zero():
             return LinComb()
-        out = LinComb()
         if c.is_one():
-            out.terms = dict(self.terms)  # a copy: add_term on it must not reach self
-        else:
-            out.terms = {k: cached_mul(v, c) for k, v in self.terms.items()}
-        return out
-
-    def add_term(self, label, coeff: Cyc) -> None:
-        # in-place accumulation during element assembly
-        cur = self.terms.get(label)
-        s = coeff if cur is None else cur + coeff
-        if s.is_zero():
-            self.terms.pop(label, None)
-        else:
-            self.terms[label] = s
+            return self
+        return _wrap({k: cached_mul(v, c) for k, v in self.terms.items()})
 
     def coeff(self, label) -> Cyc:
         return self.terms.get(label, Cyc.zero())
@@ -98,13 +78,56 @@ class LinComb:
         return " + ".join(f"({v!r})*{k!r}" for k, v in self.terms.items())
 
 
+def _wrap(terms: dict) -> LinComb:
+    # terms must hold no zero coefficient and must not be changed afterwards
+    out = LinComb.__new__(LinComb)
+    out.terms = terms
+    return out
+
+
+class Accumulator:
+    """Sums terms into a new LinComb: a coefficient is added to the label's
+    current one, and a label whose sum is zero is dropped."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self):
+        self.terms = {}
+
+    def add(self, label, c: Cyc) -> None:
+        terms = self.terms
+        cur = terms.get(label)
+        s = c if cur is None else cur + c
+        if s.is_zero():
+            terms.pop(label, None)
+        else:
+            terms[label] = s
+
+    def result(self) -> LinComb:
+        """The sum so far; the accumulator starts again from zero."""
+        out = LinComb.__new__(LinComb)  # _wrap inlined: this runs once per kernel call
+        out.terms = self.terms
+        self.terms = {}
+        return out
+
+
+def linear(pairs) -> LinComb:
+    """The sum of an iterable of (label, coefficient) pairs."""
+    acc = Accumulator()
+    add = acc.add
+    for label, c in pairs:
+        add(label, c)
+    return acc.result()
+
+
 def pair_tensor(x: LinComb, y: LinComb) -> LinComb:
     """Tensor of two elements; labels become (a, b) pairs."""
-    out = LinComb()
+    acc = Accumulator()
+    add = acc.add
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            out.add_term((a, b), cached_mul(ca, cb))
-    return out
+            add((a, b), cached_mul(ca, cb))
+    return acc.result()
 
 
 def expand_slot(x: LinComb, slot: int, f) -> LinComb:
@@ -113,19 +136,20 @@ def expand_slot(x: LinComb, slot: int, f) -> LinComb:
     Used to form (delta (x) id) and (id (x) delta) style compositions with
     flat tuple labels, so coassociativity compares like with like.
     """
-    out = LinComb()
+    acc = Accumulator()
+    add = acc.add
     for label, c in x.terms.items():
         image = f(label[slot])
         for (u, v), d in image.terms.items():
-            new_label = label[:slot] + (u, v) + label[slot + 1:]
-            out.add_term(new_label, cached_mul(c, d))
-    return out
+            add(label[:slot] + (u, v) + label[slot + 1:], cached_mul(c, d))
+    return acc.result()
 
 
 def map_linear(x: LinComb, f) -> LinComb:
     """Push forward along a label -> LinComb map, extended linearly."""
-    out = LinComb()
+    acc = Accumulator()
+    add = acc.add
     for label, c in x.terms.items():
         for lb, d in f(label).terms.items():
-            out.add_term(lb, cached_mul(c, d))
-    return out
+            add(lb, cached_mul(c, d))
+    return acc.result()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lincomb import LinComb, map_linear, pair_tensor
+from .lincomb import LinComb, linear, map_linear, pair_tensor
 from .linalg import sparse_int_rank
 from .quiver import Path, Quiver
 from .scalars import Cyc
@@ -178,10 +178,7 @@ class IncidenceSubcoalgebra:
     def comul(self, seg: Segment) -> LinComb:
         self._require_member(seg)
         lo, hi = seg
-        out = LinComb()
-        for z in self.poset.interval(lo, hi):
-            out.add_term(((lo, z), (z, hi)), Cyc.one())
-        return out
+        return linear((((lo, z), (z, hi)), Cyc.one()) for z in self.poset.interval(lo, hi))
 
     def counit(self, seg: Segment) -> Cyc:
         self._require_member(seg)
@@ -245,20 +242,17 @@ def embed(coalg: IncidenceSubcoalgebra) -> EmbeddingResult:
     its endpoints, then verify the map is a coalgebra morphism and injective."""
     poset = coalg.poset
     quiver, names = _hasse_with_names(poset)
-    phi: dict[Segment, LinComb] = {}
-    for seg in coalg.basis_list:
-        terms = LinComb()
-        for p in _paths_between(quiver, names, poset, *seg):
-            terms.add_term(p, Cyc.one())
-        phi[seg] = terms
+    phi: dict[Segment, LinComb] = {
+        seg: linear((p, Cyc.one()) for p in _paths_between(quiver, names, poset, *seg))
+        for seg in coalg.basis_list
+    }
 
     failure = None
     morphism_ok = True
     for seg in coalg.basis_list:
-        lhs = LinComb()
-        for p, c in phi[seg].items():
-            for left, right in quiver.splits(p):
-                lhs.add_term((left, right), c)
+        lhs = linear(
+            ((left, right), c) for p, c in phi[seg].items() for left, right in quiver.splits(p)
+        )
         rhs = map_linear(
             coalg.comul(seg),
             lambda pair: pair_tensor(phi[pair[0]], phi[pair[1]]),
@@ -326,10 +320,11 @@ def tensor_iso_check(x_poset: Poset, y_poset: Poset) -> TensorIsoResult:
             cp.comul(seg),
             lambda pair: LinComb.basis((iso(pair[0]), iso(pair[1]))),
         )
-        rhs = LinComb()
-        for (x1, x2), c1 in cx.comul(sx).items():
-            for (y1, y2), c2 in cy.comul(sy).items():
-                rhs.add_term((((x1, y1)), ((x2, y2))), c1 * c2)
+        rhs = linear(
+            (((x1, y1), (x2, y2)), c1 * c2)
+            for (x1, x2), c1 in cx.comul(sx).items()
+            for (y1, y2), c2 in cy.comul(sy).items()
+        )
         if lhs != rhs:
             return TensorIsoResult(
                 ok=False,

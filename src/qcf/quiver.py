@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lincomb import LinComb
+from .lincomb import LinComb, linear
 from .scalars import Cyc
 
 
@@ -210,10 +210,7 @@ class PathSubcoalgebra:
     def comul(self, p: Path) -> LinComb:
         """Sum of left-factor (x) right-factor over all splittings of p."""
         self._require_member(p)
-        out = LinComb()
-        for left, right in self.quiver.splits(p):
-            out.add_term((left, right), Cyc.one())
-        return out
+        return linear(((left, right), Cyc.one()) for left, right in self.quiver.splits(p))
 
     def counit(self, p: Path) -> Cyc:
         self._require_member(p)

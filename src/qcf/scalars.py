@@ -143,15 +143,19 @@ class Cyc:
             raise ScalarError(f"root order must be positive, got {m}")
         return Cyc._make(m, list(_zeta_power(m, k % m)))
 
-    def _lift(self, big: int) -> list[Fraction]:
-        if big == self.m:
+    def _subst(self, big: int, e: int) -> list[Fraction]:
+        """Coefficients of sum_i c_i zeta_big^(i e), reduced mod Phi_big.
+
+        With e = big / m this lifts the value to conductor big; with big = m
+        and e coprime to m it is the Galois conjugate zeta_m -> zeta_m^e.
+        """
+        if e == 1:
             return list(self.c)
-        step = big // self.m
         phi = euler_phi(big)
         out = [_ZERO] * phi
         for i, ci in enumerate(self.c):
             if ci:
-                pw = _zeta_power(big, i * step)
+                pw = _zeta_power(big, i * e % big)
                 for j in range(phi):
                     if pw[j]:
                         out[j] += ci * pw[j]
@@ -170,7 +174,7 @@ class Cyc:
         if self.m == other.m:
             return Cyc._make(self.m, [a + b for a, b in zip(self.c, other.c)])
         big = self.m * other.m // gcd(self.m, other.m)
-        a, b = self._lift(big), other._lift(big)
+        a, b = self._subst(big, big // self.m), other._subst(big, big // other.m)
         return Cyc._make(big, [x + y for x, y in zip(a, b)])
 
     __radd__ = __add__
@@ -191,7 +195,7 @@ class Cyc:
             a, b = self.c, other.c
         else:
             m = self.m * other.m // gcd(self.m, other.m)
-            a, b = tuple(self._lift(m)), tuple(other._lift(m))
+            a, b = tuple(self._subst(m, m // self.m)), tuple(other._subst(m, m // other.m))
         n1, n2 = len(a), len(b)
         conv = [_ZERO] * (n1 + n2 - 1)
         for i, ai in enumerate(a):
@@ -207,23 +211,15 @@ class Cyc:
         """Multiplicative inverse; exists for every nonzero scalar."""
         if self.is_zero():
             raise ScalarError("division by zero")
-        if self.m == 1:
+        m = self.m
+        if m == 1:
             return Cyc(1, (1 / self.c[0],))
-        # extended Euclid in Q[x] against the (irreducible) cyclotomic modulus
-        phim = [Fraction(x) for x in cyclotomic_polynomial(self.m)]
-        r0, r1 = phim, list(self.c)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                coeffs = [x / c for x in s1]
-                return Cyc._make(self.m, _reduce_mod(self.m, coeffs))
-            q, rem = _poly_divmod(r0, r1)
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
+        # x times its other Galois conjugates is the norm of x, a nonzero rational
+        others = Cyc.one()
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                others = others * Cyc._make(m, self._subst(m, k))
+        return others * Cyc.rational(1 / (self * others).rational_value())
 
     def __truediv__(self, other) -> "Cyc":
         return self * Cyc._coerce(other).inv()
@@ -251,7 +247,7 @@ class Cyc:
         if self.m == other.m:
             return self.c == other.c
         big = self.m * other.m // gcd(self.m, other.m)
-        return self._lift(big) == other._lift(big)
+        return self._subst(big, big // self.m) == other._subst(big, big // other.m)
 
     __hash__ = None  # values with different conductors may be equal
 
@@ -260,9 +256,6 @@ class Cyc:
 
     def is_one(self) -> bool:
         return self.m == 1 and self.c[0] == 1
-
-    def is_rational(self) -> bool:
-        return self.m == 1
 
     def rational_value(self) -> Fraction:
         if self.m != 1:
@@ -279,42 +272,6 @@ class Cyc:
 
 _CYC_ZERO = Cyc(1, (_ZERO,))
 _CYC_ONE = Cyc(1, (_ONE,))
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    while b and not b[-1]:
-        b = b[:-1]
-        db -= 1
-    q = [_ZERO] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if not a[i]:
-            continue
-        c = a[i] / b[db]
-        q[i - db] = c
-        for j in range(db + 1):
-            a[i - db + j] -= c * b[j]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 _MUL_CACHE: dict[tuple, Cyc] = {}

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qcf
 from qcf.cli import main
 
 DOC = """
@@ -203,3 +207,27 @@ def test_csv_group_table(tmp_path, capsys):
     code, report = run_cli(capsys, "hopf-verify", "--input", doc)
     assert code == 0
     assert report["results"]["H"]["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "hopf_decl, message",
+    [
+        ("hn(s=1, q=root(2,1), group=cyclic(4), alpha=1/0)", "zero denominator"),
+        ('hn(s=1, q=root(2,1), group=csv("bad.csv"), g=1, chi=[1, -1], alpha=0)',
+         "cannot read group table"),
+        ("hn(s=1, q=root(2,1), alpha=1)", "hn(...) needs group"),
+    ],
+    ids=["zero-denominator", "csv-cell-not-an-integer", "hn-without-group"],
+)
+def test_bad_hopf_input_exits_2_without_traceback(hopf_decl, message, tmp_path):
+    (tmp_path / "bad.csv").write_text("0,1\n1,x\n")
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(f"hopf H = {hopf_decl}\n")
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", "hopf-verify", "--input", str(doc)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

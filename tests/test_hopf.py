@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qcf.lincomb import LinComb
+from qcf.lincomb import LinComb, linear
 from qcf.hopf import (
     FiniteGroupData,
     HopfError,
@@ -103,11 +103,9 @@ def test_sweedler_table():
     assert verify_hopf(table).ok
 
     def apply(s_map, lin):
-        out = LinComb()
-        for l, coeff in lin.items():
-            for l2, c2 in s_map[l].items():
-                out.add_term(l2, coeff * c2)
-        return out
+        return linear(
+            (l2, coeff * c2) for l, coeff in lin.items() for l2, c2 in s_map[l].items()
+        )
 
     s1 = table.antipode[x]
     s2 = apply(table.antipode, s1)
@@ -246,7 +244,7 @@ def test_line_coproduct_matches_window_comultiplication():
         i, u = label_of(p)
         if i + u > 4:  # stay away from the window edge
             continue
-        expected = LinComb()
-        for (l, r), c in coalg.comul(p).items():
-            expected.add_term((label_of(l), label_of(r)), c)
+        expected = linear(
+            ((label_of(l), label_of(r)), c) for (l, r), c in coalg.comul(p).items()
+        )
         assert prod.coproduct((i, u)) == expected

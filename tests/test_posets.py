@@ -11,7 +11,7 @@ from qcf.posets import (
     hasse_quiver,
     tensor_iso_check,
 )
-from qcf.lincomb import LinComb, expand_slot
+from qcf.lincomb import LinComb, expand_slot, linear
 from qcf.rand import random_incidence_subcoalgebra, random_poset
 from qcf.scalars import Cyc
 
@@ -71,11 +71,8 @@ def test_coalgebra_axioms_exhaustive(chain3, diamond):
         for seg in coalg.basis_list:
             d = coalg.comul(seg)
             assert expand_slot(d, 0, coalg.comul) == expand_slot(d, 1, coalg.comul)
-            left = LinComb()
-            right = LinComb()
-            for (x, y), c in d.items():
-                left.add_term(y, c * coalg.counit(x))
-                right.add_term(x, c * coalg.counit(y))
+            left = linear((y, c * coalg.counit(x)) for (x, y), c in d.items())
+            right = linear((x, c * coalg.counit(y)) for (x, y), c in d.items())
             assert left == LinComb.basis(seg) == right
 
 

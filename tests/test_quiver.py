@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qcf.lincomb import LinComb, expand_slot
+from qcf.lincomb import LinComb, expand_slot, linear
 from qcf.quiver import (
     A_0INF,
     A_INF,
@@ -134,11 +134,8 @@ def _check_coalgebra_axioms(coalg):
     for p in coalg.basis_list:
         d = coalg.comul(p)
         assert expand_slot(d, 0, coalg.comul) == expand_slot(d, 1, coalg.comul)
-        left = LinComb()
-        right = LinComb()
-        for (x, y), c in d.items():
-            left.add_term(y, c * coalg.counit(x))
-            right.add_term(x, c * coalg.counit(y))
+        left = linear((y, c * coalg.counit(x)) for (x, y), c in d.items())
+        right = linear((x, c * coalg.counit(y)) for (x, y), c in d.items())
         assert left == LinComb.basis(p)
         assert right == LinComb.basis(p)
 

@@ -54,6 +54,26 @@ def test_division_and_errors():
         b / Cyc.zero()
 
 
+def _from_coeffs(m, coeffs):
+    return sum((Cyc.rational(c) * Cyc.root(m, i) for i, c in enumerate(coeffs)), Cyc.zero())
+
+
+def test_inverse_against_sympy():
+    from sympy import Poly, Rational, cyclotomic_poly, invert
+    from sympy.abc import x
+
+    rng = random.Random(11)
+    for m in (5, 7, 8, 9, 15, 16, 20, 24):
+        for _ in range(6):
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(euler_phi(m))]
+            if not any(coeffs):
+                coeffs[0] = Fraction(1)
+            poly = sum(Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+            ref = Poly(invert(poly, cyclotomic_poly(m, x), x), x).all_coeffs()[::-1]
+            expected = _from_coeffs(m, [Fraction(int(c.p), int(c.q)) for c in ref])
+            assert _from_coeffs(m, coeffs).inv() == expected
+
+
 def _random_scalar(rng):
     m = rng.choice([1, 1, 2, 3, 4, 6, 12])
     phi = euler_phi(m)
