@@ -320,10 +320,11 @@ def tensor_iso_check(x_poset: Poset, y_poset: Poset) -> TensorIsoResult:
             cp.comul(seg),
             lambda pair: LinComb.basis((iso(pair[0]), iso(pair[1]))),
         )
+        dy = cy.comul(sy).items()
         rhs = linear(
             (((x1, y1), (x2, y2)), c1 * c2)
             for (x1, x2), c1 in cx.comul(sx).items()
-            for (y1, y2), c2 in cy.comul(sy).items()
+            for (y1, y2), c2 in dy
         )
         if lhs != rhs:
             return TensorIsoResult(

@@ -1,9 +1,10 @@
 """Exact scalars: rationals, cyclotomic field elements, roots of unity, q-combinatorics.
 
 Every computation in the library runs over Q(zeta_m) for some conductor m.
-An element is stored as a dense vector of rationals of length phi(m),
-reduced modulo the m-th cyclotomic polynomial, so equality is decidable
-by comparing coefficient vectors over a common conductor.
+An element is stored as phi(m) integer numerators over one positive common
+denominator, in lowest terms and reduced modulo the m-th cyclotomic
+polynomial, so equality is decidable by comparing integer vectors over a
+common conductor. Fractions appear only where values enter and leave.
 """
 
 from __future__ import annotations
@@ -66,23 +67,18 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 # zeta_m^k reduced mod Phi_m, grown on demand per conductor
-_POWER_CACHE: dict[int, list[tuple[Fraction, ...]]] = {}
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_POWER_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _zeta_power(m: int, k: int) -> tuple[Fraction, ...]:
+def _zeta_power(m: int, k: int) -> tuple[int, ...]:
     phi = euler_phi(m)
     powers = _POWER_CACHE.setdefault(m, [])
     if not powers:
-        first = [_ZERO] * phi
-        first[0] = _ONE
-        powers.append(tuple(first))
+        powers.append((1,) + (0,) * (phi - 1))
     phim = cyclotomic_polynomial(m)
     while len(powers) <= k:
         prev = powers[-1]
-        nxt = [_ZERO] + list(prev)
+        nxt = [0] + list(prev)
         lead = nxt.pop()  # coefficient of x^phi
         if lead:
             for j in range(phi):
@@ -91,9 +87,9 @@ def _zeta_power(m: int, k: int) -> tuple[Fraction, ...]:
     return powers[k]
 
 
-def _reduce_mod(m: int, coeffs: list[Fraction]) -> list[Fraction]:
+def _reduce_mod(m: int, coeffs: list[int]) -> list[int]:
     phi = euler_phi(m)
-    out = list(coeffs[:phi]) + [_ZERO] * max(0, phi - len(coeffs))
+    out = list(coeffs[:phi]) + [0] * max(0, phi - len(coeffs))
     for k in range(phi, len(coeffs)):
         c = coeffs[k]
         if c:
@@ -107,26 +103,34 @@ def _reduce_mod(m: int, coeffs: list[Fraction]) -> list[Fraction]:
 class Cyc:
     """An element of Q(zeta_m), reduced mod the m-th cyclotomic polynomial.
 
-    Mixed-conductor arithmetic lifts both operands to the lcm conductor.
-    Values whose higher coefficients vanish normalize to conductor 1, so
-    rationals always compare on the fast path.
+    The value is sum(c[i] * zeta_m^i) / d with integer numerators c, d > 0
+    and gcd(d, *c) == 1, so at one conductor the stored form is unique; zero
+    is (1, 1, (0,)). Mixed-conductor arithmetic lifts both operands to the
+    lcm conductor. Values whose higher coefficients vanish normalize to
+    conductor 1, so rationals always compare on the fast path.
     """
 
-    __slots__ = ("m", "c")
+    __slots__ = ("m", "d", "c")
 
-    def __init__(self, m: int, c: tuple[Fraction, ...]):
+    def __init__(self, m: int, d: int, c: tuple[int, ...]):
         self.m = m
+        self.d = d
         self.c = c
 
     @staticmethod
-    def _make(m: int, coeffs: list[Fraction]) -> "Cyc":
+    def _make(m: int, d: int, coeffs: list[int]) -> "Cyc":
+        g = gcd(d, *coeffs)
+        if g != 1:
+            d //= g
+            coeffs = [x // g for x in coeffs]
         if m > 1 and not any(coeffs[1:]):
-            return Cyc(1, (coeffs[0],))
-        return Cyc(m, tuple(coeffs))
+            return Cyc(1, d, (coeffs[0],))
+        return Cyc(m, d, tuple(coeffs))
 
     @staticmethod
     def rational(x) -> "Cyc":
-        return Cyc(1, (Fraction(x),))
+        x = Fraction(x)
+        return Cyc(1, x.denominator, (x.numerator,))
 
     @staticmethod
     def zero() -> "Cyc":
@@ -141,10 +145,10 @@ class Cyc:
         """zeta_m^k as an exact scalar."""
         if m < 1:
             raise ScalarError(f"root order must be positive, got {m}")
-        return Cyc._make(m, list(_zeta_power(m, k % m)))
+        return Cyc._make(m, 1, list(_zeta_power(m, k % m)))
 
-    def _subst(self, big: int, e: int) -> list[Fraction]:
-        """Coefficients of sum_i c_i zeta_big^(i e), reduced mod Phi_big.
+    def _subst(self, big: int, e: int) -> list[int]:
+        """Numerators of sum_i c_i zeta_big^(i e), reduced mod Phi_big.
 
         With e = big / m this lifts the value to conductor big; with big = m
         and e coprime to m it is the Galois conjugate zeta_m -> zeta_m^e.
@@ -152,7 +156,7 @@ class Cyc:
         if e == 1:
             return list(self.c)
         phi = euler_phi(big)
-        out = [_ZERO] * phi
+        out = [0] * phi
         for i, ci in enumerate(self.c):
             if ci:
                 pw = _zeta_power(big, i * e % big)
@@ -172,15 +176,19 @@ class Cyc:
     def __add__(self, other) -> "Cyc":
         other = Cyc._coerce(other)
         if self.m == other.m:
-            return Cyc._make(self.m, [a + b for a, b in zip(self.c, other.c)])
-        big = self.m * other.m // gcd(self.m, other.m)
-        a, b = self._subst(big, big // self.m), other._subst(big, big // other.m)
-        return Cyc._make(big, [x + y for x, y in zip(a, b)])
+            m, a, b = self.m, self.c, other.c
+        else:
+            m = self.m * other.m // gcd(self.m, other.m)
+            a, b = self._subst(m, m // self.m), other._subst(m, m // other.m)
+        da, db = self.d, other.d
+        if da == db:
+            return Cyc._make(m, da, [x + y for x, y in zip(a, b)])
+        return Cyc._make(m, da * db, [x * db + y * da for x, y in zip(a, b)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.m, tuple(-x for x in self.c))
+        return Cyc(self.m, self.d, tuple(-x for x in self.c))
 
     def __sub__(self, other) -> "Cyc":
         return self + (-Cyc._coerce(other))
@@ -195,15 +203,14 @@ class Cyc:
             a, b = self.c, other.c
         else:
             m = self.m * other.m // gcd(self.m, other.m)
-            a, b = tuple(self._subst(m, m // self.m)), tuple(other._subst(m, m // other.m))
-        n1, n2 = len(a), len(b)
-        conv = [_ZERO] * (n1 + n2 - 1)
+            a, b = self._subst(m, m // self.m), other._subst(m, m // other.m)
+        conv = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return Cyc._make(m, _reduce_mod(m, conv))
+        return Cyc._make(m, self.d * other.d, _reduce_mod(m, conv))
 
     __rmul__ = __mul__
 
@@ -213,12 +220,12 @@ class Cyc:
             raise ScalarError("division by zero")
         m = self.m
         if m == 1:
-            return Cyc(1, (1 / self.c[0],))
+            return Cyc.rational(Fraction(self.d, self.c[0]))
         # x times its other Galois conjugates is the norm of x, a nonzero rational
         others = Cyc.one()
         for k in range(2, m):
             if gcd(k, m) == 1:
-                others = others * Cyc._make(m, self._subst(m, k))
+                others = others * Cyc._make(m, self.d, self._subst(m, k))
         return others * Cyc.rational(1 / (self * others).rational_value())
 
     def __truediv__(self, other) -> "Cyc":
@@ -240,38 +247,35 @@ class Cyc:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Cyc):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Cyc.rational(other)
-        elif not isinstance(other, Cyc):
-            return NotImplemented
         if self.m == other.m:
-            return self.c == other.c
+            return self.d == other.d and self.c == other.c
         big = self.m * other.m // gcd(self.m, other.m)
-        return self._subst(big, big // self.m) == other._subst(big, big // other.m)
+        a, b = self._subst(big, big // self.m), other._subst(big, big // other.m)
+        return [x * other.d for x in a] == [y * self.d for y in b]
 
     __hash__ = None  # values with different conductors may be equal
 
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return self.m == 1 and not self.c[0]  # zero is always (1, 1, (0,))
 
     def is_one(self) -> bool:
-        return self.m == 1 and self.c[0] == 1
+        return self.m == 1 and self.d == 1 and self.c[0] == 1
 
     def rational_value(self) -> Fraction:
         if self.m != 1:
             raise ScalarError("not a rational scalar")
-        return self.c[0]
-
-    def key(self) -> tuple:
-        # hashable representation key (not canonical across conductors)
-        return (self.m, self.c)
+        return Fraction(self.c[0], self.d)
 
     def __repr__(self) -> str:
         return scalar_to_str(self)
 
 
-_CYC_ZERO = Cyc(1, (_ZERO,))
-_CYC_ONE = Cyc(1, (_ONE,))
+_CYC_ZERO = Cyc(1, 1, (0,))
+_CYC_ONE = Cyc(1, 1, (1,))
 
 
 _MUL_CACHE: dict[tuple, Cyc] = {}
@@ -279,7 +283,7 @@ _MUL_CACHE: dict[tuple, Cyc] = {}
 
 def cached_mul(a: Cyc, b: Cyc) -> Cyc:
     """Memoized product for hot verification loops (few distinct operands)."""
-    key = (a.m, a.c, b.m, b.c)
+    key = (a.m, a.d, a.c, b.m, b.d, b.c)
     hit = _MUL_CACHE.get(key)
     if hit is None:
         hit = a * b
@@ -375,12 +379,14 @@ def q_binomial(n: int, k: int, q: Cyc) -> Cyc:
     return rec(n, k)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _frac_str(n: int, d: int) -> str:
+    # n/d in lowest terms
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def scalar_to_str(c: Cyc) -> str:
     """Serialization used in JSON reports: "p/q" or "cyc(m)[c0,c1,...]"."""
     if c.m == 1:
-        return _frac_str(c.c[0])
-    return f"cyc({c.m})[" + ",".join(_frac_str(x) for x in c.c) + "]"
+        return _frac_str(c.c[0], c.d)
+    return f"cyc({c.m})[" + ",".join(_frac_str(x, c.d) for x in c.c) + "]"

@@ -152,6 +152,22 @@ def test_tensor_iso_check_examples(chain3):
     assert r.ok and r.product_elements == 6
 
 
+def test_tensor_iso_check_comultiplies_each_segment_once(monkeypatch):
+    calls = 0
+    comul = IncidenceSubcoalgebra.comul
+
+    def counted(self, seg):
+        nonlocal calls
+        calls += 1
+        return comul(self, seg)
+
+    monkeypatch.setattr(IncidenceSubcoalgebra, "comul", counted)
+    chain4 = Poset.from_covers(["0", "1", "2", "3"], [("0", "1"), ("1", "2"), ("2", "3")])
+    r = tensor_iso_check(chain4, chain4)
+    assert r.ok and r.checked_segments == 100
+    assert calls == 300  # one comultiplication per segment in each of the three coalgebras
+
+
 def test_tensor_iso_check_random_pairs():
     rng = random.Random(99)
     done = 0

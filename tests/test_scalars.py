@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcf.scalars import (
     Cyc,
@@ -164,3 +166,108 @@ def test_serialization_strings():
     assert scalar_to_str(Cyc.rational(-2)) == "-2"
     assert scalar_to_str(Cyc.root(3)) == "cyc(3)[0,1]"
     assert scalar_to_str(Cyc.root(4) * Cyc.root(4)) == "-1"
+    z4, z8, F = Cyc.root(4), Cyc.root(8), Fraction
+    pinned = [  # shared and unshared denominators, negatives, conductors 1, 4, 8
+        (Cyc.rational(F(-7, 3)), "-7/3"),
+        (Cyc.rational(0), "0"),
+        (Cyc.rational(12), "12"),
+        (z4 * F(-3, 2) + F(1, 2), "cyc(4)[1/2,-3/2]"),
+        (z4 * F(2, 3) + F(-1, 5), "cyc(4)[-1/5,2/3]"),
+        (z8 + Cyc.root(8, 3) * F(-5, 6), "cyc(8)[0,1,0,-5/6]"),
+        (Cyc.root(8, 2) * F(1, 4) + F(3, 4) + Cyc.root(8, 3) * F(-1, 2), "cyc(8)[3/4,0,1/4,-1/2]"),
+        ((z8 + Cyc.root(8, 7)) * (z8 + Cyc.root(8, 7)), "2"),
+        (z8 * z4, "cyc(8)[0,0,0,1]"),
+        (z4 * 6 / 4, "cyc(4)[0,3/2]"),
+        (Cyc.root(8, 5) - F(7, 2), "cyc(8)[-7/2,-1,0,0]"),
+        (z4 + z8 * F(-1, 9), "cyc(8)[0,-1/9,1,0]"),
+        ((z4 * F(2, 3) + F(-1, 5)).inv(), "cyc(4)[-45/109,-150/109]"),
+    ]
+    for value, text in pinned:
+        assert scalar_to_str(value) == text
+
+
+# --- differential and property tests across mixed conductors ---------------
+
+CONDUCTORS = (1, 2, 3, 4, 5, 8, 9, 12, 24)
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def drawn_scalars(draw):
+    """(conductor, coefficients in the power basis of zeta_m, value)."""
+    m = draw(st.sampled_from(CONDUCTORS))
+    coeffs = draw(
+        st.lists(
+            st.fractions(min_value=-6, max_value=6, max_denominator=7),
+            min_size=euler_phi(m),
+            max_size=euler_phi(m),
+        )
+    )
+    return m, coeffs, _from_coeffs(m, coeffs)
+
+
+def _sympy_poly(m, coeffs, big):
+    """sum c_i zeta_m^i as a polynomial in zeta_big, over QQ."""
+    from sympy import QQ, Poly, Rational
+    from sympy.abc import x
+
+    terms = (Rational(c.numerator, c.denominator) * x ** (i * (big // m)) for i, c in enumerate(coeffs))
+    return Poly(sum(terms, Rational(0)), x, domain=QQ)
+
+
+def _from_sympy(big, poly):
+    return _from_coeffs(big, [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+
+def _cyclotomic(big):
+    from sympy import QQ, Poly, cyclotomic_poly
+    from sympy.abc import x
+
+    return Poly(cyclotomic_poly(big, x), x, domain=QQ)
+
+
+@PROPERTY_SETTINGS
+@given(drawn_scalars(), drawn_scalars())
+def test_arithmetic_against_sympy(a, b):
+    (ma, ca, x), (mb, cb, y) = a, b
+    big = math.lcm(ma, mb)
+    pa, pb, phi = _sympy_poly(ma, ca, big), _sympy_poly(mb, cb, big), _cyclotomic(big)
+    assert x + y == _from_sympy(big, (pa + pb).rem(phi))
+    assert x - y == _from_sympy(big, (pa - pb).rem(phi))
+    assert x * y == _from_sympy(big, (pa * pb).rem(phi))
+    assert (x == y) == (pa - pb).rem(phi).is_zero
+    if not pa.rem(phi).is_zero:
+        assert x.inv() == _from_sympy(big, pa.invert(phi))
+
+
+@PROPERTY_SETTINGS
+@given(drawn_scalars(), st.sampled_from(CONDUCTORS))
+def test_equal_values_built_at_different_conductors(a, k):
+    m, coeffs, x = a
+    big = math.lcm(m, k)
+    y = sum(
+        (Cyc.rational(c) * Cyc.root(big, i * (big // m)) for i, c in enumerate(coeffs)),
+        Cyc.zero(),
+    )
+    assert x == y and y == x
+    assert (x - y).is_zero()
+    assert x + Cyc.rational(Fraction(1, 7)) != x
+    assert y + Fraction(1, 7) != x
+    # same numerators over another denominator, at one and at mixed conductors
+    assert (x * Fraction(1, 2) == x) == x.is_zero()
+    assert (y * Fraction(1, 2) == x) == x.is_zero()
+
+
+@PROPERTY_SETTINGS
+@given(drawn_scalars(), drawn_scalars())
+def test_normal_form_invariant(a, b):
+    x, y = a[2], b[2]
+    results = [x, y, x + y, x - y, x * y, -x]
+    if not x.is_zero():
+        results.append(x.inv())
+    for z in results:
+        assert z.d > 0
+        assert math.gcd(z.d, *z.c) == 1
+        assert all(type(n) is int for n in z.c)
+        if z.is_zero():
+            assert (z.m, z.d, z.c) == (1, 1, (0,))
