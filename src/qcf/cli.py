@@ -712,7 +712,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None, help="write the JSON report here")
     parser.add_argument("--seed", type=int, default=None, help="seed recorded in reports")
     parser.add_argument(
-        "--bound", type=int, default=40, help="basis-size bound for the brute-force solver"
+        "--bound", type=int, default=forms.BRUTEFORCE_BOUND,
+        help="basis-size bound for the brute-force solver",
     )
     parser.add_argument(
         "--window-margin", type=int, default=None, dest="window_margin",

@@ -49,12 +49,22 @@ def is_balanced(form: BilinearForm) -> BalancedCheck:
     """Direct check of the balance identity on every basis pair."""
     coalg = form.coalgebra
     basis = coalg.basis_list
+    entries = form.entries
     comuls = {p: coalg.comul(p) for p in basis}
     for p in basis:
         for q in basis:
+            # an absent entry is zero and adds nothing to either side
             diff = linear(chain(
-                ((p1, c * form.entry(p2, q)) for (p1, p2), c in comuls[p].items()),
-                ((q2, -(c * form.entry(p, q1))) for (q1, q2), c in comuls[q].items()),
+                (
+                    (p1, c * entries[p2, q])
+                    for (p1, p2), c in comuls[p].items()
+                    if (p2, q) in entries
+                ),
+                (
+                    (q2, -(c * entries[p, q1]))
+                    for (q1, q2), c in comuls[q].items()
+                    if (p, q1) in entries
+                ),
             ))
             if not diff.is_zero():
                 coordinate = sorted(diff.labels(), key=repr)[0]
@@ -62,41 +72,48 @@ def is_balanced(form: BilinearForm) -> BalancedCheck:
     return BalancedCheck(True)
 
 
-def balanced_space_bruteforce(coalg, bound: int = 40) -> list[BilinearForm]:
+BRUTEFORCE_BOUND = 200  # largest basis size the brute-force solver accepts by default
+
+
+def balanced_space_bruteforce(coalg, bound: int = BRUTEFORCE_BOUND) -> list[BilinearForm]:
     """Exact nullspace basis of the balance constraints, treating every
-    beta(p, q) as an unknown. Deterministic fraction-free elimination."""
+    beta(p, q) as an unknown, found by `linalg.sparse_int_nullspace`.
+    It uses none of the closed-form parameterizations it is checked against."""
     basis = coalg.basis_list
     n = len(basis)
     if n > bound:
         raise FormError(f"basis size {n} exceeds brute-force bound {bound}")
     index = {p: i for i, p in enumerate(basis)}
-    comuls = {p: coalg.comul(p) for p in basis}
+    # equations are emitted per pair in the repr order of their coordinate
+    rank = {p: r for r, p in enumerate(sorted(basis, key=repr))}
+    comuls = [coalg.comul(p).labels() for p in basis]
+    # per basis index: (coordinate rank, index of the other factor) per term
+    left = [[(rank[p1], index[p2]) for p1, p2 in terms] for terms in comuls]
+    right = [[(rank[q2], index[q1]) for q1, q2 in terms] for terms in comuls]
     rows: list[dict[int, int]] = []
-    for i, p in enumerate(basis):
-        for j, q in enumerate(basis):
+    for i in range(n):
+        for j in range(n):
             # one equation per coordinate appearing on either side
-            per_coord: dict[object, dict[int, int]] = {}
-            for (p1, p2), _ in comuls[p].items():
-                unknown = index[p2] * n + j
-                row = per_coord.setdefault(p1, {})
+            per_coord: dict[int, dict[int, int]] = {}
+            for r, k in left[i]:
+                unknown = k * n + j
+                row = per_coord.setdefault(r, {})
                 row[unknown] = row.get(unknown, 0) + 1
-            for (q1, q2), _ in comuls[q].items():
-                unknown = i * n + index[q1]
-                row = per_coord.setdefault(q2, {})
+            for r, k in right[j]:
+                unknown = i * n + k
+                row = per_coord.setdefault(r, {})
                 row[unknown] = row.get(unknown, 0) - 1
-            for coord in sorted(per_coord, key=repr):
-                row = {k: v for k, v in per_coord[coord].items() if v}
+            for r in sorted(per_coord):
+                row = {k: v for k, v in per_coord[r].items() if v}
                 if row:
                     rows.append(row)
-    vectors = sparse_int_nullspace(rows, n * n)
-    out = []
-    for vec in vectors:
-        entries = {}
-        for k, v in enumerate(vec):
-            if v:
-                entries[(basis[k // n], basis[k % n])] = Cyc.rational(v)
-        out.append(BilinearForm(coalg, entries))
-    return out
+    return [
+        BilinearForm(
+            coalg,
+            {(basis[k // n], basis[k % n]): Cyc.rational(v) for k, v in vec.items()},
+        )
+        for vec in sparse_int_nullspace(rows, n * n)
+    ]
 
 
 @dataclass

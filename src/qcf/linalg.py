@@ -1,9 +1,14 @@
 """Exact nullspace and rank computations.
 
-Two routines: a fraction-free integer elimination for the large sparse
-homogeneous systems coming from bilinear-form constraints, and a dense
-division-based elimination generic over field scalars for small matrices
-(form radicals, independence checks over cyclotomic fields).
+Two routines: a sparse integer elimination for the large homogeneous
+systems coming from bilinear-form constraints, and a dense division-based
+elimination generic over field scalars for small matrices (form radicals,
+independence checks over cyclotomic fields).
+
+The sparse routine finds the echelon form fraction-free, back-substitutes
+to the reduced form over Q, and returns each nullspace vector as a sparse
+{column: int}, so a vector costs time in its nonzeros, not in the number
+of unknowns.
 
 Pivoting is deterministic (first nonzero in row-major order) so nullspace
 bases are reproducible.
@@ -12,7 +17,7 @@ bases are reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import Cyc
 
@@ -57,11 +62,14 @@ def sparse_int_echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def sparse_int_nullspace(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, ...]]:
+def sparse_int_nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     """Integer basis of the nullspace of a sparse integer matrix.
 
-    Vectors are primitive (gcd 1) with positive leading entry, one per free
-    column in ascending column order.
+    The echelon form is found fraction-free; back-substitution to the
+    reduced form is over Q. There is one vector per free column, in
+    ascending column order. Each vector is a sparse {column: int} with its
+    columns in ascending order, primitive (gcd 1) and with a positive
+    leading (smallest-column) entry.
     """
     pivots = sparse_int_echelon(rows)
     pivot_cols = sorted(pivots)
@@ -82,28 +90,26 @@ def sparse_int_nullspace(rows: list[dict[int, int]], ncols: int) -> list[tuple[i
                 else:
                     frow.pop(cc, None)
         reduced[col] = frow
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis: list[tuple[int, ...]] = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for col, frow in reduced.items():
-            coeff = frow.get(f)
-            if coeff:
-                vec[col] = -coeff
-        den = 1
-        for x in vec:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        lead = next(v for v in ints if v)
-        if lead < 0:
-            ints = [-v for v in ints]
-        basis.append(tuple(ints))
+    # column view: free column -> {pivot column: -coefficient}; a reduced
+    # row holds only its own pivot and free columns to the right of it
+    column_view: dict[int, dict[int, Fraction]] = {}
+    for col, frow in reduced.items():
+        for c, v in frow.items():
+            if c != col:
+                column_view.setdefault(c, {})[col] = -v
+    basis: list[dict[int, int]] = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        entries = column_view.get(f, {})
+        den = lcm(*(x.denominator for x in entries.values()))
+        vec = {c: x.numerator * (den // x.denominator) for c, x in sorted(entries.items())}
+        vec[f] = den
+        g = gcd(*vec.values())
+        sign = -1 if next(iter(vec.values())) < 0 else 1
+        if g > 1 or sign < 0:
+            vec = {c: sign * v // g for c, v in vec.items()}
+        basis.append(vec)
     return basis
 
 

@@ -196,6 +196,16 @@ def test_oversize_input_rejected(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_default_bound_admits_dimension_44(tmp_path, capsys):
+    doc = tmp_path / "doc.qcf"
+    doc.write_text("coalgebra K = family(Cn, n=11, s=3)")
+    code, report = run_cli(capsys, "forms", "--input", doc)
+    assert code == 0
+    entry = report["results"]["K"]
+    assert entry["basis_size"] == 44
+    assert entry["agree"] is True
+
+
 def test_csv_group_table(tmp_path, capsys):
     table = tmp_path / "klein.csv"
     table.write_text("0,1,2,3\n1,0,3,2\n2,3,0,1\n3,2,1,0\n")

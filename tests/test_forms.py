@@ -215,3 +215,45 @@ def test_bruteforce_vectors_are_balanced_small_sweep():
         coalg = random_incidence_subcoalgebra(rng, max_elements=6, max_basis=14)
         for form in balanced_space_bruteforce(coalg):
             assert is_balanced(form).ok
+
+
+def _two_arrow_path_case():
+    quiver = Quiver(["u", "v", "w"], [("a", "u", "v"), ("b", "v", "w")])
+    coalg = full_path_coalgebra(quiver)
+    a, b, u = quiver.arrow_path("a"), quiver.arrow_path("b"), quiver.vertex_path("u")
+    return coalg, (a, b), Cyc.rational(2), (a, b, u)
+
+
+def _chain_incidence_case():
+    poset = Poset.from_covers(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    coalg = full_incidence_coalgebra(poset)
+    stray = (("0", "2"), ("1", "1"))
+    return coalg, stray, Cyc.one(), (("0", "2"), ("1", "1"), ("0", "0"))
+
+
+def _cycle_family_case():
+    coalg = build_family(WindowedFamily.cycle(3, 2))
+    quiver = coalg.quiver
+    a1a2 = quiver.concat(quiver.arrow_path("a1"), quiver.arrow_path("a2"))
+    v1, v2 = quiver.vertex_path("1"), quiver.vertex_path("2")
+    return coalg, (a1a2, v2), Cyc.rational(3), (a1a2, v2, v1)
+
+
+@pytest.mark.parametrize(
+    "case", [_two_arrow_path_case, _chain_incidence_case, _cycle_family_case]
+)
+def test_violation_of_all_ones_form_with_stray_entry(case):
+    # the (p, q, coordinate) triples were recorded from the direct checker
+    # before it skipped zero entries; the skip must not move them
+    coalg, stray, value, expected = case()
+    if isinstance(coalg, IncidenceSubcoalgebra):
+        params = incidence_form_params(coalg)
+        form = form_from_incidence_params(coalg, params, all_ones_alpha_incidence(params))
+    else:
+        params = path_form_params(coalg)
+        form = form_from_path_params(coalg, params, all_ones_alpha_path(params))
+    assert is_balanced(form).ok
+    assert stray not in form.entries
+    check = is_balanced(BilinearForm(coalg, {**form.entries, stray: value}))
+    assert not check.ok
+    assert check.violation == expected
