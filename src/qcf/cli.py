@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from pathlib import Path as FilePath
 
 from . import dsl, forms, frobenius, hopf
@@ -49,6 +50,14 @@ COMMANDS = (
     "hopf",
     "hopf-verify",
 )
+
+
+# Size limits, checked before anything is built. A Hopf table stores
+# dimension^2 products; a cycle family family(Cn, n, s) has n(s+1) basis
+# paths holding n s(s+1)/2 arrows in all.
+MAX_HOPF_DIMENSION = 512
+MAX_FAMILY_DIMENSION = 20_000
+MAX_FAMILY_ARROWS = 2_000_000
 
 
 class InputError(Exception):
@@ -109,16 +118,30 @@ def _root_value(sc: dsl.ScalarExpr) -> RootOfUnity:
     raise InputError("q must be root(m, k), 1, or -1")
 
 
-def _group_value(expr: dsl.GroupExpr, base: FilePath | None):
+def _group_value(expr: dsl.GroupExpr, base: FilePath | None, levels: int = 1):
+    """(table, names, identity). InputError before a table is built whose
+    order times `levels` (the x-degrees 0..s of hn) exceeds
+    MAX_HOPF_DIMENSION; a CSV table is checked once read."""
+
+    def check_order(order: int) -> None:
+        if order * levels > MAX_HOPF_DIMENSION:
+            raise InputError(
+                f"a group of order {order} gives dimension {order * levels}, "
+                f"over the limit of {MAX_HOPF_DIMENSION}"
+            )
+
     if expr.kind == "cyclic":
+        check_order(expr.n)
         table = hopf.cyclic_table(expr.n)
         names = tuple("e" if k == 0 else f"c{k}" for k in range(expr.n))
         return table, names, 0
     if expr.kind == "dihedral":
+        check_order(2 * expr.n)
         table, names, _ = hopf.dihedral_table(expr.n)
         return table, names, 0
     if expr.kind == "product":
-        parts = [_group_value(p, base) for p in expr.parts]
+        parts = [_group_value(p, base, levels) for p in expr.parts]
+        check_order(prod(len(part[0]) for part in parts))
         table, names, identity = parts[0]
         for t2, n2, e2 in parts[1:]:
             size1, size2 = len(table), len(t2)
@@ -139,6 +162,7 @@ def _group_value(expr: dsl.GroupExpr, base: FilePath | None):
             rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read group table {path}: {exc}") from exc
+    check_order(len(rows))
     return hopf.group_from_csv_rows(rows)
 
 
@@ -236,6 +260,15 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
             fail(d.pos, f"coalgebra {d.name}: " + "; ".join(errs))
             return None
         if e.family_tag == "Cn":
+            dimension, arrows = e.n * (e.s + 1), e.n * e.s * (e.s + 1) // 2
+            if dimension > MAX_FAMILY_DIMENSION or arrows > MAX_FAMILY_ARROWS:
+                fail(
+                    d.pos,
+                    f"coalgebra {d.name}: family(Cn, n={e.n}, s={e.s}) has dimension "
+                    f"{dimension} and {arrows} arrows in its basis paths, over the limits "
+                    f"{MAX_FAMILY_DIMENSION} and {MAX_FAMILY_ARROWS}",
+                )
+                return None
             # cycle families are finite; materialize them outright
             return CoalgValue("path", finite=build_family(fam))
         return CoalgValue("mixed", families=(fam,))
@@ -289,7 +322,8 @@ def _resolve_hopf(d: dsl.HopfDecl, base) -> HopfValue:
     e = d.expr
     if e.group is None:
         raise InputError("hn(...) needs group")
-    table, names, identity = _group_value(e.group, base)
+    levels = max(e.s + 1, 1) if e.kind == "hn" else 1
+    table, names, identity = _group_value(e.group, base, levels)
     if e.kind == "group_algebra":
         return HopfValue("group_algebra", plain_table=(table, names, identity))
     if e.q is None:

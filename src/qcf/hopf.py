@@ -83,13 +83,16 @@ class FiniteGroupData:
         for i in range(n_elems):
             if self.table[e][i] != i or self.table[i][e] != i:
                 raise HopfError(f"identity law fails at {self.names[i]}")
-        for a in range(n_elems):
-            for b in range(n_elems):
-                for c in range(n_elems):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise HopfError(
-                            f"associativity fails at ({self.names[a]}, {self.names[b]}, {self.names[c]})"
-                        )
+        t = self.table
+        gens = _greedy_generators(range(n_elems), e, lambda w, h: t[w][h])
+        # Light's test: by the identity law the b with (ab)c = a(bc) for all
+        # a, c are closed under the product, so the generators decide; the
+        # full loop runs only to name the first failing triple
+        if _nonassociative_triple(t, gens) is not None:
+            a, b, c = _nonassociative_triple(t, range(n_elems))
+            raise HopfError(
+                f"associativity fails at ({self.names[a]}, {self.names[b]}, {self.names[c]})"
+            )
         for a in range(n_elems):
             self.inverse(a)
         for h in range(n_elems):
@@ -111,6 +114,45 @@ class FiniteGroupData:
                         "alpha may be nonzero only when the character has order dividing s+1; "
                         f"fails at {self.names[a]}"
                     )
+
+
+def _greedy_generators(candidates, start, step) -> list:
+    """Generators of a finite product, with their certificate.
+
+    Each candidate not yet reached becomes a generator. The reached set
+    starts at `start` (the identity) and is closed under w -> step(w, g)
+    for every generator g, where step returns the basis label that w g is
+    a nonzero multiple of, or None. So every reached label lies in the
+    subalgebra the generators generate, and since every candidate ends up
+    reached or a generator, the generators generate everything.
+    """
+    reached = {start}
+    gens = []
+    for cand in candidates:
+        if cand in reached:
+            continue
+        gens.append(cand)
+        queue = list(reached)
+        while queue:
+            w = queue.pop()
+            for g in gens:
+                label = step(w, g)
+                if label is not None and label not in reached:
+                    reached.add(label)
+                    queue.append(label)
+    return gens
+
+
+def _nonassociative_triple(t, middle):
+    """The first (a, b, c) with b in `middle` and (ab)c != a(bc) in the group
+    table t, or None."""
+    n = len(t)
+    for a in range(n):
+        for b in middle:
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return a, b, c
+    return None
 
 
 def cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
@@ -504,15 +546,16 @@ def compute_antipode(table: HopfTable, order=None) -> dict:
             acc = acc - table.mul_lin_basis(antipode[a], b).scale(coeff)
         antipode[c] = table.mul_lin_basis(acc, inverse[gamma]).scale(lead.inv())
 
-    failure = _convolution_failure(table, antipode)
+    failure = next(filter(None, _convolution_failures(table, antipode)), None)
     if failure is not None:
         raise HopfError(f"computed antipode fails the convolution identity at {failure[0]!r}")
     return antipode
 
 
-def _convolution_failure(table: HopfTable, antipode: dict):
-    """The first (label, side) at which S * id (side "left") or id * S
-    (side "right") differs from unit times counit; None when both hold."""
+def _convolution_failures(table: HopfTable, antipode: dict):
+    """Per basis label b, None when S * id and id * S both equal unit times
+    counit at b, else (b, side) for the first failing side: "left" for
+    S * id, "right" for id * S."""
     for b in table.labels:
         expect = LinComb.basis(table.unit, table.counit[b])
         left = LinComb()
@@ -521,10 +564,11 @@ def _convolution_failure(table: HopfTable, antipode: dict):
             left = left + table.mul_lin_basis(antipode[x], y).scale(c)
             right = right + table.mul_basis_lin(x, antipode[y]).scale(c)
         if left != expect:
-            return b, "left"
-        if right != expect:
-            return b, "right"
-    return None
+            yield b, "left"
+        elif right != expect:
+            yield b, "right"
+        else:
+            yield None
 
 
 def with_antipode(table: HopfTable) -> HopfTable:
@@ -532,10 +576,49 @@ def with_antipode(table: HopfTable) -> HopfTable:
     return table
 
 
+def algebra_generators(table: HopfTable) -> list | None:
+    """Labels that generate the algebra, certified by `_greedy_generators`:
+    a label is reached when the product of a reached label and a generator
+    is a nonzero multiple of it. Candidates are taken in (degree, repr)
+    order.
+
+    None when the unit is not a label or the product or coproduct of labels
+    leaves their span (a finite window of the line family): there the
+    labels span no subalgebra, and generators prove nothing.
+    """
+    labels = table.labels
+    inside = set(labels)
+    if table.unit not in inside:
+        return None
+    for a in labels:
+        for b in labels:
+            if not inside.issuperset(table.product[(a, b)].labels()):
+                return None
+        if not all(x in inside and y in inside for x, y in table.coproduct[a].labels()):
+            return None
+
+    def step(w, g):
+        terms = table.product[(w, g)].terms
+        if len(terms) == 1:
+            ((label, c),) = terms.items()
+            if not c.is_zero():
+                return label
+        return None
+
+    order = sorted(labels, key=lambda b: (table.degree[b], repr(b)))
+    return _greedy_generators(order, table.unit, step)
+
+
 @dataclass
 class CheckResult:
+    """One axiom's verdict. `checked` counts the basis tuples visited, up
+    to and including the first failing one; `method` says which ran:
+    "exhaustive", or "generators g1, ..., gk" for the reduced sweep."""
+
     ok: bool
     failure: str | None = None
+    checked: int = 0
+    method: str = "exhaustive"
 
 
 @dataclass
@@ -551,100 +634,128 @@ class HopfVerifyReport:
         return None
 
 
-def verify_hopf(table: HopfTable) -> HopfVerifyReport:
-    """Exhaustive axiom sweep over all basis tuples; failures are report
-    content, never exceptions."""
+def _sweep(outcomes, method: str) -> CheckResult:
+    """CheckResult of an iterable giving, per tuple visited, None or a
+    failure string; it stops at the first failure."""
+    checked = 0
+    for failure in outcomes:
+        checked += 1
+        if failure is not None:
+            return CheckResult(False, failure, checked, method)
+    return CheckResult(True, None, checked, method)
+
+
+def verify_hopf(table: HopfTable, exhaustive: bool = False) -> HopfVerifyReport:
+    """Check every Hopf axiom on the basis; failures are report content,
+    never exceptions.
+
+    With `exhaustive` every axiom runs over all basis tuples: the oracle.
+    Otherwise, once the unit laws hold and `algebra_generators` certifies
+    generators, associativity runs with its middle factor over the
+    generators only, and so do the multiplicativity of the coproduct and
+    counit with their left factor once associativity holds (Light's test:
+    the elements passing each of these checks form a subalgebra). A
+    reduced check that fails runs again over all tuples, so the verdicts
+    and failure strings are always those of the exhaustive sweep.
+    """
     labels = table.labels
     unit = table.unit
     checks: dict[str, CheckResult] = {}
+    gens = None
+    method = "exhaustive"
 
-    def run(name, gen):
-        for failure in gen:
-            checks[name] = CheckResult(False, failure)
-            return
-        checks[name] = CheckResult(True)
+    def run(name, check, reducible=False):
+        # check(over) yields None or a failure string per tuple, with the
+        # reducible slot running over `over`
+        if reducible and gens is not None:
+            checks[name] = _sweep(check(gens), method)
+            if checks[name].ok:
+                return
+        checks[name] = _sweep(check(labels), "exhaustive")
 
-    def unit_laws():
+    def unit_laws(over):
         if not table.counit[unit].is_one():
             yield "counit of the unit is not 1"
-        if table.coproduct[unit] != LinComb.basis((unit, unit)):
+        elif table.coproduct[unit] != LinComb.basis((unit, unit)):
             yield "coproduct of the unit is not unit (x) unit"
-        for b in labels:
+        else:
+            yield None
+        for b in over:
             if table.product[(unit, b)] != LinComb.basis(b):
                 yield f"1 * {b!r}"
-                return
-            if table.product[(b, unit)] != LinComb.basis(b):
+            elif table.product[(b, unit)] != LinComb.basis(b):
                 yield f"{b!r} * 1"
-                return
+            else:
+                yield None
 
-    run("unit_laws", unit_laws())
+    run("unit_laws", unit_laws)
+    if not exhaustive and checks["unit_laws"].ok:
+        gens = algebra_generators(table)
+        if gens is not None:
+            method = "generators " + ", ".join(map(repr, gens))
 
-    def associativity():
+    def associativity(middle):
         pair = table.product
+        mul_lin_basis = table.mul_lin_basis
+        mul_basis_lin = table.mul_basis_lin
         for a in labels:
-            for b in labels:
+            for b in middle:
                 ab = pair[(a, b)]
                 for c in labels:
-                    if table.mul_lin_basis(ab, c) != table.mul_basis_lin(a, pair[(b, c)]):
+                    if mul_lin_basis(ab, c) == mul_basis_lin(a, pair[(b, c)]):
+                        yield None
+                    else:
                         yield f"({a!r} {b!r} {c!r})"
-                        return
 
-    run("associativity", associativity())
+    run("associativity", associativity, reducible=True)
+    if not checks["associativity"].ok:
+        gens = None
 
-    def coassociativity():
-        for b in labels:
+    def coassociativity(over):
+        for b in over:
             d = table.coproduct[b]
             lhs = expand_slot(d, 0, lambda l: table.coproduct[l])
             rhs = expand_slot(d, 1, lambda l: table.coproduct[l])
-            if lhs != rhs:
-                yield f"{b!r}"
-                return
+            yield None if lhs == rhs else f"{b!r}"
 
-    run("coassociativity", coassociativity())
+    run("coassociativity", coassociativity)
 
-    def counit_laws():
-        for b in labels:
+    def counit_laws(over):
+        for b in over:
             d = table.coproduct[b].items()
             left = linear((y, cached_mul(c, table.counit[x])) for (x, y), c in d)
             right = linear((x, cached_mul(c, table.counit[y])) for (x, y), c in d)
-            if left != LinComb.basis(b) or right != LinComb.basis(b):
-                yield f"{b!r}"
-                return
+            yield None if left == LinComb.basis(b) and right == LinComb.basis(b) else f"{b!r}"
 
-    run("counit_laws", counit_laws())
+    run("counit_laws", counit_laws)
 
-    def coproduct_multiplicative():
-        for a in labels:
+    def coproduct_multiplicative(left):
+        for a in left:
             da = table.coproduct[a]
             for b in labels:
                 lhs = map_linear(table.product[(a, b)], lambda l: table.coproduct[l])
                 rhs = table.mul_tensor2(da, table.coproduct[b])
-                if lhs != rhs:
-                    yield f"({a!r}, {b!r})"
-                    return
+                yield None if lhs == rhs else f"({a!r}, {b!r})"
 
-    run("coproduct_multiplicative", coproduct_multiplicative())
+    run("coproduct_multiplicative", coproduct_multiplicative, reducible=True)
 
-    def counit_multiplicative():
-        for a in labels:
+    def counit_multiplicative(left):
+        for a in left:
             for b in labels:
                 lhs = Cyc.zero()
                 for l, c in table.product[(a, b)].items():
                     lhs = lhs + cached_mul(c, table.counit[l])
-                if not (lhs - table.counit[a] * table.counit[b]).is_zero():
-                    yield f"({a!r}, {b!r})"
-                    return
+                ok = (lhs - table.counit[a] * table.counit[b]).is_zero()
+                yield None if ok else f"({a!r}, {b!r})"
 
-    run("counit_multiplicative", counit_multiplicative())
+    run("counit_multiplicative", counit_multiplicative, reducible=True)
 
     if table.antipode is not None:
-        def antipode_identities():
-            failure = _convolution_failure(table, table.antipode)
-            if failure is not None:
-                label, side = failure
-                yield f"{side} convolution at {label!r}"
+        def antipode_identities(_):
+            for failure in _convolution_failures(table, table.antipode):
+                yield None if failure is None else f"{failure[1]} convolution at {failure[0]!r}"
 
-        run("antipode_identities", antipode_identities())
+        run("antipode_identities", antipode_identities)
     else:
         checks["antipode_identities"] = CheckResult(False, "antipode not computed")
 

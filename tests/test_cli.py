@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import qcf
-from qcf.cli import main
+from qcf import dsl
+from qcf.cli import MAX_FAMILY_DIMENSION, MAX_HOPF_DIMENSION, main, resolve
 
 DOC = """
 quiver Q { vertices: u v; arrows: a: u -> v; }
@@ -241,3 +243,79 @@ def test_bad_hopf_input_exits_2_without_traceback(hopf_decl, message, tmp_path):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_non_associative_csv_table_names_the_first_failing_triple(tmp_path, capsys):
+    # the smallest non-associative loop: a Latin square with identity 0
+    rows = ["0,1,2,3,4", "1,0,3,4,2", "2,4,0,1,3", "3,2,4,0,1", "4,3,1,2,0"]
+    (tmp_path / "loop.csv").write_text("\n".join(rows) + "\n")
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(
+        'hopf H = hn(s=1, q=root(2,1), group=csv("loop.csv"), g=1, chi=[1, -1, 1, -1, 1], alpha=0)'
+    )
+    code = main(["hopf-verify", "--input", str(doc)])
+    assert code == 2
+    assert "associativity fails at (g1, g1, g2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, decl, message",
+    [
+        ("hopf-verify", "hopf H = hn(s=1, q=root(2,1), group=cyclic(100000000), alpha=1)",
+         "a group of order 100000000 gives dimension 200000000"),
+        ("hopf-verify", "hopf H = group_algebra(product(cyclic(600), cyclic(600)))",
+         "a group of order 600 gives dimension 600"),
+        ("validate", "coalgebra K = family(Cn, n=100000000, s=3)",
+         "has dimension 400000000"),
+        ("validate", "coalgebra K = family(Cn, n=1, s=100000)",
+         "5000050000 arrows"),
+    ],
+    ids=["hn-cyclic", "group-algebra-product", "cycle-family-dimension", "cycle-family-arrows"],
+)
+def test_oversized_input_exits_2_before_it_is_built(command, decl, message, tmp_path):
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(decl + "\n")
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", command, "--input", str(doc)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_size_limits_are_inclusive():
+    def errors(text):
+        doc, diags = dsl.parse(text)
+        assert doc is not None, diags
+        return [str(d) for d in resolve(doc)[1]]
+
+    order = MAX_HOPF_DIMENSION // 2
+    assert errors(f"hopf H = hn(s=1, q=root(2,1), group=cyclic({order}), alpha=1)") == []
+    assert "over the limit" in errors(
+        f"hopf H = hn(s=1, q=root(2,1), group=cyclic({order + 2}), alpha=1)"
+    )[0]
+    n = MAX_FAMILY_DIMENSION // 2
+    assert errors(f"coalgebra K = family(Cn, n={n}, s=1)") == []
+    assert "over the limits" in errors(f"coalgebra K = family(Cn, n={n + 1}, s=1)")[0]
+
+
+def test_hopf_verify_of_dimension_200_runs_in_seconds(tmp_path):
+    # associativity over 2 certified generators visits 80,000 triples, not 8,000,000
+    doc = tmp_path / "doc.qcf"
+    doc.write_text("hopf H = hn(s=1, q=root(2,1), group=cyclic(100), alpha=1)\n")
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", "hopf-verify", "--input", str(doc)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert time.monotonic() - start < 5.0
+    assert proc.returncode == 0
+    entry = json.loads(proc.stdout)["results"]["H"]
+    assert entry["verified"] is True
+    assert entry["meta"]["dimension"] == 200

@@ -1,18 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcf.lincomb import LinComb, linear
 from qcf.hopf import (
     FiniteGroupData,
     HopfError,
     LineProduct,
+    algebra_generators,
     build_Hn,
     compute_antipode,
     cyclic_hopf_datum,
     cyclic_table,
     cyclic_x_c2_hopf_datum,
     dihedral_hopf_datum,
+    dihedral_table,
     group_algebra,
     group_from_csv_rows,
     verify_coalgebra_iso_Cn,
@@ -20,7 +24,9 @@ from qcf.hopf import (
     with_antipode,
 )
 from qcf.scalars import Cyc, RootOfUnity
+from test_acceptance import HOPF_GRID
 
+ONE = RootOfUnity(1, 0)
 MINUS_ONE = RootOfUnity(2, 1)
 ZETA3 = RootOfUnity(3, 1)
 ZETA4 = RootOfUnity(4, 1)
@@ -248,3 +254,200 @@ def test_line_coproduct_matches_window_comultiplication():
             ((label_of(l), label_of(r)), c) for (l, r), c in coalg.comul(p).items()
         )
         assert prod.coproduct((i, u)) == expected
+
+
+# ---------------------------------------------------------------------------
+# generators (Light's test) against the exhaustive sweep
+
+
+def verdicts(report):
+    return {name: (res.ok, res.failure) for name, res in report.checks.items()}
+
+
+def assert_reduced_matches_oracle(table):
+    reduced = verify_hopf(table)
+    oracle = verify_hopf(table, exhaustive=True)
+    assert verdicts(reduced) == verdicts(oracle)
+    assert all(res.method == "exhaustive" for res in oracle.checks.values())
+    return reduced
+
+
+SMALL_TABLES = {
+    "H(C4), s=1": lambda: build_Hn(
+        1, MINUS_ONE, cyclic_hopf_datum(4, 1, MINUS_ONE), Cyc.rational(1)
+    ),
+    "H(C3), s=2": lambda: build_Hn(2, ZETA3, cyclic_hopf_datum(3, 2, ZETA3), Cyc.rational(1)),
+    "H(C2 x C2), s=1": lambda: build_Hn(
+        1, MINUS_ONE, cyclic_x_c2_hopf_datum(2, 1, MINUS_ONE), Cyc.zero()
+    ),
+    "k[S3]": lambda: group_algebra(*dihedral_table(3)[:2], 0),
+    "k[C4]": lambda: group_algebra(cyclic_table(4), ("e", "c", "c2", "c3"), 0),
+    "cycle n=4, s=1": lambda: LineProduct(1, MINUS_ONE, Cyc.rational(1), 4).table(),
+}
+DELTAS = [Cyc.one(), Cyc.rational(-1), Cyc.rational(2), ZETA3.scalar(), ZETA4.scalar()]
+
+
+@st.composite
+def mutants(draw):
+    """A small Hopf table (antipode computed first) with one structure
+    constant changed: a product or coproduct coefficient, an output label,
+    a whole product entry, or a counit value."""
+    name = draw(st.sampled_from(sorted(SMALL_TABLES)))
+    table = with_antipode(SMALL_TABLES[name]())
+    labels = table.labels
+    pick = lambda: labels[draw(st.integers(0, len(labels) - 1))]  # noqa: E731
+    delta = draw(st.sampled_from(DELTAS))
+    kind = draw(st.sampled_from(["coefficient", "label", "entry", "coproduct", "counit"]))
+    if kind == "counit":
+        b = pick()
+        table.counit[b] = table.counit[b] + delta
+        return name, kind, table
+    if kind == "coproduct":
+        b = pick()
+        terms = list(table.coproduct[b].items())
+        i = draw(st.integers(0, len(terms) - 1))
+        (x, y), c = terms[i]
+        if draw(st.booleans()):
+            terms[i] = ((x, y), c + delta)
+        else:
+            terms[i] = ((x, pick()), c)
+        table.coproduct[b] = linear(terms)
+        return name, kind, table
+    key = (pick(), pick())
+    terms = list(table.product[key].items())
+    if kind == "entry" or not terms:
+        table.product[key] = LinComb.basis(pick(), delta)
+        return name, "entry", table
+    i = draw(st.integers(0, len(terms) - 1))
+    label, c = terms[i]
+    terms[i] = (label, c + delta) if kind == "coefficient" else (pick(), c)
+    table.product[key] = linear(terms)
+    return name, kind, table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutants())
+def test_generators_agree_with_exhaustive_sweep_on_mutants(mutant):
+    name, kind, table = mutant
+    assert_reduced_matches_oracle(table)
+
+
+@pytest.mark.parametrize("n, s, q", HOPF_GRID)
+def test_generators_agree_with_exhaustive_sweep_on_criterion_7_grid(n, s, q):
+    groups = [cyclic_hopf_datum(n, s, q), cyclic_x_c2_hopf_datum(n, s, q)]
+    dihedral = dihedral_hopf_datum(n, s, q)
+    if dihedral is not None:
+        groups.append(dihedral)
+    for alpha in (Cyc.zero(), Cyc.rational(1)):
+        for datum in groups:
+            table = with_antipode(build_Hn(s, q, datum, alpha))
+            report = assert_reduced_matches_oracle(table)
+            assert report.ok
+            gens = algebra_generators(table)
+            assoc = report.checks["associativity"]
+            assert assoc.method == "generators " + ", ".join(map(repr, gens))
+            dim = table.dimension
+            assert assoc.checked == len(gens) * dim * dim < dim**3
+
+
+def test_algebra_generators_certify_the_sweedler_like_tables():
+    table = build_Hn(1, MINUS_ONE, cyclic_hopf_datum(4, 1, MINUS_ONE), Cyc.rational(1))
+    assert algebra_generators(table) == [(1, 0), (0, 1)]
+    # a generator of the group is found even when the labels do not start with one
+    assert algebra_generators(group_algebra(*dihedral_table(3)[:2], 0)) == [1, 2]
+
+
+def test_window_tables_get_no_generators():
+    # a finite window of the line is not closed under the product
+    window = [(i, u) for i in range(-3, 4) for u in range(2)]
+    table = LineProduct(1, MINUS_ONE, Cyc.rational(1)).table(window)
+    assert algebra_generators(table) is None
+    report = verify_hopf(table)
+    assert all(res.method == "exhaustive" for res in report.checks.values())
+
+
+def test_broken_unit_law_takes_the_exhaustive_path():
+    table = with_antipode(
+        build_Hn(1, MINUS_ONE, cyclic_hopf_datum(4, 1, MINUS_ONE), Cyc.rational(1))
+    )
+    table.product[(table.unit, (2, 1))] = LinComb.basis((2, 1), Cyc.rational(2))
+    report = assert_reduced_matches_oracle(table)
+    assert report.checks["unit_laws"].failure == "1 * (2, 1)"
+    assert not report.checks["associativity"].ok
+    assert all(res.method == "exhaustive" for res in report.checks.values())
+
+
+def test_failing_reduced_check_is_rerun_exhaustively():
+    table = with_antipode(build_Hn(1, MINUS_ONE, cyclic_hopf_datum(2, 1, MINUS_ONE), Cyc.zero()))
+    table.product[((1, 0), (1, 0))] = LinComb.basis((1, 0))
+    report = assert_reduced_matches_oracle(table)
+    assoc = report.checks["associativity"]
+    assert not assoc.ok and assoc.method == "exhaustive"
+    # the unit laws still hold, so the generators were tried first
+    assert report.checks["unit_laws"].ok
+    assert report.checks["coassociativity"].checked == table.dimension
+
+
+def test_check_counts_on_a_passing_table():
+    table = with_antipode(build_Hn(1, MINUS_ONE, cyclic_hopf_datum(4, 1, MINUS_ONE), Cyc.one()))
+    checks = verify_hopf(table).checks
+    dim = table.dimension
+    method = "generators (1, 0), (0, 1)"
+    assert {name: (res.checked, res.method) for name, res in checks.items()} == {
+        "unit_laws": (1 + dim, "exhaustive"),
+        "associativity": (2 * dim * dim, method),
+        "coassociativity": (dim, "exhaustive"),
+        "counit_laws": (dim, "exhaustive"),
+        "coproduct_multiplicative": (2 * dim, method),
+        "counit_multiplicative": (2 * dim, method),
+        "antipode_identities": (dim, "exhaustive"),
+    }
+    oracle = verify_hopf(table, exhaustive=True).checks
+    assert oracle["associativity"].checked == dim**3
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose row and column 0 are 0, 1, ..., n-1:
+    the multiplication tables of the loops on {0, ..., n-1} with identity 0."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == (n - 1) * (n - 1):
+            yield tuple(tuple(r) for r in rows)
+            return
+        i, j = 1 + cell // (n - 1), 1 + cell % (n - 1)
+        used = set(rows[i][:j]) | {rows[k][j] for k in range(i)}
+        for v in range(n):
+            if v not in used:
+                rows[i][j] = v
+                yield from fill(cell + 1)
+        rows[i][j] = None
+
+    return fill(0)
+
+
+def test_group_associativity_check_names_the_first_failing_triple():
+    verdicts_seen = set()
+    for table in reduced_latin_squares(5):
+        names = tuple(f"g{i}" for i in range(5))
+        chi = (ONE,) * 5
+        datum = FiniteGroupData(table, names, 0, 0, chi)
+        first = next(
+            (
+                (a, b, c)
+                for a in range(5)
+                for b in range(5)
+                for c in range(5)
+                if table[table[a][b]][c] != table[a][table[b][c]]
+            ),
+            None,
+        )
+        with pytest.raises(HopfError) as exc:
+            datum.validate(1, MINUS_ONE, Cyc.zero())
+        if first is None:
+            assert "associativity" not in str(exc.value)
+        else:
+            a, b, c = first
+            assert str(exc.value) == f"associativity fails at (g{a}, g{b}, g{c})"
+        verdicts_seen.add(first is None)
+    assert verdicts_seen == {True, False}
