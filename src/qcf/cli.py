@@ -24,6 +24,7 @@ from .posets import (
     Poset,
     embed,
     full_incidence_coalgebra,
+    hasse_path_count,
     tensor_iso_check,
 )
 from .quiver import (
@@ -54,10 +55,13 @@ COMMANDS = (
 
 # Size limits, checked before anything is built. A Hopf table stores
 # dimension^2 products; a cycle family family(Cn, n, s) has n(s+1) basis
-# paths holding n s(s+1)/2 arrows in all.
+# paths holding n s(s+1)/2 arrows in all; `embed` lists every Hasse path
+# between the ends of each basis segment, 297,856 for full(B8) and 2,681,216
+# for full(B9), B_n the Boolean lattice on n points.
 MAX_HOPF_DIMENSION = 512
 MAX_FAMILY_DIMENSION = 20_000
 MAX_FAMILY_ARROWS = 2_000_000
+MAX_EMBED_PATHS = 1_000_000
 
 
 class InputError(Exception):
@@ -616,6 +620,12 @@ def cmd_embed(res: Resolved, flags) -> dict:
         if value.kind != "incidence":
             continue
         _require_valid(name, value)
+        paths = hasse_path_count(value.incidence)
+        if paths > MAX_EMBED_PATHS:
+            raise InputError(
+                f"coalgebra {name} maps its segments to {paths} Hasse paths, "
+                f"over the limit of {MAX_EMBED_PATHS}"
+            )
         r = embed(value.incidence)
         results[name] = {
             "morphism_ok": r.morphism_ok,

@@ -99,12 +99,15 @@ class FiniteGroupData:
             if self.table[self.g][h] != self.table[h][self.g]:
                 raise HopfError(f"distinguished element is not central: fails at {self.names[h]}")
         chi_s = [r.scalar() for r in self.chi]
-        for a in range(n_elems):
-            for b in range(n_elems):
-                if chi_s[self.table[a][b]] != chi_s[a] * chi_s[b]:
-                    raise HopfError(
-                        f"character is not multiplicative at ({self.names[a]}, {self.names[b]})"
-                    )
+        # Light's argument again: with chi(e) = 1 and associativity, the b
+        # with chi(ab) = chi(a) chi(b) for all a are closed under the
+        # product, so the generators decide; the full loop runs only to
+        # name the first failing pair
+        if not chi_s[e].is_one() or _unmultiplicative_pair(t, chi_s, gens) is not None:
+            a, b = _unmultiplicative_pair(t, chi_s, range(n_elems))
+            raise HopfError(
+                f"character is not multiplicative at ({self.names[a]}, {self.names[b]})"
+            )
         if chi_s[self.g] != q.scalar():
             raise HopfError("character does not send the distinguished element to q")
         if not alpha.is_zero():
@@ -152,6 +155,16 @@ def _nonassociative_triple(t, middle):
             for c in range(n):
                 if t[t[a][b]][c] != t[a][t[b][c]]:
                     return a, b, c
+    return None
+
+
+def _unmultiplicative_pair(t, chi, right):
+    """The first (a, b) with b in `right` and chi(ab) != chi(a) chi(b) in
+    the group table t, or None."""
+    for a in range(len(t)):
+        for b in right:
+            if chi[t[a][b]] != chi[a] * chi[b]:
+                return a, b
     return None
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import qcf
 from qcf import dsl
+import qcf.cli
 from qcf.cli import MAX_FAMILY_DIMENSION, MAX_HOPF_DIMENSION, main, resolve
 
 DOC = """
@@ -303,6 +304,48 @@ def test_size_limits_are_inclusive():
     assert errors(f"coalgebra K = family(Cn, n={n}, s=1)") == []
     assert "over the limits" in errors(f"coalgebra K = family(Cn, n={n + 1}, s=1)")[0]
 
+
+
+def boolean_lattice(rank: int) -> str:
+    size = 1 << rank
+    covers = " ".join(
+        f"x{i} < x{i | 1 << b};" for i in range(size) for b in range(rank) if not i >> b & 1
+    )
+    elements = " ".join(f"x{i}" for i in range(size))
+    return f"poset B {{ elements: {elements}; covers: {covers} }}\ncoalgebra E = full(B)\n"
+
+
+def test_oversized_embed_exits_2_before_listing_paths(tmp_path):
+    # B9 has 2,681,216 Hasse paths between the ends of its segments; listing
+    # them would take minutes and gigabytes, counting them takes well under a second
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(boolean_lattice(9))
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", "embed", "--input", str(doc)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert time.monotonic() - start < 5.0
+    assert proc.returncode == 2
+    assert "coalgebra E maps its segments to 2681216 Hasse paths" in proc.stderr
+    assert "over the limit of 1000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_embed_path_limit_is_inclusive(tmp_path, capsys, monkeypatch):
+    # full(B3): 27 segments whose images hold 8 + 12 + 12 + 6 = 38 Hasse paths
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(boolean_lattice(3))
+    monkeypatch.setattr(qcf.cli, "MAX_EMBED_PATHS", 38)
+    code, report = run_cli(capsys, "embed", "--input", doc)
+    assert code == 0
+    entry = report["results"]["E"]
+    assert entry["morphism_ok"] and entry["injective"]
+    assert sum(len(paths) for paths in entry["images"].values()) == 38
+    monkeypatch.setattr(qcf.cli, "MAX_EMBED_PATHS", 37)
+    assert main(["embed", "--input", str(doc)]) == 2
+    assert "maps its segments to 38 Hasse paths, over the limit of 37" in capsys.readouterr().err
 
 def test_hopf_verify_of_dimension_200_runs_in_seconds(tmp_path):
     # associativity over 2 certified generators visits 80,000 triples, not 8,000,000

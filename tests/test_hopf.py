@@ -451,3 +451,46 @@ def test_group_associativity_check_names_the_first_failing_triple():
             assert str(exc.value) == f"associativity fails at (g{a}, g{b}, g{c})"
         verdicts_seen.add(first is None)
     assert verdicts_seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "table, names",
+    [
+        (cyclic_table(4), tuple(f"c{k}" for k in range(4))),
+        (cyclic_table(6), tuple(f"c{k}" for k in range(6))),
+        dihedral_table(3)[:2],
+        dihedral_table(4)[:2],
+    ],
+    ids=["C4", "C6", "D3", "D4"],
+)
+def test_character_check_names_the_first_non_multiplicative_pair(table, names):
+    # every +-1 valued function on the group, chi(e) = -1 included; the
+    # check on generators must reject exactly the non-characters, and name
+    # the pair the full order^2 loop finds first
+    n = len(table)
+    verdicts_seen = set()
+    for signs in range(1 << n):
+        chi = tuple(MINUS_ONE if signs >> k & 1 else ONE for k in range(n))
+        value = [-1 if signs >> k & 1 else 1 for k in range(n)]
+        first = next(
+            (
+                (a, b)
+                for a in range(n)
+                for b in range(n)
+                if value[table[a][b]] != value[a] * value[b]
+            ),
+            None,
+        )
+        datum = FiniteGroupData(table, names, 0, 0, chi)
+        try:
+            datum.validate(1, MINUS_ONE, Cyc.zero())
+            message = None
+        except HopfError as exc:
+            message = str(exc)
+        if first is None:
+            assert message is None or "multiplicative" not in message
+        else:
+            a, b = first
+            assert message == f"character is not multiplicative at ({names[a]}, {names[b]})"
+        verdicts_seen.add(first is None)
+    assert verdicts_seen == {True, False}

@@ -1,17 +1,21 @@
 import random
+from collections import Counter
 
 import pytest
 
+import qcf.rand
 from qcf.posets import (
     IncidenceSubcoalgebra,
     Poset,
     PosetError,
+    _morphism_failure,
     embed,
     full_incidence_coalgebra,
+    hasse_path_count,
     hasse_quiver,
     tensor_iso_check,
 )
-from qcf.lincomb import LinComb, expand_slot, linear
+from qcf.lincomb import LinComb, expand_slot, linear, map_linear, pair_tensor
 from qcf.rand import random_incidence_subcoalgebra, random_poset
 from qcf.scalars import Cyc
 
@@ -34,6 +38,107 @@ def test_partial_order_validation():
     with pytest.raises(PosetError):
         Poset(["x", "y", "z"], [("x", "y"), ("y", "z")])  # missing (x, z)
     Poset(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Poset.from_covers(["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "x")]),
+         "antisymmetry fails between 'x' and 'y'"),
+        (lambda: Poset(["x", "y", "z"], [("x", "y"), ("y", "z")]),
+         "transitivity fails at ('x', 'y', 'z')"),
+        (lambda: Poset(["w", "x", "y", "z"], [("w", "x"), ("x", "y"), ("x", "z")]),
+         "transitivity fails at ('w', 'x', 'y')"),
+        (lambda: Poset(["a", "b"], [("a", "c")]), "unknown element 'c'"),
+        (lambda: Poset.from_covers(["a", "b"], [("a", "a")]),
+         "cover ('a', 'a') relates an element to itself"),
+        (lambda: Poset.from_covers(["a", "a"], []), "duplicate element"),
+    ],
+    ids=["cycle", "missing-transitive-pair", "first-of-two-missing-pairs",
+         "unknown-element", "self-cover", "duplicate"],
+)
+def test_poset_error_messages(build, message):
+    with pytest.raises(PosetError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def _closure(elements, covers):
+    # the reflexive-transitive closure as a set of pairs, by repeated composition
+    leq = {(a, a) for a in elements} | set(covers)
+    while True:
+        longer = {(a, d) for (a, b) in leq for (c, d) in leq if b == c} - leq
+        if not longer:
+            return leq
+        leq |= longer
+
+
+def _assert_matches_pairs(poset, leq_pairs):
+    # leq, interval, covers and all_segments against their definitions
+    elements = poset.elements
+    for a in elements:
+        for b in elements:
+            assert poset.leq(a, b) == ((a, b) in leq_pairs)
+            assert poset.interval(a, b) == [
+                z for z in elements if (a, z) in leq_pairs and (z, b) in leq_pairs
+            ]
+    assert poset.covers() == [
+        (a, b)
+        for a in elements
+        for b in elements
+        if a != b
+        and (a, b) in leq_pairs
+        and not any(z not in (a, b) and (a, z) in leq_pairs and (z, b) in leq_pairs for z in elements)
+    ]
+    assert poset.all_segments() == [(a, b) for a in elements for b in elements if (a, b) in leq_pairs]
+    assert poset.is_equality_order() == all(a == b for a, b in leq_pairs)
+
+
+def test_mask_poset_matches_brute_force_definitions(monkeypatch):
+    built = []
+
+    class Recorder:
+        @staticmethod
+        def from_covers(elements, covers):
+            built.append((list(elements), list(covers)))
+            return Poset.from_covers(elements, covers)
+
+    monkeypatch.setattr(qcf.rand, "Poset", Recorder)
+    posets = []
+    for seed in range(240):
+        poset = random_poset(random.Random(seed))
+        elements, covers = built[-1]
+        leq_pairs = _closure(elements, covers)
+        _assert_matches_pairs(poset, leq_pairs)
+        _assert_matches_pairs(Poset(elements, sorted(leq_pairs)), leq_pairs)
+        random.Random(seed).shuffle(elements)  # element order is not name order
+        _assert_matches_pairs(Poset(elements, sorted(leq_pairs)), leq_pairs)
+        posets.append((poset, leq_pairs))
+    for (x, x_pairs), (y, y_pairs) in zip(posets[:40], posets[40:80]):
+        if len(x.elements) * len(y.elements) > 36:
+            continue
+        product_pairs = {
+            ((a, b), (c, d))
+            for (a, c) in x_pairs
+            for (b, d) in y_pairs
+        }
+        _assert_matches_pairs(x.product(y), product_pairs)
+
+
+def test_validate_matches_brute_force_on_random_segment_sets():
+    rng = random.Random(5)
+    for _ in range(100):
+        poset = random_poset(rng, max_elements=7)
+        segments = poset.all_segments()
+        basis = set(rng.sample(segments, rng.randint(1, len(segments))))
+        expected = sorted({
+            f"segment ({a!r}, {b!r}) lies inside ({lo!r}, {hi!r}) but is missing"
+            for lo, hi in basis
+            for a in poset.elements
+            for b in poset.elements
+            if poset.leq(lo, a) and poset.leq(a, b) and poset.leq(b, hi) and (a, b) not in basis
+        })
+        assert IncidenceSubcoalgebra(poset, basis).validate() == expected
 
 
 def test_validate_full_chain_is_closed(chain3):
@@ -178,3 +283,75 @@ def test_tensor_iso_check_random_pairs():
             continue
         assert tensor_iso_check(x, y).ok
         done += 1
+
+
+def test_hasse_path_count_matches_the_images():
+    rng = random.Random(8)
+    for _ in range(30):
+        coalg = random_incidence_subcoalgebra(rng, max_elements=7)
+        images = embed(coalg).phi.values()
+        assert hasse_path_count(coalg) == sum(v.support_size() for v in images)
+        assert hasse_path_count(coalg) == sum(
+            _saturated_chain_count(coalg.poset, *seg) for seg in coalg.basis_list
+        )
+
+
+def _lincomb_morphism_failure(coalg, quiver, phi):
+    # the check as it was first written, on LinCombs of Paths: the oracle
+    for seg in coalg.basis_list:
+        lhs = linear(
+            ((left, right), c) for p, c in phi[seg].items() for left, right in quiver.splits(p)
+        )
+        rhs = map_linear(
+            coalg.comul(seg),
+            lambda pair: pair_tensor(phi[pair[0]], phi[pair[1]]),
+        )
+        if lhs != rhs:
+            return f"comultiplication does not commute at segment {seg!r}"
+        eps_g = Cyc.zero()
+        for p, c in phi[seg].items():
+            if p.is_vertex():
+                eps_g = eps_g + c
+        if not (coalg.counit(seg) - eps_g).is_zero():
+            return f"counit does not commute at segment {seg!r}"
+    return None
+
+
+def _corruptions(phi, rng):
+    """phi with one segment's image changed: a path dropped, a coefficient
+    set to 2, or a path of another segment's image added."""
+    segments = list(phi)
+    for seg in segments:
+        terms = dict(phi[seg].items())
+        path = rng.choice(sorted(terms))
+        yield {**phi, seg: LinComb({p: c for p, c in terms.items() if p != path})}
+        yield {**phi, seg: LinComb({**terms, path: Cyc.rational(2)})}
+        others = [s for s in segments if s != seg]
+        if others:
+            other = rng.choice(others)
+            extra = rng.choice(sorted(phi[other].labels()))
+            yield {**phi, seg: LinComb({**terms, extra: Cyc.one()})}
+
+
+def test_morphism_check_agrees_with_the_lincomb_oracle(diamond):
+    rng = random.Random(13)
+    b3 = Poset.from_covers(
+        range(8), [(i, i | 1 << b) for i in range(8) for b in range(3) if not i >> b & 1]
+    )
+    cases = [full_incidence_coalgebra(diamond), full_incidence_coalgebra(b3)]
+    cases.extend(random_incidence_subcoalgebra(rng, max_elements=6) for _ in range(12))
+    verdicts = Counter()
+    for coalg in cases:
+        result = embed(coalg)
+        quiver, phi = result.quiver, result.phi
+        assert _morphism_failure(coalg, quiver, phi) is None
+        assert _lincomb_morphism_failure(coalg, quiver, phi) is None
+        for bad in _corruptions(phi, rng):
+            failure = _morphism_failure(coalg, quiver, bad)
+            assert failure == _lincomb_morphism_failure(coalg, quiver, bad)
+            verdicts[failure.split(" does")[0] if failure else None] += 1
+    # a change on a segment inside no other basis segment can leave a
+    # morphism: scaling its image commutes with both sides
+    assert verdicts["comultiplication"] > 100
+    assert verdicts["counit"] > 10
+    assert verdicts[None] > 0
