@@ -55,7 +55,8 @@ COMMANDS = (
 
 # Size limits, checked before anything is built. A Hopf table stores
 # dimension^2 products; a cycle family family(Cn, n, s) has n(s+1) basis
-# paths holding n s(s+1)/2 arrows in all; `embed` lists every Hasse path
+# paths holding n s(s+1)/2 arrows in all, and paths(Q, maxlen=...) is held
+# to the same number of basis paths; `embed` lists every Hasse path
 # between the ends of each basis segment, 297,856 for full(B8) and 2,681,216
 # for full(B9), B_n the Boolean lattice on n points.
 MAX_HOPF_DIMENSION = 512
@@ -203,6 +204,21 @@ def resolve(doc: dsl.Document, base: FilePath | None = None) -> tuple[Resolved, 
     return Resolved(quivers, posets, coalgebras, hopfs), diags
 
 
+def _path_count(quiver: Quiver, maxlen: int | None) -> int:
+    """Paths of length at most maxlen (any length if None), counted per end
+    vertex until the count passes MAX_FAMILY_DIMENSION or a length has none."""
+    ends, total, length = dict.fromkeys(quiver.vertices, 1), len(quiver.vertices), 0
+    while ends and total <= MAX_FAMILY_DIMENSION and (maxlen is None or length < maxlen):
+        step: dict[str, int] = {}
+        for aid in quiver.arrow_ids:
+            count = ends.get(quiver.source(aid))
+            if count:
+                end = quiver.target(aid)
+                step[end] = step.get(end, 0) + count
+        ends, total, length = step, total + sum(step.values()), length + 1
+    return total
+
+
 def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | None:
     e = d.expr
     if e.kind in ("paths", "basis"):
@@ -210,6 +226,13 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
         if quiver is None:
             fail(d.pos, f"coalgebra {d.name}: unknown quiver {e.target!r}")
             return None
+        # a cyclic quiver without maxlen is refused below as infinite dimensional
+        if e.kind == "paths" and (e.maxlen is not None or quiver.is_acyclic()):
+            if _path_count(quiver, e.maxlen) > MAX_FAMILY_DIMENSION:
+                bound = "" if e.maxlen is None else f", maxlen={e.maxlen}"
+                fail(d.pos, f"coalgebra {d.name}: paths({e.target}{bound}) has more basis "
+                     f"paths than the limit of {MAX_FAMILY_DIMENSION}")
+                return None
         try:
             if e.kind == "paths":
                 if e.maxlen is not None:

@@ -34,10 +34,6 @@ class BilinearForm:
     def entry(self, p, q) -> Cyc:
         return self.entries.get((p, q), Cyc.zero())
 
-    def matrix(self) -> list[list[Cyc]]:
-        basis = self.coalgebra.basis_list
-        return [[self.entry(p, q) for q in basis] for p in basis]
-
 
 @dataclass
 class BalancedCheck:
@@ -286,14 +282,16 @@ def all_ones_alpha_incidence(params: IncidenceFormParams) -> dict:
 def radicals(form: BilinearForm) -> tuple[list[LinComb], list[LinComb]]:
     """Left radical (kills the form from the left) and right radical bases."""
     basis = form.coalgebra.basis_list
-    matrix = form.matrix()
-    transpose = [[matrix[i][j] for i in range(len(basis))] for j in range(len(basis))]
-    left = [
-        LinComb({basis[i]: c for i, c in enumerate(vec) if not c.is_zero()})
-        for vec in field_nullspace(transpose)
-    ]
-    right = [
-        LinComb({basis[i]: c for i, c in enumerate(vec) if not c.is_zero()})
-        for vec in field_nullspace(matrix)
-    ]
-    return left, right
+    index = {p: i for i, p in enumerate(basis)}
+    # the entries as sparse rows of the form's matrix and of its transpose
+    by_row: dict[int, dict[int, Cyc]] = {}
+    by_col: dict[int, dict[int, Cyc]] = {}
+    for (p, q), c in form.entries.items():
+        by_row.setdefault(index[p], {})[index[q]] = c
+        by_col.setdefault(index[q], {})[index[p]] = c
+
+    def radical(rows: dict) -> list[LinComb]:
+        vectors = field_nullspace(list(rows.values()), len(basis))
+        return [LinComb({basis[i]: c for i, c in vec.items()}) for vec in vectors]
+
+    return radical(by_col), radical(by_row)

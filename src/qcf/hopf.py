@@ -442,6 +442,7 @@ def build_Hn(s: int, q: RootOfUnity, G: FiniteGroupData, alpha: Cyc) -> HopfTabl
     for h in range(order):
         for _ in range(s):
             chi_pow[h].append(chi_pow[h][-1] * chi_s[h])
+    chi_alpha = [[c * alpha for c in row] for row in chi_pow]
     g_pows = [G.identity]
     for _ in range(s + 1):
         g_pows.append(G.mul(g_pows[-1], G.g))
@@ -454,12 +455,11 @@ def build_Hn(s: int, q: RootOfUnity, G: FiniteGroupData, alpha: Cyc) -> HopfTabl
     product: dict = {}
     for (h, u) in labels:
         for (k, v) in labels:
-            c = chi_pow[k][u]
             hk = G.mul(h, k)
             if u + v <= s:
-                product[((h, u), (k, v))] = LinComb.basis((hk, u + v), c)
+                product[((h, u), (k, v))] = LinComb.basis((hk, u + v), chi_pow[k][u])
             else:
-                coef = c * alpha
+                coef = chi_alpha[k][u]
                 w = u + v - s - 1
                 # when g^(s+1) = e both terms have one label and cancel
                 product[((h, u), (k, v))] = linear(

@@ -354,8 +354,11 @@ def _morphism_failure(
         rhs: dict = {}
         for (first, second), c in coalg.comul(seg).items():
             c = _rational(c)
-            second_row = rows[second].items()
-            for a, ca in rows[first].items():
+            try:
+                first_row, second_row = rows[first].items(), rows[second].items()
+            except KeyError as err:  # the basis is not closed under subintervals
+                raise PosetError(f"segment {err.args[0]!r} lies inside {seg!r} but is missing") from None
+            for a, ca in first_row:
                 ca *= c
                 for b, cb in second_row:
                     key = (a, b)

@@ -259,6 +259,9 @@ def test_non_associative_csv_table_names_the_first_failing_triple(tmp_path, caps
     assert "associativity fails at (g1, g1, g2)" in capsys.readouterr().err
 
 
+TWO_LOOPS = "quiver Q { vertices: v; arrows: a: v -> v; b: v -> v; }\n"
+
+
 @pytest.mark.parametrize(
     "command, decl, message",
     [
@@ -270,8 +273,14 @@ def test_non_associative_csv_table_names_the_first_failing_triple(tmp_path, caps
          "has dimension 400000000"),
         ("validate", "coalgebra K = family(Cn, n=1, s=100000)",
          "5000050000 arrows"),
+        # two loops give 2^41 - 1 paths up to length 40
+        ("forms", TWO_LOOPS + "coalgebra K = paths(Q, maxlen=40)",
+         "paths(Q, maxlen=40) has more basis paths than the limit of 20000"),
     ],
-    ids=["hn-cyclic", "group-algebra-product", "cycle-family-dimension", "cycle-family-arrows"],
+    ids=[
+        "hn-cyclic", "group-algebra-product", "cycle-family-dimension",
+        "cycle-family-arrows", "two-loop-paths",
+    ],
 )
 def test_oversized_input_exits_2_before_it_is_built(command, decl, message, tmp_path):
     doc = tmp_path / "doc.qcf"
@@ -289,7 +298,7 @@ def test_oversized_input_exits_2_before_it_is_built(command, decl, message, tmp_
     assert "Traceback" not in proc.stderr
 
 
-def test_size_limits_are_inclusive():
+def test_size_limits_are_inclusive(monkeypatch):
     def errors(text):
         doc, diags = dsl.parse(text)
         assert doc is not None, diags
@@ -303,6 +312,16 @@ def test_size_limits_are_inclusive():
     n = MAX_FAMILY_DIMENSION // 2
     assert errors(f"coalgebra K = family(Cn, n={n}, s=1)") == []
     assert "over the limits" in errors(f"coalgebra K = family(Cn, n={n + 1}, s=1)")[0]
+    # 1 + 2 + 4 paths up to length 2, 15 up to length 3
+    monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 7)
+    assert errors(TWO_LOOPS + "coalgebra K = paths(Q, maxlen=2)") == []
+    assert "than the limit of 7" in errors(TWO_LOOPS + "coalgebra K = paths(Q, maxlen=3)")[0]
+    # an acyclic quiver without maxlen: u, v, w, a, b, ab
+    chain = "quiver C { vertices: u v w; arrows: a: u -> v; b: v -> w; }\n"
+    monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 6)
+    assert errors(chain + "coalgebra K = paths(C)") == []
+    monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 5)
+    assert "paths(C) has more basis paths" in errors(chain + "coalgebra K = paths(C)")[0]
 
 
 

@@ -1,10 +1,17 @@
+import random
+from fractions import Fraction
 from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import QQ, Matrix, Poly, cyclotomic_poly, symbols
+from sympy.polys.agca.extensions import FiniteExtension
+from sympy.polys.matrices import DomainMatrix
 
-from qcf.linalg import sparse_int_nullspace
+from qcf.forms import BilinearForm, radicals
+from qcf.linalg import field_nullspace, sparse_int_nullspace
+from qcf.rand import random_path_subcoalgebra
+from qcf.scalars import Cyc
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -92,3 +99,100 @@ def test_rational_reduced_form_is_cleared_to_integers():
     # the RREF of [[2, 1, 0], [0, 3, 2]] is [[1, 0, -1/3], [0, 1, 2/3]]
     dense = [[2, 1, 0], [0, 3, 2]]
     assert sparse_int_nullspace(sparse_rows(dense), 3) == [{0: 1, 1: -2, 2: 3}]
+
+
+# --- field_nullspace over Q(zeta_24), which holds conductors 3, 4 and 8 ----
+
+_x = symbols("x")
+Q24 = FiniteExtension(Poly(cyclotomic_poly(24, _x), _x, domain=QQ))
+
+# mostly zeros; conductors 1, 3, 4 and 8, and sums that mix them
+FIELD_CELLS = st.sampled_from([
+    Cyc.zero(), Cyc.zero(), Cyc.zero(), Cyc.zero(), Cyc.one(), Cyc.rational(-2),
+    Cyc.root(3), Cyc.root(3, 2), Cyc.root(4), Cyc.root(8), Cyc.root(8, 3) + Cyc.rational(Fraction(1, 2)),
+    Cyc.root(3) - Cyc.root(4), Cyc.root(8) * Cyc.root(3) + Cyc.one(),
+])
+
+
+def to_q24(value: Cyc):
+    """A Cyc of conductor dividing 24 as an element of sympy's Q(zeta_24)."""
+    step = 24 // value.m
+    total = Q24.zero
+    for i, coeff in enumerate(value.c):
+        total += QQ(coeff, value.d) * Q24.generator ** (i * step)
+    return total
+
+
+@st.composite
+def field_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(0, 5))
+    dense = [draw(st.lists(FIELD_CELLS, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if draw(st.booleans()):
+        dense.append([Cyc.zero()] * ncols)  # a zero row
+    if dense and draw(st.booleans()):
+        dense.append(list(draw(st.sampled_from(dense))))  # a duplicate row
+    return draw(st.permutations(dense)), ncols
+
+
+def sympy_field_basis(dense, ncols):
+    """Nullspace over Q(zeta_24) from sympy's RREF: (pivots, vectors)."""
+    if not dense:
+        return (), [{f: Q24.one} for f in range(ncols)]
+    matrix = DomainMatrix([[to_q24(v) for v in row] for row in dense], (len(dense), ncols), Q24)
+    rref, pivots = matrix.rref()
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = {col: -rref[r, f].element for r, col in enumerate(pivots) if rref[r, f].element}
+            basis.append({**vec, f: Q24.one})
+    return tuple(pivots), basis
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(field_matrices())
+def test_field_nullspace_matches_sympy_rref_over_mixed_conductors(matrix):
+    dense, ncols = matrix
+    # explicit zero entries are kept in the rows
+    basis = field_nullspace([dict(enumerate(row)) for row in dense], ncols)
+    pivots, expected = sympy_field_basis(dense, ncols)
+    free = [list(vec)[-1] for vec in basis]
+    assert tuple(c for c in range(ncols) if c not in free) == pivots
+    assert [{c: to_q24(v) for c, v in vec.items()} for vec in basis] == expected
+    for vec in basis:
+        assert list(vec) == sorted(vec) and not any(v.is_zero() for v in vec.values())
+        for row in dense:
+            assert sum((row[c] * v for c, v in vec.items()), Cyc.zero()).is_zero()
+
+
+def test_field_nullspace_ignores_row_order_and_duplicates():
+    z3, z8 = Cyc.root(3), Cyc.root(8)
+    rows = [{0: z3, 2: Cyc.one()}, {1: z8, 2: z3}, {}]
+    once = field_nullspace(rows, 4)
+    assert field_nullspace(rows[::-1] + rows, 4) == once
+    # RREF [[1, 0, 1/z3, 0], [0, 1, z3/z8, 0]]
+    assert once == [{0: -z3.inv(), 1: -(z3 / z8), 2: Cyc.one()}, {3: Cyc.one()}]
+
+
+def test_radicals_kill_a_form_with_cyclotomic_values():
+    rng = random.Random(8)
+    values = [Cyc.root(3), Cyc.root(4, 3), Cyc.root(8) + Cyc.one(), Cyc.rational(Fraction(-1, 2))]
+    checked = 0
+    for _ in range(12):
+        coalg = random_path_subcoalgebra(rng, max_basis=10)
+        basis = coalg.basis_list
+        entries = {
+            (p, q): rng.choice(values) for p in basis for q in basis if rng.random() < 0.3
+        }
+        form = BilinearForm(coalg, entries)
+        left, right = radicals(form)
+        # the form's matrix is square: both radicals have dimension n - rank
+        assert len(left) == len(right)
+        for vec in left:
+            for q in basis:
+                assert sum((c * form.entry(p, q) for p, c in vec.items()), Cyc.zero()).is_zero()
+        for vec in right:
+            for p in basis:
+                assert sum((form.entry(p, q) * c for q, c in vec.items()), Cyc.zero()).is_zero()
+        checked += len(left) + len(right)
+    assert checked

@@ -207,6 +207,13 @@ def test_embed_diamond_needs_path_sums(diamond):
         assert path.is_vertex() and coeff.is_one()
 
 
+def test_embed_rejects_basis_not_closed_under_subintervals():
+    chain = Poset.from_covers("abc", [("a", "b"), ("b", "c")])
+    coalg = IncidenceSubcoalgebra(chain, [("a", "c"), ("a", "a"), ("c", "c")])
+    with pytest.raises(PosetError, match=r"segment \('a', 'b'\) lies inside \('a', 'c'\)"):
+        embed(coalg)
+
+
 def _saturated_chain_count(poset, x, y):
     # chains x = z0 < z1 < ... < y where each step is a covering pair
     if x == y:
