@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import prod
 from pathlib import Path as FilePath
 
 from . import dsl, forms, frobenius, hopf
+from .linalg import field_nullspace
 from .lincomb import LinComb
 from .posets import (
     IncidenceSubcoalgebra,
@@ -400,6 +401,51 @@ def _default_datum(gexpr, s, q, table, names, identity, chi):
 # JSON serialization helpers
 
 
+def _write_report(report, write, batch: int = 4096) -> None:
+    """Hand `write` the text of json.dumps(report, indent=2, sort_keys=True)
+    in strings of about `batch` pieces, never the whole text at once. Only
+    dicts, lists, strings, ints, booleans and None; a float is a TypeError."""
+    pieces: list[str] = []
+
+    def scalar(o) -> str:
+        if o is None or o is True or o is False:
+            return "null" if o is None else "true" if o else "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        raise TypeError(f"a report cannot hold {type(o).__name__} {o!r}")
+
+    def emit(o, pad: str) -> None:
+        if isinstance(o, str):
+            pieces.append(encode_basestring_ascii(o))
+        elif not isinstance(o, (list, dict)):
+            pieces.append(scalar(o))
+        elif not o:
+            pieces.append("[]" if isinstance(o, list) else "{}")
+        else:
+            inner = pad + "  "
+            sep = ",\n" + inner
+            if isinstance(o, list):
+                pieces.append("[\n" + inner)
+                for i, x in enumerate(o):
+                    if i:
+                        pieces.append(sep)
+                    emit(x, inner)
+                pieces.append("\n" + pad + "]")
+            else:
+                # the keys themselves are sorted, as by sort_keys: ints in numeric order
+                for i, k in enumerate(sorted(o)):
+                    key = encode_basestring_ascii(k if isinstance(k, str) else scalar(k))
+                    pieces.append(("{\n" + inner if i == 0 else sep) + key + ": ")
+                    emit(o[k], inner)
+                pieces.append("\n" + pad + "}")
+        if len(pieces) >= batch:
+            write("".join(pieces))
+            pieces.clear()
+
+    emit(report, "")
+    write("".join(pieces))
+
+
 def path_json(p: Path):
     if p.is_vertex():
         return {"vertex": p.source}
@@ -556,7 +602,13 @@ def cmd_forms(res: Resolved, flags) -> dict:
             }
         space = forms.balanced_space_bruteforce(coalg, bound=flags.bound)
         balanced = forms.is_balanced(form)
-        left_rad, right_rad = forms.radicals(form)
+        # the form's matrix is square, so its left and right radicals both
+        # have dimension n - rank: one nullspace gives both
+        index = {p: i for i, p in enumerate(coalg.basis_list)}
+        rows: dict = {}
+        for (p, q), c in form.entries.items():
+            rows.setdefault(p, {})[index[q]] = c
+        radical_dim = len(field_nullspace(list(rows.values()), coalg.dimension))
         census.update(
             {
                 "basis_size": coalg.dimension,
@@ -564,8 +616,8 @@ def cmd_forms(res: Resolved, flags) -> dict:
                 "nullspace_dim": len(space),
                 "agree": len(space) == params.size,
                 "all_ones_balanced": balanced.ok,
-                "left_radical_dim": len(left_rad),
-                "right_radical_dim": len(right_rad),
+                "left_radical_dim": radical_dim,
+                "right_radical_dim": radical_dim,
             }
         )
         results[name] = census
@@ -808,11 +860,18 @@ def main(argv=None) -> int:
     except (InputError, forms.FormError, QuiverError, hopf.HopfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = json.dumps(report, indent=2, sort_keys=True)
-    if flags.output:
-        FilePath(flags.output).write_text(payload + "\n")
-    else:
-        print(payload)
+    # the file is opened only now, so a failed run leaves it as it was
+    try:
+        if flags.output:
+            with open(flags.output, "w") as fh:
+                _write_report(report, fh.write)
+                fh.write("\n")
+        else:
+            _write_report(report, sys.stdout.write)
+            sys.stdout.write("\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

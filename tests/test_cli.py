@@ -3,14 +3,18 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcf
 from qcf import dsl
 import qcf.cli
-from qcf.cli import MAX_FAMILY_DIMENSION, MAX_HOPF_DIMENSION, main, resolve
+from qcf.cli import MAX_FAMILY_DIMENSION, MAX_HOPF_DIMENSION, _write_report, main, resolve
+from qcf.scalars import Cyc
 
 DOC = """
 quiver Q { vertices: u v; arrows: a: u -> v; }
@@ -139,13 +143,17 @@ GOLDEN_COMMANDS = [
 
 @pytest.mark.parametrize("command", GOLDEN_COMMANDS)
 def test_report_matches_golden(command, tmp_path, capsys):
+    # both sinks, the --output file and standard output, give the golden bytes
     out = tmp_path / "report.json"
-    argv = [command, "--input", str(GOLDEN / "doc.qcf"), "--output", str(out)]
+    argv = [command, "--input", str(GOLDEN / "doc.qcf")]
     if command == "tensor":
         argv += ["--targets", "P,P"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    golden = (GOLDEN / f"{command}.json").read_bytes()
+    assert out.read_bytes() == golden
     assert main(argv) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == (GOLDEN / f"{command}.json").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
 
 
 def test_parse_errors_exit_nonzero(tmp_path, capsys):
@@ -381,3 +389,81 @@ def test_hopf_verify_of_dimension_200_runs_in_seconds(tmp_path):
     entry = json.loads(proc.stdout)["results"]["H"]
     assert entry["verified"] is True
     assert entry["meta"]["dimension"] == 200
+
+
+def test_unwritable_output_exits_2_without_traceback(tmp_path):
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    out = tmp_path / "no" / "such" / "dir" / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", "validate", "--input", str(GOLDEN / "doc.qcf"),
+         "--output", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_failed_run_leaves_an_existing_output_file_untouched(tmp_path, capsys):
+    doc = tmp_path / "doc.qcf"
+    doc.write_text("coalgebra C = paths(Missing)")
+    out = tmp_path / "r.json"
+    out.write_text("previous report\n")
+    assert main(["validate", "--input", str(doc), "--output", str(out)]) == 2
+    assert "unknown quiver" in capsys.readouterr().err
+    assert out.read_text() == "previous report\n"
+
+
+def test_write_error_exits_2(monkeypatch, capsys):
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["validate", "--input", str(GOLDEN / "doc.qcf")]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def written(value, batch: int = 4096) -> str:
+    out: list[str] = []
+    _write_report(value, out.append, batch)
+    return "".join(out)
+
+
+# quotes, backslashes, control characters and non-ASCII text, BMP and beyond
+TEXT = st.text('"\\/\b\f\n\r\t\x00\x1f\x7f az-09\u00e9\u2028\u4e2d\U0001f600', max_size=12)
+INTS = st.one_of(st.integers(-300, 300), st.integers(-(2 ** 200), 2 ** 200))
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, TEXT)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(TEXT, inner, max_size=5),
+        # int keys, negatives included, as in the reach tables of validate
+        st.dictionaries(st.integers(-12, 12), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=VALUES, depth=st.integers(0, 40))
+def test_report_writer_matches_json_dumps(value, depth):
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value, "": [], "e": {}}
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    assert written(value) == expected
+    # flushing after every value changes nothing
+    assert written(value, batch=1) == expected
+
+
+@pytest.mark.parametrize(
+    "bad", [1.5, Fraction(1, 2), (1, 2), Cyc.one()], ids=["float", "Fraction", "tuple", "Cyc"]
+)
+def test_report_writer_refuses_values_outside_json(bad):
+    for value in (bad, [0, bad], {"a": {"b": bad}}):
+        with pytest.raises(TypeError):
+            written(value)
+    if not isinstance(bad, Cyc):  # hashable keys
+        with pytest.raises(TypeError):
+            written({bad: 0})

@@ -257,3 +257,25 @@ def test_violation_of_all_ones_form_with_stray_entry(case):
     check = is_balanced(BilinearForm(coalg, {**form.entries, stray: value}))
     assert not check.ok
     assert check.violation == expected
+
+
+def test_left_and_right_radical_dimensions_agree_on_random_forms():
+    # the form's matrix is square, so both radicals have dimension n - rank;
+    # the CLI reports one nullspace's size as both
+    rng = random.Random(11)
+    values = [Cyc.zero(), Cyc.one(), Cyc.rational(-2), Cyc.root(3), Cyc.root(4, 3)]
+    dims = set()
+    for _ in range(25):
+        coalg = random_path_subcoalgebra(rng, max_basis=12)
+        params = path_form_params(coalg)
+        alpha = {d: rng.choice(values) for d in params.paths}
+        forms = [form_from_path_params(coalg, params, alpha)]
+        coalg = random_incidence_subcoalgebra(rng, max_elements=6, max_basis=14)
+        params = incidence_form_params(coalg)
+        alpha = {(c.x, c.y, c.members): rng.choice(values) for c in params.marked}
+        forms.append(form_from_incidence_params(coalg, params, alpha))
+        for form in forms:
+            left, right = radicals(form)
+            assert len(left) == len(right)
+            dims.add(len(left) > 0)
+    assert dims == {False, True}
