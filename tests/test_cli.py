@@ -139,18 +139,25 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_COMMANDS = [
     "validate", "forms", "frobenius", "classify", "embed", "tensor", "hopf", "hopf-verify",
 ]
+# sums.qcf pins the direct sums: golden sums-<command>.json
+SUMS_COMMANDS = ["validate", "forms", "frobenius", "classify", "embed"]
 
 
-@pytest.mark.parametrize("command", GOLDEN_COMMANDS)
-def test_report_matches_golden(command, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "document, command",
+    [pytest.param("doc", c, id=c) for c in GOLDEN_COMMANDS]
+    + [pytest.param("sums", c, id=f"sums-{c}") for c in SUMS_COMMANDS],
+)
+def test_report_matches_golden(document, command, tmp_path, capsys):
     # both sinks, the --output file and standard output, give the golden bytes
     out = tmp_path / "report.json"
-    argv = [command, "--input", str(GOLDEN / "doc.qcf")]
+    argv = [command, "--input", str(GOLDEN / f"{document}.qcf")]
     if command == "tensor":
         argv += ["--targets", "P,P"]
     assert main(argv + ["--output", str(out)]) == 0
     assert capsys.readouterr().out == ""
-    golden = (GOLDEN / f"{command}.json").read_bytes()
+    name = command if document == "doc" else f"{document}-{command}"
+    golden = (GOLDEN / f"{name}.json").read_bytes()
     assert out.read_bytes() == golden
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == golden
@@ -252,6 +259,26 @@ def test_bad_hopf_input_exits_2_without_traceback(hopf_decl, message, tmp_path):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_mixed_incidence_and_path_sum_exits_2_without_traceback(tmp_path):
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(
+        "quiver Q { vertices: u v; arrows: a: u -> v; }\n"
+        "poset P { elements: 0 1; covers: 0 < 1; }\n"
+        "coalgebra A = paths(Q)\n"
+        "coalgebra B = full(P)\n"
+        "coalgebra S = sum(A, B)\n"
+    )
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", "frobenius", "--input", str(doc)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "coalgebra S: cannot mix incidence and path summands" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_non_associative_csv_table_names_the_first_failing_triple(tmp_path, capsys):
