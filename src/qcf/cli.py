@@ -14,8 +14,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import prod
+from math import lcm, prod
 from pathlib import Path as FilePath
+from typing import Callable
 
 from . import dsl, forms, frobenius, hopf
 from .linalg import field_nullspace
@@ -64,6 +65,9 @@ MAX_HOPF_DIMENSION = 512
 MAX_FAMILY_DIMENSION = 20_000
 MAX_FAMILY_ARROWS = 2_000_000
 MAX_EMBED_PATHS = 1_000_000
+# The lcm of the orders of the roots of unity declared for q, chi and alpha
+# in hn(...); a character value has an order dividing the group order.
+MAX_CONDUCTOR = 1024
 
 
 class InputError(Exception):
@@ -76,28 +80,22 @@ class InputError(Exception):
 
 @dataclass
 class CoalgValue:
-    """A resolved coalgebra declaration.
+    """A resolved coalgebra declaration: a finite part (a path or an
+    incidence subcoalgebra, or None) plus windowed line families, which only
+    sum with path parts."""
 
-    kind 'path': finite path subcoalgebra in `finite`.
-    kind 'incidence': incidence subcoalgebra in `incidence`.
-    kind 'mixed': finite path part (possibly None) plus windowed families.
-    """
-
-    kind: str
-    finite: PathSubcoalgebra | None = None
-    incidence: IncidenceSubcoalgebra | None = None
+    finite: PathSubcoalgebra | IncidenceSubcoalgebra | None
     families: tuple[WindowedFamily, ...] = ()
     violations: tuple[str, ...] = ()
 
 
 @dataclass
 class HopfValue:
-    kind: str  # hn | group_algebra
-    s: int = 0
-    q: RootOfUnity | None = None
-    group: hopf.FiniteGroupData | None = None
-    alpha: Cyc | None = None
-    plain_table: tuple | None = None  # (table, names, identity) for group_algebra
+    """A resolved hopf declaration: `build()` makes its table, without the
+    antipode, and `label` prints a basis label."""
+
+    build: Callable[[], hopf.HopfTable]
+    label: Callable[[object], str]
 
 
 @dataclass
@@ -255,8 +253,7 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
         except QuiverError as exc:
             fail(d.pos, f"coalgebra {d.name}: {exc}")
             return None
-        violations = coalg.validate()
-        return CoalgValue("path", finite=coalg, violations=tuple(violations))
+        return CoalgValue(coalg, violations=tuple(coalg.validate()))
     if e.kind in ("segments", "full"):
         poset = posets.get(e.target)
         if poset is None:
@@ -270,9 +267,7 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
         except Exception as exc:
             fail(d.pos, f"coalgebra {d.name}: {exc}")
             return None
-        return CoalgValue(
-            "incidence", incidence=coalg, violations=tuple(coalg.validate())
-        )
+        return CoalgValue(coalg, violations=tuple(coalg.validate()))
     if e.kind == "family":
         if e.family_tag == "Cn":
             fam = WindowedFamily.cycle(e.n, e.s)
@@ -298,26 +293,21 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
                 )
                 return None
             # cycle families are finite; materialize them outright
-            return CoalgValue("path", finite=build_family(fam))
-        return CoalgValue("mixed", families=(fam,))
+            return CoalgValue(build_family(fam))
+        return CoalgValue(None, (fam,))
     if e.kind == "sum":
-        finite_parts: list[PathSubcoalgebra] = []
-        incidence_parts: list[IncidenceSubcoalgebra] = []
+        finite_parts: list = []
         families: list[WindowedFamily] = []
         for name in e.items:
             part = coalgebras.get(name)
             if part is None:
                 fail(d.pos, f"coalgebra {d.name}: unknown summand {name!r}")
                 return None
-            if part.kind == "path":
+            if part.finite is not None:
                 finite_parts.append(part.finite)
-            elif part.kind == "incidence":
-                incidence_parts.append(part.incidence)
-            else:
-                if part.finite is not None:
-                    finite_parts.append(part.finite)
-                families.extend(part.families)
-        if incidence_parts and (finite_parts or families):
+            families.extend(part.families)
+        incidence_parts = [p for p in finite_parts if isinstance(p, IncidenceSubcoalgebra)]
+        if incidence_parts and (len(incidence_parts) < len(finite_parts) or families):
             fail(d.pos, f"coalgebra {d.name}: cannot mix incidence and path summands")
             return None
         if incidence_parts:
@@ -336,13 +326,9 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
                 )
                 basis.extend((rename[a], rename[b]) for (a, b) in part.basis_list)
             coalg = IncidenceSubcoalgebra(Poset(elements, pairs), basis)
-            return CoalgValue(
-                "incidence", incidence=coalg, violations=tuple(coalg.validate())
-            )
+            return CoalgValue(coalg, violations=tuple(coalg.validate()))
         finite = direct_sum(finite_parts) if finite_parts else None
-        if finite is not None and not families:
-            return CoalgValue("path", finite=finite)
-        return CoalgValue("mixed", finite=finite, families=tuple(families))
+        return CoalgValue(finite, tuple(families))
     raise AssertionError(e.kind)
 
 
@@ -353,9 +339,18 @@ def _resolve_hopf(d: dsl.HopfDecl, base) -> HopfValue:
     levels = max(e.s + 1, 1) if e.kind == "hn" else 1
     table, names, identity = _group_value(e.group, base, levels)
     if e.kind == "group_algebra":
-        return HopfValue("group_algebra", plain_table=(table, names, identity))
+        return HopfValue(lambda: hopf.group_algebra(table, names, identity), lambda l: names[l])
     if e.q is None:
         raise InputError("hn(...) needs q")
+    # checked before any Cyc is built: Cyc.root(m, k) reduces by the m-th
+    # cyclotomic polynomial, which takes seconds to build for m in the thousands
+    roots = (e.q, *(e.chi or ()), e.alpha)
+    conductor = lcm(*(r.order for r in roots if r is not None and r.kind == "root"))
+    if conductor > MAX_CONDUCTOR:
+        raise InputError(
+            f"q, chi and alpha need roots of unity of order {conductor}, "
+            f"over the limit of {MAX_CONDUCTOR}"
+        )
     q = _root_value(e.q)
     s = e.s
     alpha = _scalar_value(e.alpha) if e.alpha is not None else Cyc.zero()
@@ -375,7 +370,9 @@ def _resolve_hopf(d: dsl.HopfDecl, base) -> HopfValue:
     else:
         datum = _default_datum(e.group, s, q, table, names, identity, chi)
     datum.validate(s, q, alpha)
-    return HopfValue("hn", s=s, q=q, group=datum, alpha=alpha)
+    return HopfValue(
+        lambda: hopf.build_Hn(s, q, datum, alpha), lambda l: f"{datum.names[l[0]]}|x^{l[1]}"
+    )
 
 
 def _default_datum(gexpr, s, q, table, names, identity, chi):
@@ -531,10 +528,6 @@ def _merge_frobenius(reports: list) -> dict:
 
 
 def _finite_coalgebra_for_forms(value: CoalgValue):
-    if value.kind == "path":
-        return value.finite
-    if value.kind == "incidence":
-        return value.incidence
     parts = [build_family(f) for f in value.families]
     if value.finite is not None:
         parts.insert(0, value.finite)
@@ -548,21 +541,17 @@ def cmd_validate(res: Resolved, flags) -> dict:
             "ok": not value.violations,
             "violations": list(value.violations),
         }
-        if value.kind == "path":
+        if isinstance(value.finite, IncidenceSubcoalgebra):
+            entry["basis"] = {"segments": [segment_str(s) for s in value.finite.basis_list]}
+        elif value.finite is not None:
             entry["basis"] = basis_json(value.finite)
-        elif value.kind == "incidence":
-            entry["basis"] = {
-                "segments": [segment_str(s) for s in value.incidence.basis_list]
-            }
-        else:
+        if value.families:
             entry["families"] = [
                 {"tag": f.tag, "n": f.n, "s": f.s}
                 if f.tag == C_N
                 else {"tag": f.tag, "window": [f.lo, f.hi], "r": dict(f.r)}
                 for f in value.families
             ]
-            if value.finite is not None:
-                entry["basis"] = basis_json(value.finite)
         results[name] = entry
     return results
 
@@ -628,16 +617,9 @@ def cmd_frobenius(res: Resolved, flags) -> dict:
     results = {}
     for name, value in sorted(res.coalgebras.items()):
         _require_valid(name, value)
-        reports = []
-        if value.kind == "path":
-            reports.append(frobenius.analyze(value.finite))
-        elif value.kind == "incidence":
-            reports.append(frobenius.analyze(value.incidence))
-        else:
-            if value.finite is not None:
-                reports.append(frobenius.analyze(value.finite))
-            for fam in value.families:
-                reports.append(frobenius.analyze(fam, margin=flags.window_margin))
+        reports = [frobenius.analyze(value.finite)] if value.finite is not None else []
+        for fam in value.families:
+            reports.append(frobenius.analyze(fam, margin=flags.window_margin))
         results[name] = _merge_frobenius(reports)
     return results
 
@@ -646,7 +628,7 @@ def cmd_classify(res: Resolved, flags) -> dict:
     results = {}
     for name, value in sorted(res.coalgebras.items()):
         _require_valid(name, value)
-        if value.kind == "incidence":
+        if isinstance(value.finite, IncidenceSubcoalgebra):
             results[name] = {"error": "classification applies to path-type coalgebras"}
             continue
         partial = []
@@ -692,16 +674,16 @@ def cmd_classify(res: Resolved, flags) -> dict:
 def cmd_embed(res: Resolved, flags) -> dict:
     results = {}
     for name, value in sorted(res.coalgebras.items()):
-        if value.kind != "incidence":
+        if not isinstance(value.finite, IncidenceSubcoalgebra):
             continue
         _require_valid(name, value)
-        paths = hasse_path_count(value.incidence)
+        paths = hasse_path_count(value.finite)
         if paths > MAX_EMBED_PATHS:
             raise InputError(
                 f"coalgebra {name} maps its segments to {paths} Hasse paths, "
                 f"over the limit of {MAX_EMBED_PATHS}"
             )
-        r = embed(value.incidence)
+        r = embed(value.finite)
         results[name] = {
             "morphism_ok": r.morphism_ok,
             "injective": r.injective,
@@ -736,29 +718,12 @@ def cmd_tensor(res: Resolved, flags) -> dict:
     }
 
 
-def _build_hopf_table(value: HopfValue):
-    if value.kind == "group_algebra":
-        table, names, identity = value.plain_table
-        t = hopf.group_algebra(table, names, identity)
-    else:
-        t = hopf.build_Hn(value.s, value.q, value.group, value.alpha)
-    return hopf.with_antipode(t)
-
-
-def _label_str(value: HopfValue, table):
-    if value.kind == "group_algebra":
-        names = value.plain_table[1]
-        return lambda l: names[l]
-    names = value.group.names
-    return lambda l: f"{names[l[0]]}|x^{l[1]}"
-
-
 def cmd_hopf(res: Resolved, flags, verify_only: bool = False) -> dict:
     results = {}
     for name, value in sorted(res.hopfs.items()):
-        table = _build_hopf_table(value)
+        table = hopf.with_antipode(value.build())
         rep = hopf.verify_hopf(table)
-        label = _label_str(value, table)
+        label = value.label
         entry = {
             "meta": table.meta,
             "verified": rep.ok,
@@ -836,7 +801,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--window-margin", type=int, default=None, dest="window_margin",
-        help="override the interior margin for windowed families",
+        help="override the interior margin (>= 0) for windowed families",
     )
     parser.add_argument("--targets", default=None, help="comma-separated declaration names")
     return parser
@@ -845,6 +810,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_arg_parser()
     flags = parser.parse_args(argv)
+    if flags.window_margin is not None and flags.window_margin < 0:
+        parser.error(f"argument --window-margin: must be >= 0, got {flags.window_margin}")
     try:
         text = FilePath(flags.input).read_text()
     except OSError as exc:

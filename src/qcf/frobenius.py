@@ -3,13 +3,17 @@
 The criterion is combinatorial: every vertex must carry a unique maximal
 outgoing basis path, the endpoint map must land on vertices carrying a
 unique maximal incoming path, and following the maximal path forward and
-then backward must return to the start. The incidence version replaces
-paths by segments and prefix order by the poset order.
+then backward must return to the start. One analyzer serves path and
+incidence subcoalgebras: "maximal" is taken in the factor order of the
+comultiplication, prefixes and suffixes of a path, and segments sharing an
+end with one containing them.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .forms import IncidenceFormParams, PathFormParams
 from .posets import IncidenceSubcoalgebra
@@ -65,24 +69,6 @@ class FrobeniusReport:
         return {v: info.l for v, info in self.per_vertex.items() if info.in_L}
 
 
-def _unique_prefix_max(paths: list[Path]) -> Path | None:
-    """The member every other member is a prefix of, if there is one."""
-    best = max(paths, key=lambda p: p.length)
-    for p in paths:
-        if p.arrows != best.arrows[: p.length]:
-            return None
-    return best
-
-
-def _unique_suffix_max(paths: list[Path]) -> Path | None:
-    best = max(paths, key=lambda p: p.length)
-    n = best.length
-    for p in paths:
-        if p.arrows != best.arrows[n - p.length :]:
-            return None
-    return best
-
-
 def _side_reason(v, forward: dict, backward: dict, reasons: tuple, back_name: str) -> str | None:
     """Why following `forward` from v and then `backward` (called
     `back_name` in the message) fails to return to v, or None when it
@@ -134,31 +120,10 @@ def _assemble(kind: str, vertices, r_of: dict, l_of: dict, left_reasons, right_r
     )
 
 
-def _analyze_path(coalg: PathSubcoalgebra) -> FrobeniusReport:
-    vertices = coalg.vertices()
-    out_paths: dict[str, list[Path]] = {v: [] for v in vertices}
-    in_paths: dict[str, list[Path]] = {v: [] for v in vertices}
-    for p in coalg.basis_list:
-        if p.source in out_paths:
-            out_paths[p.source].append(p)
-        if p.target in in_paths:
-            in_paths[p.target].append(p)
-
-    r_of: dict[str, str] = {}
-    l_of: dict[str, str] = {}
-    for v in vertices:
-        d = _unique_prefix_max(out_paths[v])
-        if d is not None:
-            r_of[v] = d.target
-        d = _unique_suffix_max(in_paths[v])
-        if d is not None:
-            l_of[v] = d.source
-
-    return _assemble(
-        "path",
-        vertices,
-        r_of,
-        l_of,
+# per class: the reason templates of the left side and of the right side,
+# each for a missing forward image and for an image with no backward image
+_REASONS = {
+    "path": (
         (
             "no unique maximal outgoing path",
             "endpoint {!r} has no unique maximal incoming path",
@@ -167,29 +132,8 @@ def _analyze_path(coalg: PathSubcoalgebra) -> FrobeniusReport:
             "no unique maximal incoming path",
             "start {!r} has no unique maximal outgoing path",
         ),
-    )
-
-
-def _analyze_incidence(coalg: IncidenceSubcoalgebra) -> FrobeniusReport:
-    poset = coalg.poset
-    elements = coalg.elements_in()
-    r_of: dict = {}
-    l_of: dict = {}
-    for a in elements:
-        ups = [x for x in poset.elements if (a, x) in coalg.basis]
-        tops = [u for u in ups if all(poset.leq(x, u) for x in ups)]
-        if tops:
-            r_of[a] = tops[0]
-        downs = [x for x in poset.elements if (x, a) in coalg.basis]
-        bottoms = [u for u in downs if all(poset.leq(u, x) for x in downs)]
-        if bottoms:
-            l_of[a] = bottoms[0]
-
-    return _assemble(
-        "incidence",
-        elements,
-        r_of,
-        l_of,
+    ),
+    "incidence": (
         (
             "no maximum among segments starting here",
             "endpoint {!r} has no minimum among incoming segments",
@@ -198,7 +142,40 @@ def _analyze_incidence(coalg: IncidenceSubcoalgebra) -> FrobeniusReport:
             "no minimum among segments ending here",
             "start {!r} has no maximum among outgoing segments",
         ),
-    )
+    ),
+}
+
+
+def _analyze_finite(coalg) -> FrobeniusReport:
+    """The forward map sends v to the far end of the basis element starting
+    at v that every other one starting at v is a left factor of (a prefix,
+    or a segment (v, x) with x below its top); the backward map is the dual,
+    with ends and right factors. Basis order puts such an element last."""
+    if isinstance(coalg, PathSubcoalgebra):
+        kind, ends = "path", attrgetter("source", "target")
+        left_factor = lambda a, b: a.arrows == b.arrows[: a.length]
+        right_factor = lambda a, b: a.arrows == b.arrows[b.length - a.length :]
+    else:
+        leq = coalg.poset.leq
+        kind, ends = "incidence", lambda seg: seg
+        left_factor = lambda a, b: leq(a[1], b[1])
+        right_factor = lambda a, b: leq(b[0], a[0])
+    starting, ending = defaultdict(list), defaultdict(list)
+    for b in coalg.basis_list:
+        start, end = ends(b)
+        starting[start].append(b)
+        ending[end].append(b)
+    vertices = coalg.vertices()
+    r_of: dict = {}
+    l_of: dict = {}
+    for v in vertices:
+        top = starting[v][-1]
+        if all(left_factor(b, top) for b in starting[v]):
+            r_of[v] = ends(top)[1]
+        top = ending[v][-1]
+        if all(right_factor(b, top) for b in ending[v]):
+            l_of[v] = ends(top)[0]
+    return _assemble(kind, vertices, r_of, l_of, *_REASONS[kind])
 
 
 def _analyze_window(fam: WindowedFamily, margin: int | None = None) -> FrobeniusReport:
@@ -206,7 +183,7 @@ def _analyze_window(fam: WindowedFamily, margin: int | None = None) -> Frobenius
     if errs:
         raise QuiverError("; ".join(errs))
     finite = build_family(fam)
-    base = _analyze_path(finite)
+    base = _analyze_finite(finite)
     if fam.tag == C_N:
         return FrobeniusReport(
             kind="window",
@@ -283,10 +260,8 @@ def _analyze_window(fam: WindowedFamily, margin: int | None = None) -> Frobenius
 
 def analyze(obj, margin: int | None = None) -> FrobeniusReport:
     """Full criterion evaluation for a finite coalgebra or a windowed family."""
-    if isinstance(obj, PathSubcoalgebra):
-        return _analyze_path(obj)
-    if isinstance(obj, IncidenceSubcoalgebra):
-        return _analyze_incidence(obj)
+    if isinstance(obj, (PathSubcoalgebra, IncidenceSubcoalgebra)):
+        return _analyze_finite(obj)
     if isinstance(obj, WindowedFamily):
         return _analyze_window(obj, margin)
     raise TypeError(f"cannot analyze {type(obj).__name__}")
@@ -299,47 +274,31 @@ class ExtensionCheck:
     failures: tuple = ()
 
 
-def check_condition_d(coalg: PathSubcoalgebra, params: PathFormParams) -> ExtensionCheck:
-    """Every basis path must extend, by a composable basis path, to a parameter path."""
-    param_set = set(params.paths)
-    quiver = coalg.quiver
-    failures = []
-    for q in coalg.basis_list:
-        found = False
-        for p in coalg.basis_list:
-            if q.target == p.source and quiver.concat(q, p) in param_set:
-                found = True
-                break
-        if not found:
-            failures.append(q)
+def _extension_check(coalg, extendable) -> ExtensionCheck:
+    failures = tuple(b for b in coalg.basis_list if b not in extendable)
     if failures:
-        return ExtensionCheck(False, failures[0], tuple(failures))
+        return ExtensionCheck(False, failures[0], failures)
     return ExtensionCheck(True)
+
+
+def check_condition_d(coalg: PathSubcoalgebra, params: PathFormParams) -> ExtensionCheck:
+    """Every basis path must extend, by a composable basis path, to a parameter
+    path: it is a prefix of a parameter path whose rest is a basis path."""
+    split = coalg.quiver.splits
+    return _extension_check(
+        coalg, {q for d in params.paths for q, p in split(d) if p in coalg.basis}
+    )
 
 
 def check_condition_d_incidence(
     coalg: IncidenceSubcoalgebra, params: IncidenceFormParams
 ) -> ExtensionCheck:
     """Every basis segment (x, z) must admit y >= z with (z, y) in the basis
-    and the class of z between x and y marked."""
-    marked_lookup: dict[tuple, list] = {}
-    for cls in params.classes:
-        if cls.marked:
-            marked_lookup.setdefault((cls.x, cls.y), []).extend(cls.members)
-    poset = coalg.poset
-    failures = []
-    for (x, z) in coalg.basis_list:
-        found = False
-        for y in poset.elements:
-            if poset.leq(z, y) and (z, y) in coalg.basis:
-                if z in marked_lookup.get((x, y), ()):
-                    found = True
-                    break
-        if not found:
-            failures.append((x, z))
-    if failures:
-        return ExtensionCheck(False, failures[0], tuple(failures))
-    return ExtensionCheck(True)
+    and the class of z between x and y marked: z is a member of a marked
+    class with lower end x."""
+    return _extension_check(
+        coalg, {(c.x, z) for c in params.marked for z in c.members}
+    )
 
 
 POINT = ("point",)

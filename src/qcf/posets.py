@@ -170,7 +170,7 @@ class IncidenceSubcoalgebra:
     def dimension(self) -> int:
         return len(self.basis_list)
 
-    def elements_in(self) -> list:
+    def vertices(self) -> list:
         return [e for e in self.poset.elements if (e, e) in self.basis]
 
     def _member_masks(self) -> list[int]:

@@ -261,6 +261,26 @@ def test_bad_hopf_input_exits_2_without_traceback(hopf_decl, message, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_negative_window_margin_exits_2_without_traceback():
+    # a negative margin would list vertices outside W's window [-2,3] as interior
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    argv = ["frobenius", "--input", str(GOLDEN / "doc.qcf"), "--window-margin"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", *argv, "-3"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "argument --window-margin: must be >= 0, got -3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", *argv, "0"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["results"]["W"]["interior"] == ["-2", "-1", "0", "1", "2", "3"]
+
+
 def test_mixed_incidence_and_path_sum_exits_2_without_traceback(tmp_path):
     doc = tmp_path / "doc.qcf"
     doc.write_text(
@@ -311,10 +331,16 @@ TWO_LOOPS = "quiver Q { vertices: v; arrows: a: v -> v; b: v -> v; }\n"
         # two loops give 2^41 - 1 paths up to length 40
         ("forms", TWO_LOOPS + "coalgebra K = paths(Q, maxlen=40)",
          "paths(Q, maxlen=40) has more basis paths than the limit of 20000"),
+        # building the 55440-th cyclotomic polynomial takes longer than 30 s
+        ("hopf-verify", "hopf H = hn(s=1, q=root(2,1), group=cyclic(2), alpha=root(55440,1))",
+         "roots of unity of order 55440, over the limit of 1024"),
+        ("hopf-verify", "hopf H = hn(s=1, q=root(2,1), group=cyclic(2), g=1, "
+                        "chi=[root(1,0), root(55440,1)], alpha=0)",
+         "roots of unity of order 55440, over the limit of 1024"),
     ],
     ids=[
         "hn-cyclic", "group-algebra-product", "cycle-family-dimension",
-        "cycle-family-arrows", "two-loop-paths",
+        "cycle-family-arrows", "two-loop-paths", "alpha-root-order", "chi-root-order",
     ],
 )
 def test_oversized_input_exits_2_before_it_is_built(command, decl, message, tmp_path):
@@ -357,6 +383,12 @@ def test_size_limits_are_inclusive(monkeypatch):
     assert errors(chain + "coalgebra K = paths(C)") == []
     monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 5)
     assert "paths(C) has more basis paths" in errors(chain + "coalgebra K = paths(C)")[0]
+    # q of order 2 and alpha of order 1024: conductor lcm(2, 1024) = 1024
+    at_limit = "hopf H = hn(s=1, q=root(2,1), group=cyclic(2), alpha=root(1024,1))"
+    assert qcf.cli.MAX_CONDUCTOR == 1024
+    assert errors(at_limit) == []
+    monkeypatch.setattr(qcf.cli, "MAX_CONDUCTOR", 1023)
+    assert "order 1024, over the limit of 1023" in errors(at_limit)[0]
 
 
 

@@ -19,6 +19,7 @@ from qcf.posets import Poset, full_incidence_coalgebra
 from qcf.quiver import (
     A_0INF,
     A_INF,
+    Path,
     PathSubcoalgebra,
     Quiver,
     QuiverError,
@@ -28,7 +29,13 @@ from qcf.quiver import (
     direct_sum,
     full_path_coalgebra,
 )
-from qcf.rand import random_descriptor_multiset
+from qcf.rand import (
+    random_acyclic_quiver,
+    random_descriptor_multiset,
+    random_incidence_subcoalgebra,
+    random_path_subcoalgebra,
+    random_poset,
+)
 
 
 def test_full_path_coalgebra_with_arrow_is_not_cofrobenius():
@@ -232,3 +239,54 @@ def test_round_trip_small_sample():
         result = combine(*partial)
         assert result.ok
         assert iso_key(result.classification) == expected
+
+
+def _oracle(coalg):
+    """R, L and both verdicts read from the comultiplication alone: a lies
+    below b on the left (right) when a is a left (right) factor of a term of
+    comul(b), and the ends of b are the grouplike factors next to b itself."""
+    vertex = lambda g: g.source if isinstance(g, Path) else g[0]
+    start, end, below_left, below_right = {}, {}, {}, {}
+    for b in coalg.basis_list:
+        terms = coalg.comul(b).labels()
+        start[b] = next(vertex(x) for x, y in terms if y == b and coalg.counit(x) == 1)
+        end[b] = next(vertex(y) for x, y in terms if x == b and coalg.counit(y) == 1)
+        below_left[b] = {x for x, _ in terms}
+        below_right[b] = {y for _, y in terms}
+    vertices = {start[b] for b in coalg.basis_list}
+    r_map, l_map = {}, {}
+    for v in vertices:
+        out = [b for b in coalg.basis_list if start[b] == v]
+        tops = [t for t in out if all(b in below_left[t] for b in out)]
+        if tops:
+            r_map[v] = end[tops[0]]
+        into = [b for b in coalg.basis_list if end[b] == v]
+        bottoms = [t for t in into if all(b in below_right[t] for b in into)]
+        if bottoms:
+            l_map[v] = start[bottoms[0]]
+    left = all(l_map.get(r_map.get(v)) == v for v in vertices)
+    right = all(r_map.get(l_map.get(v)) == v for v in vertices)
+    return r_map, l_map, "yes" if left else "no", "yes" if right else "no"
+
+
+def _oracle_instances():
+    rng = random.Random(0xF20B)
+    for _ in range(150):
+        yield random_path_subcoalgebra(rng)
+        yield random_incidence_subcoalgebra(rng)
+        yield full_path_coalgebra(random_acyclic_quiver(rng))
+        yield full_incidence_coalgebra(random_poset(rng))
+
+
+def test_analyzer_matches_the_comultiplication_oracle():
+    verdicts = set()
+    for coalg in _oracle_instances():
+        report = analyze(coalg)
+        expected = _oracle(coalg)
+        got = (report.r_map(), report.l_map(), report.left_verdict, report.right_verdict)
+        assert got == expected, coalg.basis_list
+        verdicts.add((type(coalg).__name__, report.left_verdict, report.right_verdict))
+    # every class shows a positive and a negative verdict on each side
+    for kind in ("PathSubcoalgebra", "IncidenceSubcoalgebra"):
+        for side in (1, 2):
+            assert {v[side] for v in verdicts if v[0] == kind} == {"yes", "no"}
