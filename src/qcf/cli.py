@@ -328,7 +328,8 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
             coalg = IncidenceSubcoalgebra(Poset(elements, pairs), basis)
             return CoalgValue(coalg, violations=tuple(coalg.validate()))
         finite = direct_sum(finite_parts) if finite_parts else None
-        return CoalgValue(finite, tuple(families))
+        violations = tuple(finite.validate()) if finite is not None else ()
+        return CoalgValue(finite, tuple(families), violations)
     raise AssertionError(e.kind)
 
 

@@ -11,9 +11,8 @@ describe the same space and the two routes are checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
-from .lincomb import LinComb, linear
+from .lincomb import LinComb
 from .linalg import field_nullspace, sparse_int_nullspace
 from .posets import IncidenceSubcoalgebra
 from .quiver import Path, PathSubcoalgebra, path_sort_key
@@ -42,30 +41,41 @@ class BalancedCheck:
 
 
 def is_balanced(form: BilinearForm) -> BalancedCheck:
-    """Direct check of the balance identity on every basis pair."""
+    """Direct check of the balance identity on every basis pair, driven by
+    the form's entries, so that it costs time in their number.
+
+    An entry beta(a, b) adds c beta(a, b) p1 to the left side of the pair
+    (p, b) for each term c p1 (x) a of Delta p, and c beta(a, b) q2 to the
+    right side of the pair (a, q) for each term c b (x) q2 of Delta q; a
+    pair that no entry reaches has both sides zero. The witness (p, q, coordinate)
+    is the first pair in basis order whose sides differ, with the smallest
+    coordinate by repr at which they do.
+    """
     coalg = form.coalgebra
     basis = coalg.basis_list
-    entries = form.entries
-    comuls = {p: coalg.comul(p) for p in basis}
+    # per label: (basis element, other factor, coefficient) for each
+    # comultiplication term with the label as its right, resp. left, factor
+    as_right: dict = {}
+    as_left: dict = {}
     for p in basis:
-        for q in basis:
-            # an absent entry is zero and adds nothing to either side
-            diff = linear(chain(
-                (
-                    (p1, c * entries[p2, q])
-                    for (p1, p2), c in comuls[p].items()
-                    if (p2, q) in entries
-                ),
-                (
-                    (q2, -(c * entries[p, q1]))
-                    for (q1, q2), c in comuls[q].items()
-                    if (p, q1) in entries
-                ),
-            ))
-            if not diff.is_zero():
-                coordinate = sorted(diff.labels(), key=repr)[0]
-                return BalancedCheck(False, (p, q, coordinate))
-    return BalancedCheck(True)
+        for (p1, p2), c in coalg.comul(p).items():
+            as_right.setdefault(p2, []).append((p, p1, c))
+            as_left.setdefault(p1, []).append((p, p2, c))
+    diff: dict = {}  # (p, q, coordinate) -> left side minus right side
+    for (a, b), v in form.entries.items():
+        for p, p1, c in as_right.get(a, ()):
+            key, term = (p, b, p1), v if c.is_one() else c * v
+            diff[key] = diff[key] + term if key in diff else term
+        for q, q2, c in as_left.get(b, ()):
+            key, term = (a, q, q2), -(v if c.is_one() else c * v)
+            diff[key] = diff[key] + term if key in diff else term
+    index = {p: i for i, p in enumerate(basis)}
+    unequal = [key for key, d in diff.items() if not d.is_zero()]
+    if not unequal:
+        return BalancedCheck(True)
+    return BalancedCheck(
+        False, min(unequal, key=lambda k: (index[k[0]], index[k[1]], repr(k[2])))
+    )
 
 
 BRUTEFORCE_BOUND = 200  # largest basis size the brute-force solver accepts by default
@@ -80,7 +90,9 @@ def balanced_space_bruteforce(coalg, bound: int = BRUTEFORCE_BOUND) -> list[Bili
     if n > bound:
         raise FormError(f"basis size {n} exceeds brute-force bound {bound}")
     index = {p: i for i, p in enumerate(basis)}
-    # equations are emitted per pair in the repr order of their coordinate
+    # one equation per pair and coordinate, emitted in the repr order of the
+    # coordinate; any row order gives the same nullspace basis, which is read
+    # off the unique reduced row echelon form
     rank = {p: r for r, p in enumerate(sorted(basis, key=repr))}
     comuls = [coalg.comul(p).labels() for p in basis]
     # per basis index: (coordinate rank, index of the other factor) per term

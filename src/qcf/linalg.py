@@ -8,6 +8,14 @@ over `Cyc`, for form radicals. Both then share one back-substitution over
 {column: value}, so a vector costs time in its nonzeros, not in the
 number of unknowns.
 
+The integer elimination first resolves one-term rows, which say that a
+column is zero. Such a column is struck from every row that uses it, a row
+left with one term forces its own column in turn, and a row left with none
+is dropped. Each forced column becomes a unit pivot row {column: 1}; only
+the rows that are left go through the fraction-free loop. A struck row
+differs from its original by multiples of unit rows, so the row space, and
+with it the reduced form and the nullspace basis, is the same.
+
 Pivoting is deterministic (first nonzero in row-major order) so nullspace
 bases are reproducible.
 """
@@ -31,11 +39,50 @@ def _row_gcd_normalize(row: dict[int, int]) -> None:
             row[k] //= g
 
 
-def sparse_int_echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Fraction-free echelon form; returns {pivot column: row}."""
-    pivots: dict[int, dict[int, int]] = {}
+def _force_zeros(rows: list[dict[int, int]]) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
+    """The one-term pass: {column: unit row} for every column forced to
+    zero, and copies of the other rows with those columns struck out."""
+    forced: dict[int, dict[int, int]] = {}
+    rest: list[dict[int, int]] = []
     for raw in rows:
-        row = {c: v for c, v in raw.items() if v}
+        # rest gets copies; most rows of the form systems have one term and
+        # are not copied
+        row = raw if len(raw) < 2 else {c: v for c, v in raw.items() if v}
+        if len(row) > 1:
+            rest.append(row)
+        elif row:
+            ((col, v),) = row.items()
+            if v and col not in forced:
+                forced[col] = {col: 1}
+    zeros = forced.keys()
+    if all(zeros.isdisjoint(row) for row in rest):
+        # nothing to strike; the index's many small lists would set off
+        # collector passes over the caller's heap, which can be large
+        return forced, rest
+    uses: dict[int, list[int]] = {}  # column -> indices of the rows in rest using it
+    for i, row in enumerate(rest):
+        for c in row:
+            uses.setdefault(c, []).append(i)
+    stack = list(forced)
+    while stack:
+        col = stack.pop()
+        for i in uses.get(col, ()):
+            row = rest[i]
+            del row[col]
+            if len(row) == 1:  # it forces its last column in turn
+                (last,) = row
+                if last not in forced:
+                    forced[last] = {last: 1}
+                    stack.append(last)
+    return forced, [row for row in rest if row]
+
+
+def sparse_int_echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Fraction-free echelon form; returns {pivot column: row}. A column
+    that one-term rows force to zero has the unit row {column: 1}, and no
+    other row uses it."""
+    pivots, rest = _force_zeros(rows)
+    for row in rest:
         while row:
             lead = min(row)
             piv = pivots.get(lead)
@@ -70,45 +117,49 @@ def _subtract(row: dict[int, Cyc], factor: Cyc, other: dict[int, Cyc]) -> None:
             row[c] = nv
 
 
-def _back_substitute(pivots: dict[int, dict[int, Cyc]], ncols: int) -> list[dict[int, Cyc]]:
+def _back_substitute(pivots: dict[int, dict[int, Cyc]], free: list[int]) -> list[dict[int, Cyc]]:
     """Nullspace basis from an echelon form {pivot column: row} whose rows
     have lead 1 and all other columns to the right of it.
 
     The rows are reduced in place, from the last pivot up. There is one
-    vector per free column, in ascending column order: minus the free
+    vector per free column, in the order of `free`: minus the free
     column's coefficient in each reduced row, then 1 at the free column.
+    A one-term row may be left out of `pivots`: it says only that its
+    column is zero, and subtracting it changes no free column.
     """
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         for c in [c for c in row if c != col and c in pivots]:
             _subtract(row, row[c], pivots[c])
-    # a reduced row holds only its own pivot and free columns to its right
+    # right of its pivot, a reduced row holds free columns and the columns
+    # of rows left out, which no vector reads
     column_view: dict[int, dict[int, Cyc]] = {}
     for col in sorted(pivots):
         for c, v in pivots[col].items():
             if c != col:
                 column_view.setdefault(c, {})[col] = -v
-    return [
-        {**column_view.get(f, {}), f: Cyc.one()} for f in range(ncols) if f not in pivots
-    ]
+    return [{**column_view.get(f, {}), f: Cyc.one()} for f in free]
 
 
 def sparse_int_nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     """Integer basis of the nullspace of a sparse integer matrix.
 
-    The echelon form is found fraction-free; its rows become rational
-    `Cyc` rows with lead 1 in place for the back-substitution. There is one
-    vector per free column, in ascending column order. Each vector is a
-    sparse {column: int} with its columns in ascending order, primitive
-    (gcd 1) and with a positive leading (smallest-column) entry.
+    The echelon form is found fraction-free; its rows of two or more
+    terms become rational `Cyc` rows with lead 1 for the back-substitution.
+    There is one vector per free column, in ascending column order. Each
+    vector is a sparse {column: int} with its columns in ascending order,
+    primitive (gcd 1) and with a positive leading (smallest-column) entry.
     """
     pivots = sparse_int_echelon(rows)
-    for col, row in pivots.items():
-        lead = row[col]  # positive, so v / lead is normalized by Cyc._make
-        for c, v in row.items():
-            row[c] = Cyc._make(1, lead, [v])
+    # the lead is positive, so v / lead is normalized by Cyc._make
+    rational = {
+        col: {c: Cyc._make(1, row[col], [v]) for c, v in row.items()}
+        for col, row in pivots.items()
+        if len(row) > 1
+    }
+    free = [f for f in range(ncols) if f not in pivots]
     basis: list[dict[int, int]] = []
-    for vec in _back_substitute(pivots, ncols):
+    for vec in _back_substitute(rational, free):
         # rational values: numerator c[0] over denominator d
         den = lcm(*(x.d for x in vec.values()))
         ints = {c: x.c[0] * (den // x.d) for c, x in vec.items()}
@@ -138,4 +189,4 @@ def field_nullspace(rows: list[dict[int, Cyc]], ncols: int) -> list[dict[int, Cy
                 pivots[lead] = {c: v * inv for c, v in row.items()}
                 break
             _subtract(row, row[lead], piv)
-    return _back_substitute(pivots, ncols)
+    return _back_substitute(pivots, [f for f in range(ncols) if f not in pivots])

@@ -206,6 +206,24 @@ def test_invalid_coalgebra_blocks_analysis(tmp_path, capsys):
     assert "fails validation" in err
 
 
+def test_sum_of_invalid_path_coalgebras_is_invalid(tmp_path, capsys):
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(
+        "quiver Q { vertices: u v; arrows: a: u -> v; }\n"
+        "coalgebra C = basis(Q) { a; }\n"
+        "coalgebra S = sum(C, C)\n"
+    )
+    code, report = run_cli(capsys, "validate", "--input", doc)
+    assert code == 0
+    entry = report["results"]["S"]
+    assert entry["ok"] is False
+    assert entry["violations"] == [
+        f"<s{i}.{v}> is a subpath of <s{i}.a> but missing from the basis"
+        for i in (0, 1)
+        for v in ("u", "v")
+    ]
+
+
 def test_oversize_input_rejected(tmp_path, capsys):
     doc = tmp_path / "doc.qcf"
     doc.write_text("coalgebra K = family(Cn, n=21, s=1)")

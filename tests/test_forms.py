@@ -1,8 +1,10 @@
 import random
+from itertools import chain
 
 import pytest
 
 from qcf.forms import (
+    BalancedCheck,
     BilinearForm,
     FormError,
     all_ones_alpha_incidence,
@@ -15,6 +17,7 @@ from qcf.forms import (
     path_form_params,
     radicals,
 )
+from qcf.lincomb import linear
 from qcf.posets import IncidenceSubcoalgebra, Poset, full_incidence_coalgebra
 from qcf.quiver import (
     PathSubcoalgebra,
@@ -279,3 +282,57 @@ def test_left_and_right_radical_dimensions_agree_on_random_forms():
             assert len(left) == len(right)
             dims.add(len(left) > 0)
     assert dims == {False, True}
+
+
+def balanced_by_pairs(form: BilinearForm) -> BalancedCheck:
+    """Reference checker: both sides of the balance identity on every basis
+    pair in basis order, the witness coordinate the smallest by repr."""
+    coalg = form.coalgebra
+    basis = coalg.basis_list
+    entries = form.entries
+    comuls = {p: coalg.comul(p) for p in basis}
+    for p in basis:
+        for q in basis:
+            diff = linear(chain(
+                (
+                    (p1, c * entries[p2, q])
+                    for (p1, p2), c in comuls[p].items()
+                    if (p2, q) in entries
+                ),
+                (
+                    (q2, -(c * entries[p, q1]))
+                    for (q1, q2), c in comuls[q].items()
+                    if (p, q1) in entries
+                ),
+            ))
+            if not diff.is_zero():
+                return BalancedCheck(False, (p, q, sorted(diff.labels(), key=repr)[0]))
+    return BalancedCheck(True)
+
+
+def test_is_balanced_matches_the_per_pair_check_on_random_forms():
+    rng = random.Random(17)
+    values = [Cyc.one(), Cyc.rational(-1), Cyc.rational(2), Cyc.root(3), Cyc.root(4, 3),
+              Cyc.root(8) + Cyc.one(), -Cyc.root(3) - Cyc.root(3, 2)]
+    verdicts = set()
+    for i in range(60):
+        if i % 2:
+            coalg = random_path_subcoalgebra(rng, max_basis=12)
+            params = path_form_params(coalg)
+            alpha = {d: rng.choice(values) for d in params.paths}
+            form = form_from_path_params(coalg, params, alpha)
+        else:
+            coalg = random_incidence_subcoalgebra(rng, max_elements=6, max_basis=14)
+            params = incidence_form_params(coalg)
+            alpha = {(c.x, c.y, c.members): rng.choice(values) for c in params.marked}
+            form = form_from_incidence_params(coalg, params, alpha)
+        basis = coalg.basis_list
+        entries = dict(form.entries)
+        # 1-3 stray entries, some of which may overwrite a parameter entry
+        for _ in range(rng.randint(1, 3)):
+            entries[rng.choice(basis), rng.choice(basis)] = rng.choice(values)
+        for candidate in (form, BilinearForm(coalg, entries)):
+            check = is_balanced(candidate)
+            assert check == balanced_by_pairs(candidate)
+            verdicts.add(check.ok)
+    assert verdicts == {False, True}

@@ -9,7 +9,7 @@ from sympy.polys.agca.extensions import FiniteExtension
 from sympy.polys.matrices import DomainMatrix
 
 from qcf.forms import BilinearForm, radicals
-from qcf.linalg import field_nullspace, sparse_int_nullspace
+from qcf.linalg import field_nullspace, sparse_int_nullspace, sparse_int_rank
 from qcf.rand import random_path_subcoalgebra
 from qcf.scalars import Cyc
 
@@ -100,6 +100,60 @@ def test_rational_reduced_form_is_cleared_to_integers():
     dense = [[2, 1, 0], [0, 3, 2]]
     assert sparse_int_nullspace(sparse_rows(dense), 3) == [{0: 1, 1: -2, 2: 3}]
 
+
+@st.composite
+def one_term_systems(draw):
+    """Rows shaped like the balanced-form systems: mostly one-term rows and
+    x - y rows, with equality chains x0 = x1 = ... that one one-term row
+    closes, so that zeros spread over several rounds."""
+    ncols = draw(st.integers(2, 10))
+    column = st.integers(0, ncols - 1)
+    dense = []
+
+    def add(entries):
+        row = [0] * ncols
+        for c, v in entries:
+            row[c] += v
+        dense.append(row)
+
+    for _ in range(draw(st.integers(0, 3))):
+        chain = draw(st.lists(column, min_size=2, max_size=5, unique=True))
+        for x, y in zip(chain, chain[1:]):
+            add([(x, 1), (y, -1)])
+        add([(chain[-1], draw(st.sampled_from([1, -1, 2])))])
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["one", "one", "equal", "general"]))
+        if kind == "one":
+            add([(draw(column), draw(st.sampled_from([1, -1, 3])))])
+        elif kind == "equal":
+            add([(draw(column), 1), (draw(column), -1)])  # a zero row when x = y
+        else:
+            add([(draw(column), draw(CELLS)) for _ in range(3)])
+    return draw(st.permutations(dense)), ncols
+
+
+@PROPERTY_SETTINGS
+@given(one_term_systems())
+def test_one_term_rows_match_sympy_rref(matrix):
+    dense, ncols = matrix
+    rows = sparse_rows(dense)
+    before = [dict(row) for row in rows]
+    basis = sparse_int_nullspace(rows, ncols)
+    expected, free = sympy_basis(dense, ncols)
+    check_invariants(dense, basis, free)
+    assert basis == expected
+    rank = Matrix(dense).rank() if dense else 0
+    assert sparse_int_rank(rows) == rank == ncols - len(free)
+    assert rows == before  # the rows passed in are left as they were
+
+
+def test_chain_closed_by_one_term_row_forces_every_column_to_zero():
+    # x0 = x1 = x2 = x3 = x4 and 2 x4 = 0, with a free column 5 beside it
+    dense = [[1, -1, 0, 0, 0, 0], [0, 1, -1, 0, 0, 0], [0, 0, 1, -1, 0, 0],
+             [0, 0, 0, 1, -1, 0], [0, 0, 0, 0, 2, 0]]
+    for order in (dense, dense[::-1]):
+        assert sparse_int_nullspace(sparse_rows(order), 6) == [{5: 1}]
+        assert sparse_int_rank(sparse_rows(order)) == 5
 
 # --- field_nullspace over Q(zeta_24), which holds conductors 3, 4 and 8 ----
 
