@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm, prod
 from pathlib import Path as FilePath
-from typing import Callable
 
 from . import dsl, forms, frobenius, hopf
+from ._record import record
 from .linalg import field_nullspace
 from .lincomb import LinComb
 from .posets import (
@@ -78,7 +78,7 @@ class InputError(Exception):
 # resolution: declarations -> library objects
 
 
-@dataclass
+@record
 class CoalgValue:
     """A resolved coalgebra declaration: a finite part (a path or an
     incidence subcoalgebra, or None) plus windowed line families, which only
@@ -89,7 +89,7 @@ class CoalgValue:
     violations: tuple[str, ...] = ()
 
 
-@dataclass
+@record
 class HopfValue:
     """A resolved hopf declaration: `build()` makes its table, without the
     antipode, and `label` prints a basis label."""
@@ -98,7 +98,7 @@ class HopfValue:
     label: Callable[[object], str]
 
 
-@dataclass
+@record
 class Resolved:
     quivers: dict
     posets: dict

@@ -25,10 +25,10 @@ Diagnostics carry line and column. parse() never raises on bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pos:
     line: int
     col: int
@@ -37,7 +37,7 @@ class Pos:
         return f"{self.line}:{self.col}"
 
 
-@dataclass
+@record
 class Diagnostic:
     pos: Pos
     message: str
@@ -46,7 +46,7 @@ class Diagnostic:
         return f"{self.pos}: {self.message}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # name | int | string | punct | eof
     text: str
@@ -127,7 +127,7 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
 # AST
 
 
-@dataclass
+@record
 class QuiverDecl:
     name: str
     pos: Pos
@@ -135,7 +135,7 @@ class QuiverDecl:
     arrows: tuple[tuple[str, str, str], ...]
 
 
-@dataclass
+@record
 class PosetDecl:
     name: str
     pos: Pos
@@ -143,7 +143,7 @@ class PosetDecl:
     covers: tuple[tuple[str, str], ...]
 
 
-@dataclass
+@record
 class ScalarExpr:
     kind: str  # rational | root
     num: int = 0
@@ -152,7 +152,7 @@ class ScalarExpr:
     exponent: int = 0
 
 
-@dataclass
+@record
 class GroupExpr:
     kind: str  # cyclic | dihedral | product | csv
     n: int = 0
@@ -160,7 +160,7 @@ class GroupExpr:
     path: str = ""
 
 
-@dataclass
+@record
 class CoalgExpr:
     kind: str  # paths | basis | segments | full | family | sum
     target: str = ""
@@ -173,14 +173,14 @@ class CoalgExpr:
     s: int = 0
 
 
-@dataclass
+@record
 class CoalgebraDecl:
     name: str
     pos: Pos
     expr: CoalgExpr
 
 
-@dataclass
+@record
 class HopfExpr:
     kind: str  # hn | group_algebra
     s: int = 0
@@ -191,14 +191,14 @@ class HopfExpr:
     alpha: ScalarExpr | None = None
 
 
-@dataclass
+@record
 class HopfDecl:
     name: str
     pos: Pos
     expr: HopfExpr
 
 
-@dataclass
+@record
 class Document:
     declarations: tuple  # QuiverDecl | PosetDecl | CoalgebraDecl | HopfDecl, in order
 

@@ -10,8 +10,7 @@ describe the same space and the two routes are checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .lincomb import LinComb
 from .linalg import field_nullspace, sparse_int_nullspace
 from .posets import IncidenceSubcoalgebra
@@ -23,7 +22,7 @@ class FormError(ValueError):
     pass
 
 
-@dataclass
+@record
 class BilinearForm:
     """A bilinear form on a subcoalgebra, stored sparsely over basis pairs."""
 
@@ -34,7 +33,7 @@ class BilinearForm:
         return self.entries.get((p, q), Cyc.zero())
 
 
-@dataclass
+@record
 class BalancedCheck:
     ok: bool
     violation: tuple | None = None  # (p, q, coordinate)
@@ -124,7 +123,7 @@ def balanced_space_bruteforce(coalg, bound: int = BRUTEFORCE_BOUND) -> list[Bili
     ]
 
 
-@dataclass
+@record
 class PathFormParams:
     """The paths that parameterize balanced forms on a path subcoalgebra.
 
@@ -193,7 +192,7 @@ def form_from_path_params(
     return BilinearForm(coalg, entries)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MidpointClass:
     """One equivalence class of midpoints between a fixed pair of endpoints."""
 
@@ -203,7 +202,7 @@ class MidpointClass:
     marked: bool
 
 
-@dataclass
+@record
 class IncidenceFormParams:
     """Midpoint classes per endpoint pair; the marked ones carry a free scalar."""
 

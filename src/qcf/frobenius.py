@@ -12,9 +12,9 @@ end with one containing them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import attrgetter
 
+from ._record import record
 from .forms import IncidenceFormParams, PathFormParams
 from .posets import IncidenceSubcoalgebra
 from .quiver import (
@@ -34,7 +34,7 @@ NO = "no"
 INCONCLUSIVE = "window-inconclusive"
 
 
-@dataclass
+@record
 class VertexVerdict:
     vertex: object
     in_R: bool
@@ -47,7 +47,7 @@ class VertexVerdict:
     right_reason: str | None = None
 
 
-@dataclass
+@record
 class FrobeniusReport:
     kind: str  # path | incidence | window
     per_vertex: dict
@@ -267,7 +267,7 @@ def analyze(obj, margin: int | None = None) -> FrobeniusReport:
     raise TypeError(f"cannot analyze {type(obj).__name__}")
 
 
-@dataclass
+@record
 class ExtensionCheck:
     ok: bool
     witness: object | None = None  # first basis element with no extension
@@ -304,7 +304,7 @@ def check_condition_d_incidence(
 POINT = ("point",)
 
 
-@dataclass
+@record
 class Classification:
     """Multiset of canonical summand descriptors plus the vertex assignment."""
 
@@ -315,7 +315,7 @@ class Classification:
         return self.summands
 
 
-@dataclass
+@record
 class ClassificationResult:
     classification: Classification | None
     violation: tuple | None = None  # (reason, where)
@@ -457,7 +457,7 @@ def iso_key(classification: Classification) -> tuple:
     return classification.key()
 
 
-@dataclass
+@record
 class IsoCheck:
     isomorphic: bool
     window_limited: bool  # true when line-family windows took part
@@ -468,7 +468,7 @@ def iso_check(c1: Classification, c2: Classification) -> IsoCheck:
     return IsoCheck(iso_key(c1) == iso_key(c2), limited)
 
 
-@dataclass
+@record
 class HopfAdmissibility:
     family: str  # "I" | "II" | "III" | "none"
     summand_count: int

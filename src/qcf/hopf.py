@@ -16,8 +16,7 @@ verified; nothing about an antipode is assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import field, record
 from .lincomb import Accumulator, LinComb, expand_slot, linear, map_linear, pair_tensor
 from .scalars import MINUS_ONE, ONE_ROOT, Cyc, RootOfUnity, cached_mul, q_binomial, q_factorial
 
@@ -32,7 +31,7 @@ class HopfError(ValueError):
 # finite group data
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteGroupData:
     """A finite group with a distinguished central element and a character.
 
@@ -372,7 +371,7 @@ class LineProduct:
 # finite Hopf tables
 
 
-@dataclass
+@record
 class HopfTable:
     """Structure maps on a finite basis, as dicts keyed by labels and label
     pairs; `LineProduct.table` fills them on first lookup."""
@@ -622,7 +621,7 @@ def algebra_generators(table: HopfTable) -> list | None:
     return _greedy_generators(order, table.unit, step)
 
 
-@dataclass
+@record
 class CheckResult:
     """One axiom's verdict. `checked` counts the basis tuples visited, up
     to and including the first failing one; `method` says which ran:
@@ -634,7 +633,7 @@ class CheckResult:
     method: str = "exhaustive"
 
 
-@dataclass
+@record
 class HopfVerifyReport:
     ok: bool
     checks: dict
@@ -780,7 +779,7 @@ def verify_hopf(table: HopfTable, exhaustive: bool = False) -> HopfVerifyReport:
 # the coalgebra identification between the cycle family and the finite table
 
 
-@dataclass
+@record
 class CoalgIsoReport:
     ok: bool
     n: int

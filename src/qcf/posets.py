@@ -7,8 +7,7 @@ subcoalgebra basis must be closed under subintervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .lincomb import LinComb, linear, map_linear, pair_tensor
 from .linalg import sparse_int_rank
 from .quiver import Path, Quiver
@@ -230,7 +229,7 @@ def hasse_quiver(poset: Poset) -> Quiver:
     return _hasse_with_names(poset)[0]
 
 
-@dataclass
+@record
 class EmbeddingResult:
     """The sum-over-paths map into the Hasse path coalgebra, with its verification."""
 
@@ -398,7 +397,7 @@ def embed(coalg: IncidenceSubcoalgebra) -> EmbeddingResult:
     )
 
 
-@dataclass
+@record
 class TensorIsoResult:
     """Verification that segments of a product poset factor as segment pairs."""
 

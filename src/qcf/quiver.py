@@ -7,8 +7,7 @@ path at every intermediate vertex; the counit is 1 exactly on vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .lincomb import LinComb, linear
 from .scalars import Cyc
 
@@ -17,7 +16,7 @@ class QuiverError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class Path:
     """A vertex (empty arrow sequence) or a composable sequence of arrow ids."""
 
@@ -263,7 +262,7 @@ A_0INF = "A0inf"
 C_N = "Cn"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WindowedFamily:
     """A canonical family: a line window with its reach table, or a cycle.
 
