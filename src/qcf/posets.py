@@ -333,24 +333,27 @@ def _morphism_failure(
     comultiplications and the counits, segment by segment in basis order;
     the failure message for the first segment where it does not, else None.
 
-    Both sides of (phi (x) phi) Delta = Delta phi are sums over pairs of
-    path ids of `_number_paths` (its result may be passed in as
-    `numbering`). The left side splits every image path at each vertex and
-    looks the two parts up by (source, arrows); a part that is no image
-    path keeps that tuple as its label."""
+    Paths are numbered by `_number_paths` (its result may be passed in as
+    `numbering`, and is neither copied nor changed). Two links per path id
+    a, `init[a]` and `tail[a]`, give the ids of a without its last and
+    without its first arrow, or None when that part is no image path; so
+    walking them lists every prefix and every suffix of a. Per segment one
+    accumulator, keyed by the pair of path ids (a, b) packed as a * n + b,
+    takes (phi (x) phi) Delta with a plus sign and Delta phi, a sum over
+    the splits of the image paths, with a minus sign; the segment fails
+    when an entry is left nonzero. A path with a part that is no image
+    path is split by slicing, and a split with such a part is keyed by
+    its two (source, arrows) labels, which no pair of ids equals."""
     index, rows = numbering if numbering is not None else _number_paths(phi)
-    number = index.get
-    target = quiver.target
+    number, target, n = index.get, quiver.target, len(index)
+    init: list = [None] * n
+    tail: list = [None] * n
+    for (source, arrows), a in index.items():
+        if arrows:
+            init[a] = number((source, arrows[:-1]))
+            tail[a] = number((target(arrows[0]), arrows[1:]))
     for seg in coalg.basis_list:
-        lhs: dict = {}
-        for p, c in phi[seg].items():
-            c = _rational(c)
-            source, arrows = p.source, p.arrows
-            for i, mid in enumerate((source, *map(target, arrows))):
-                left, right = (source, arrows[:i]), (mid, arrows[i:])
-                key = (number(left, left), number(right, right))
-                lhs[key] = lhs.get(key, 0) + c
-        rhs: dict = {}
+        diff: dict = {}
         for (first, second), c in coalg.comul(seg).items():
             c = _rational(c)
             try:
@@ -360,18 +363,36 @@ def _morphism_failure(
             for a, ca in first_row:
                 ca *= c
                 for b, cb in second_row:
-                    key = (a, b)
-                    rhs[key] = rhs.get(key, 0) + ca * cb
-        if lhs != rhs and _nonzero(lhs) != _nonzero(rhs):
+                    key = a * n + b
+                    diff[key] = diff.get(key, 0) + ca * cb
+        for p, c in phi[seg].items():
+            c = _rational(c)
+            source, arrows = p.source, p.arrows
+            prefixes, suffixes = [], []
+            a = b = number((source, arrows))
+            while a is not None:
+                prefixes.append(a)
+                a = init[a]
+            while b is not None:
+                suffixes.append(b)
+                b = tail[b]
+            # both walks reached a vertex: every prefix and suffix is an image path
+            if len(prefixes) == len(suffixes) == len(arrows) + 1:
+                for a, b in zip(reversed(prefixes), suffixes):
+                    key = a * n + b
+                    diff[key] = diff.get(key, 0) - c
+            else:
+                for i, mid in enumerate((source, *map(target, arrows))):
+                    left, right = (source, arrows[:i]), (mid, arrows[i:])
+                    a, b = number(left), number(right)
+                    key = (left, right) if a is None or b is None else a * n + b
+                    diff[key] = diff.get(key, 0) - c
+        if any(diff.values()):
             return f"comultiplication does not commute at segment {seg!r}"
         vertex_sum = sum(_rational(c) for p, c in phi[seg].items() if p.is_vertex())
         if _rational(coalg.counit(seg)) != vertex_sum:
             return f"counit does not commute at segment {seg!r}"
     return None
-
-
-def _nonzero(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if v}
 
 
 def embed(coalg: IncidenceSubcoalgebra) -> EmbeddingResult:
