@@ -341,9 +341,9 @@ def _morphism_failure(
     accumulator, keyed by the pair of path ids (a, b) packed as a * n + b,
     takes (phi (x) phi) Delta with a plus sign and Delta phi, a sum over
     the splits of the image paths, with a minus sign; the segment fails
-    when an entry is left nonzero. A path with a part that is no image
-    path is split by slicing, and a split with such a part is keyed by
-    its two (source, arrows) labels, which no pair of ids equals."""
+    when an entry is left nonzero, or at once when a walk stops before a
+    vertex: that split of an image path has a part that is no image path,
+    so (phi (x) phi) Delta has no term to cancel it."""
     index, rows = numbering if numbering is not None else _number_paths(phi)
     number, target, n = index.get, quiver.target, len(index)
     init: list = [None] * n
@@ -376,17 +376,11 @@ def _morphism_failure(
             while b is not None:
                 suffixes.append(b)
                 b = tail[b]
-            # both walks reached a vertex: every prefix and suffix is an image path
-            if len(prefixes) == len(suffixes) == len(arrows) + 1:
-                for a, b in zip(reversed(prefixes), suffixes):
-                    key = a * n + b
-                    diff[key] = diff.get(key, 0) - c
-            else:
-                for i, mid in enumerate((source, *map(target, arrows))):
-                    left, right = (source, arrows[:i]), (mid, arrows[i:])
-                    a, b = number(left), number(right)
-                    key = (left, right) if a is None or b is None else a * n + b
-                    diff[key] = diff.get(key, 0) - c
+            if not len(prefixes) == len(suffixes) == len(arrows) + 1:
+                return f"comultiplication does not commute at segment {seg!r}"
+            for a, b in zip(reversed(prefixes), suffixes):
+                key = a * n + b
+                diff[key] = diff.get(key, 0) - c
         if any(diff.values()):
             return f"comultiplication does not commute at segment {seg!r}"
         vertex_sum = sum(_rational(c) for p, c in phi[seg].items() if p.is_vertex())
