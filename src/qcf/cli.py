@@ -399,10 +399,16 @@ def _default_datum(gexpr, s, q, table, names, identity, chi):
 # JSON serialization helpers
 
 
-def _write_report(report, write, batch: int = 4096) -> None:
+def _write_report(report, write, batch: int = 512) -> None:
     """Hand `write` the text of json.dumps(report, indent=2, sort_keys=True)
-    in strings of about `batch` pieces, never the whole text at once. Only
-    dicts, lists, strings, ints, booleans and None; a float is a TypeError."""
+    in strings of about `batch` pieces, never the whole text at once. A piece
+    is one key, scalar, bracket or separator, or one whole `Path`. Only
+    dicts, lists, strings, ints, booleans, None and `Path`s; a float is a
+    TypeError.
+
+    A `Path` is written as its dict form, {"vertex": source} for a vertex and
+    {"arrows": [...], "source": s, "target": t} otherwise, as one piece, so
+    a report of paths needs no dict per path; it may not be a dict key."""
     pieces: list[str] = []
 
     def scalar(o) -> str:
@@ -415,6 +421,17 @@ def _write_report(report, write, batch: int = 4096) -> None:
     def emit(o, pad: str) -> None:
         if isinstance(o, str):
             pieces.append(encode_basestring_ascii(o))
+        elif isinstance(o, Path):
+            inner = pad + "  "
+            if o.arrows:
+                arrows = f",\n{inner}  ".join(map(encode_basestring_ascii, o.arrows))
+                pieces.append(
+                    f'{{\n{inner}"arrows": [\n{inner}  {arrows}\n{inner}],\n'
+                    f'{inner}"source": {encode_basestring_ascii(o.source)},\n'
+                    f'{inner}"target": {encode_basestring_ascii(o.target)}\n{pad}}}'
+                )
+            else:
+                pieces.append(f'{{\n{inner}"vertex": {encode_basestring_ascii(o.source)}\n{pad}}}')
         elif not isinstance(o, (list, dict)):
             pieces.append(scalar(o))
         elif not o:
@@ -442,12 +459,6 @@ def _write_report(report, write, batch: int = 4096) -> None:
 
     emit(report, "")
     write("".join(pieces))
-
-
-def path_json(p: Path):
-    if p.is_vertex():
-        return {"vertex": p.source}
-    return {"source": p.source, "arrows": list(p.arrows), "target": p.target}
 
 
 def basis_json(coalg: PathSubcoalgebra):
@@ -588,7 +599,7 @@ def cmd_forms(res: Resolved, flags) -> dict:
             census = {
                 "kind": "path",
                 "F_size": params.size,
-                "F": [path_json(p) for p in params.paths],
+                "F": list(params.paths),
             }
         space = forms.balanced_space_bruteforce(coalg, bound=flags.bound)
         balanced = forms.is_balanced(form)
@@ -692,7 +703,7 @@ def cmd_embed(res: Resolved, flags) -> dict:
             "single_path_image": r.single_path_image,
             "failure": r.failure,
             "images": {
-                segment_str(seg): [path_json(p) for p in sorted(v.labels(), key=lambda p: (p.length, p.source, p.arrows))]
+                segment_str(seg): sorted(v.labels(), key=lambda p: (len(p.arrows), p.source, p.arrows))
                 for seg, v in r.phi.items()
             },
         }

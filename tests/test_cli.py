@@ -14,6 +14,8 @@ import qcf
 from qcf import dsl
 import qcf.cli
 from qcf.cli import MAX_FAMILY_DIMENSION, MAX_HOPF_DIMENSION, _write_report, main, resolve
+from qcf.posets import TensorIsoResult
+from qcf.quiver import Path as QPath
 from qcf.scalars import Cyc
 
 DOC = """
@@ -501,9 +503,12 @@ def test_write_error_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
-def written(value, batch: int = 4096) -> str:
+def written(value, batch: int | None = None) -> str:
     out: list[str] = []
-    _write_report(value, out.append, batch)
+    if batch is None:
+        _write_report(value, out.append)
+    else:
+        _write_report(value, out.append, batch)
     return "".join(out)
 
 
@@ -511,16 +516,23 @@ def written(value, batch: int = 4096) -> str:
 TEXT = st.text('"\\/\b\f\n\r\t\x00\x1f\x7f az-09\u00e9\u2028\u4e2d\U0001f600', max_size=12)
 INTS = st.one_of(st.integers(-300, 300), st.integers(-(2 ** 200), 2 ** 200))
 SCALARS = st.one_of(st.none(), st.booleans(), INTS, TEXT)
-VALUES = st.recursive(
-    SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5),
-        st.dictionaries(TEXT, inner, max_size=5),
-        # int keys, negatives included, as in the reach tables of validate
-        st.dictionaries(st.integers(-12, 12), inner, max_size=5),
-    ),
-    max_leaves=30,
-)
+
+
+def nested(leaves):
+    """Lists and dicts of `leaves`, nested to random depth."""
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.dictionaries(TEXT, inner, max_size=5),
+            # int keys, negatives included, as in the reach tables of validate
+            st.dictionaries(st.integers(-12, 12), inner, max_size=5),
+        ),
+        max_leaves=30,
+    )
+
+
+VALUES = nested(SCALARS)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -534,13 +546,65 @@ def test_report_writer_matches_json_dumps(value, depth):
     assert written(value, batch=1) == expected
 
 
+def paths_as_dicts(value):
+    """`value` with every path replaced by its JSON shape in a report."""
+    if isinstance(value, QPath):
+        if not value.arrows:
+            return {"vertex": value.source}
+        return {"source": value.source, "arrows": list(value.arrows), "target": value.target}
+    if isinstance(value, list):
+        return [paths_as_dicts(x) for x in value]
+    if isinstance(value, dict):
+        return {k: paths_as_dicts(x) for k, x in value.items()}
+    return value
+
+
+PATHS = st.one_of(
+    TEXT.map(lambda v: QPath(v, v, ())),
+    st.builds(QPath, TEXT, TEXT, st.lists(TEXT, min_size=1, max_size=7).map(tuple)),
+)
+PATH_VALUES = nested(st.one_of(SCALARS, PATHS))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=PATH_VALUES, depth=st.integers(0, 40))
+def test_report_writer_writes_paths_as_their_dict_form(value, depth):
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value, "": [], "e": {}}
+    expected = json.dumps(paths_as_dicts(value), indent=2, sort_keys=True)
+    assert written(value) == expected
+    assert written(value, batch=1) == expected
+
+
+def test_report_writer_flushes_paths_in_bounded_strings():
+    # 20,000 seven-arrow paths make a 4.5 MB report; a flush every 512
+    # pieces hands `write` about 59 KB at a time, every 4,096 pieces 471 KB
+    report = {
+        "images": [
+            QPath(f"v{i}", f"w{i}", tuple(f"a{i}_{j}" for j in range(7))) for i in range(20_000)
+        ]
+    }
+    sizes: list[int] = []
+    _write_report(report, lambda text: sizes.append(len(text)))
+    assert sum(sizes) > 4_000_000
+    assert max(sizes) < 100_000
+
+
 @pytest.mark.parametrize(
-    "bad", [1.5, Fraction(1, 2), (1, 2), Cyc.one()], ids=["float", "Fraction", "tuple", "Cyc"]
+    "bad",
+    [1.5, Fraction(1, 2), (1, 2), Cyc.one(), TensorIsoResult(True, 4, 4)],
+    ids=["float", "Fraction", "tuple", "Cyc", "record"],
 )
 def test_report_writer_refuses_values_outside_json(bad):
     for value in (bad, [0, bad], {"a": {"b": bad}}):
         with pytest.raises(TypeError):
             written(value)
-    if not isinstance(bad, Cyc):  # hashable keys
+    if isinstance(bad, (float, Fraction, tuple)):  # hashable keys
         with pytest.raises(TypeError):
             written({bad: 0})
+
+
+@pytest.mark.parametrize("key", [QPath("u", "u", ()), QPath("u", "v", ("a",))])
+def test_report_writer_refuses_a_path_as_a_key(key):
+    with pytest.raises(TypeError):
+        written({key: 0})
