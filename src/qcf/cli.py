@@ -310,23 +310,6 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
         if incidence_parts and (len(incidence_parts) < len(finite_parts) or families):
             fail(d.pos, f"coalgebra {d.name}: cannot mix incidence and path summands")
             return None
-        if incidence_parts:
-            elements = []
-            pairs = []
-            basis = []
-            for i, part in enumerate(incidence_parts):
-                pref = f"s{i}."
-                rename = {x: f"{pref}{x}" for x in part.poset.elements}
-                elements.extend(rename[x] for x in part.poset.elements)
-                pairs.extend(
-                    (rename[a], rename[b])
-                    for a in part.poset.elements
-                    for b in part.poset.elements
-                    if part.poset.leq(a, b)
-                )
-                basis.extend((rename[a], rename[b]) for (a, b) in part.basis_list)
-            coalg = IncidenceSubcoalgebra(Poset(elements, pairs), basis)
-            return CoalgValue(coalg, violations=tuple(coalg.validate()))
         finite = direct_sum(finite_parts) if finite_parts else None
         violations = tuple(finite.validate()) if finite is not None else ()
         return CoalgValue(finite, tuple(families), violations)
@@ -539,13 +522,6 @@ def _merge_frobenius(reports: list) -> dict:
 # commands
 
 
-def _finite_coalgebra_for_forms(value: CoalgValue):
-    parts = [build_family(f) for f in value.families]
-    if value.finite is not None:
-        parts.insert(0, value.finite)
-    return direct_sum(parts) if len(parts) > 1 else parts[0]
-
-
 def cmd_validate(res: Resolved, flags) -> dict:
     results = {}
     for name, value in sorted(res.coalgebras.items()):
@@ -572,7 +548,9 @@ def cmd_forms(res: Resolved, flags) -> dict:
     results = {}
     for name, value in sorted(res.coalgebras.items()):
         _require_valid(name, value)
-        coalg = _finite_coalgebra_for_forms(value)
+        parts = [value.finite] if value.finite is not None else []
+        parts.extend(build_family(f) for f in value.families)
+        coalg = direct_sum(parts) if len(parts) > 1 else parts[0]
         if isinstance(coalg, IncidenceSubcoalgebra):
             params = forms.incidence_form_params(coalg)
             form = forms.form_from_incidence_params(

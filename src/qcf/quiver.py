@@ -359,30 +359,29 @@ def build_family(fam: WindowedFamily) -> PathSubcoalgebra:
     return PathSubcoalgebra(q, basis)
 
 
-def relabel(coalg: PathSubcoalgebra, prefix: str) -> PathSubcoalgebra:
-    q = coalg.quiver
-    new_q = Quiver(
-        [prefix + v for v in q.vertices],
-        [(prefix + a, prefix + q.source(a), prefix + q.target(a)) for a in q.arrow_ids],
-    )
-    new_basis = [
-        Path(prefix + p.source, prefix + p.target, tuple(prefix + a for a in p.arrows))
-        for p in coalg.basis_list
-    ]
-    return PathSubcoalgebra(new_q, new_basis)
+def direct_sum(parts: list):
+    """Disjoint union of path summands, or of incidence summands, on renamed
+    copies: summand i's vertices, arrows and poset elements get the prefix
+    's{i}.'. An incidence sum's order is generated by the summands' covers."""
+    if not all(isinstance(part, PathSubcoalgebra) for part in parts):
+        from .posets import IncidenceSubcoalgebra, Poset  # posets imports this module
 
-
-def direct_sum(parts: list[PathSubcoalgebra]) -> PathSubcoalgebra:
-    """Disjoint union on relabeled copies; summand i gets prefix 's{i}.'."""
-    vertices: list[str] = []
-    arrows: list[tuple[str, str, str]] = []
-    basis: list[Path] = []
+        if not all(isinstance(part, IncidenceSubcoalgebra) for part in parts):
+            raise QuiverError("cannot mix incidence and path summands")
+        elements, covers, segments = [], [], []
+        for i, part in enumerate(parts):
+            pref = f"s{i}."
+            elements.extend(f"{pref}{x}" for x in part.poset.elements)
+            covers.extend((f"{pref}{a}", f"{pref}{b}") for a, b in part.poset.covers())
+            segments.extend((f"{pref}{a}", f"{pref}{b}") for a, b in part.basis_list)
+        return IncidenceSubcoalgebra(Poset.from_covers(elements, covers), segments)
+    vertices, arrows, basis = [], [], []
     for i, part in enumerate(parts):
-        pref = f"s{i}."
-        rel = relabel(part, pref)
-        vertices.extend(rel.quiver.vertices)
-        arrows.extend(
-            (a, rel.quiver.source(a), rel.quiver.target(a)) for a in rel.quiver.arrow_ids
+        pref, q = f"s{i}.", part.quiver
+        vertices.extend(pref + v for v in q.vertices)
+        arrows.extend((pref + a, pref + q.source(a), pref + q.target(a)) for a in q.arrow_ids)
+        basis.extend(
+            Path(pref + p.source, pref + p.target, tuple(pref + a for a in p.arrows))
+            for p in part.basis_list
         )
-        basis.extend(rel.basis_list)
     return PathSubcoalgebra(Quiver(vertices, arrows), basis)
