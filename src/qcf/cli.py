@@ -57,10 +57,12 @@ COMMANDS = (
 
 # Size limits, checked before anything is built. A Hopf table stores
 # dimension^2 products; a cycle family family(Cn, n, s) has n(s+1) basis
-# paths holding n s(s+1)/2 arrows in all, and paths(Q, maxlen=...) is held
-# to the same number of basis paths; `embed` lists every Hasse path
-# between the ends of each basis segment, 297,856 for full(B8) and 2,681,216
-# for full(B9), B_n the Boolean lattice on n points.
+# paths holding n s(s+1)/2 arrows in all, a line family's window is held to
+# the same limits (WindowedFamily.size), and paths(Q, maxlen=...) and a
+# sum(...), whose summands' dimensions add up, to the same number of basis
+# paths; `embed` lists every Hasse path between the ends of each basis
+# segment, 297,856 for full(B8) and 2,681,216 for full(B9), B_n the Boolean
+# lattice on n points.
 MAX_HOPF_DIMENSION = 512
 MAX_FAMILY_DIMENSION = 20_000
 MAX_FAMILY_ARROWS = 2_000_000
@@ -282,16 +284,17 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
         if errs:
             fail(d.pos, f"coalgebra {d.name}: " + "; ".join(errs))
             return None
+        dimension, arrows = fam.size()
+        if dimension > MAX_FAMILY_DIMENSION or arrows > MAX_FAMILY_ARROWS:
+            shape = f"n={e.n}, s={e.s}" if e.family_tag == "Cn" else f"window=[{fam.lo},{fam.hi}]"
+            fail(
+                d.pos,
+                f"coalgebra {d.name}: family({e.family_tag}, {shape}) has dimension "
+                f"{dimension} and {arrows} arrows in its basis paths, over the limits "
+                f"{MAX_FAMILY_DIMENSION} and {MAX_FAMILY_ARROWS}",
+            )
+            return None
         if e.family_tag == "Cn":
-            dimension, arrows = e.n * (e.s + 1), e.n * e.s * (e.s + 1) // 2
-            if dimension > MAX_FAMILY_DIMENSION or arrows > MAX_FAMILY_ARROWS:
-                fail(
-                    d.pos,
-                    f"coalgebra {d.name}: family(Cn, n={e.n}, s={e.s}) has dimension "
-                    f"{dimension} and {arrows} arrows in its basis paths, over the limits "
-                    f"{MAX_FAMILY_DIMENSION} and {MAX_FAMILY_ARROWS}",
-                )
-                return None
             # cycle families are finite; materialize them outright
             return CoalgValue(build_family(fam))
         return CoalgValue(None, (fam,))
@@ -309,6 +312,11 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
         incidence_parts = [p for p in finite_parts if isinstance(p, IncidenceSubcoalgebra)]
         if incidence_parts and (len(incidence_parts) < len(finite_parts) or families):
             fail(d.pos, f"coalgebra {d.name}: cannot mix incidence and path summands")
+            return None
+        dimension = sum(p.dimension for p in finite_parts) + sum(f.size()[0] for f in families)
+        if dimension > MAX_FAMILY_DIMENSION:
+            fail(d.pos, f"coalgebra {d.name}: its summands have dimension {dimension} in all, "
+                 f"over the limit of {MAX_FAMILY_DIMENSION}")
             return None
         finite = direct_sum(finite_parts) if finite_parts else None
         violations = tuple(finite.validate()) if finite is not None else ()

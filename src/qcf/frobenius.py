@@ -422,17 +422,8 @@ def classify(obj) -> ClassificationResult:
     if isinstance(obj, WindowedFamily):
         obj = [obj]
     if isinstance(obj, (list, tuple)):
-        finite_parts = []
-        descriptors = []
-        for fam in obj:
-            if fam.tag == C_N:
-                finite_parts.append(fam)
-            else:
-                descriptors.append(family_descriptor(fam))
-        for fam in finite_parts:
-            descriptors.append(family_descriptor(fam))
         return ClassificationResult(
-            Classification(tuple(sorted(descriptors)), {})
+            Classification(tuple(sorted(family_descriptor(f) for f in obj)), {})
         )
     raise TypeError(f"cannot classify {type(obj).__name__}")
 

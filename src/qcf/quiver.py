@@ -292,6 +292,16 @@ class WindowedFamily:
     def r_map(self) -> dict[int, int]:
         return dict(self.r)
 
+    def size(self) -> tuple[int, int]:
+        """(dimension, arrows in all basis paths) of build_family(self),
+        counted without building it: with t_k = min(r(k), hi) - k, a line
+        window has sum (t_k + 1) and sum t_k (t_k + 1)/2; a cycle n(s + 1)
+        and n s(s + 1)/2."""
+        if self.tag == C_N:
+            return self.n * (self.s + 1), self.n * self.s * (self.s + 1) // 2
+        ts = [min(rk, self.hi) - k for k, rk in self.r]
+        return sum(ts) + len(ts), sum(t * (t + 1) // 2 for t in ts)
+
     def validate(self) -> list[str]:
         errs = []
         if self.tag in (A_INF, A_0INF):

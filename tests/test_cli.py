@@ -321,6 +321,26 @@ def test_mixed_incidence_and_path_sum_exits_2_without_traceback(tmp_path):
     assert proc.stdout == ""
 
 
+def test_nested_sums_exit_2_once_their_dimension_passes_the_limit(tmp_path):
+    # each line doubles the dimension: 2,000 for A0, 32,000 for A4
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(
+        "coalgebra A0 = family(Cn, n=1000, s=1)\n"
+        + "".join(f"coalgebra A{i} = sum(A{i - 1}, A{i - 1})\n" for i in range(1, 6))
+    )
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", "validate", "--input", str(doc)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "coalgebra A4: its summands have dimension 32000 in all, over the limit of 20000" in (
+        proc.stderr
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_non_associative_csv_table_names_the_first_failing_triple(tmp_path, capsys):
     # the smallest non-associative loop: a Latin square with identity 0
     rows = ["0,1,2,3,4", "1,0,3,4,2", "2,4,0,1,3", "3,2,4,0,1", "4,3,1,2,0"]
@@ -335,6 +355,13 @@ def test_non_associative_csv_table_names_the_first_failing_triple(tmp_path, caps
 
 
 TWO_LOOPS = "quiver Q { vertices: v; arrows: a: v -> v; b: v -> v; }\n"
+
+
+def line_window(width: int) -> str:
+    """family(Ainf) on the window [0, width-1] with r(k) = k + width: about
+    width^2/2 basis paths holding about width^3/6 arrows."""
+    r = ", ".join(f"{k}:{k + width}" for k in range(width))
+    return f"coalgebra L = family(Ainf, window=[0,{width - 1}], r={{{r}}})"
 
 
 @pytest.mark.parametrize(
@@ -357,10 +384,13 @@ TWO_LOOPS = "quiver Q { vertices: v; arrows: a: v -> v; b: v -> v; }\n"
         ("hopf-verify", "hopf H = hn(s=1, q=root(2,1), group=cyclic(2), g=1, "
                         "chi=[root(1,0), root(55440,1)], alpha=0)",
          "roots of unity of order 55440, over the limit of 1024"),
+        ("frobenius", line_window(400),
+         "family(Ainf, window=[0,399]) has dimension 80200 and 10666600 arrows"),
     ],
     ids=[
         "hn-cyclic", "group-algebra-product", "cycle-family-dimension",
         "cycle-family-arrows", "two-loop-paths", "alpha-root-order", "chi-root-order",
+        "line-family-window",
     ],
 )
 def test_oversized_input_exits_2_before_it_is_built(command, decl, message, tmp_path):
@@ -393,6 +423,9 @@ def test_size_limits_are_inclusive(monkeypatch):
     n = MAX_FAMILY_DIMENSION // 2
     assert errors(f"coalgebra K = family(Cn, n={n}, s=1)") == []
     assert "over the limits" in errors(f"coalgebra K = family(Cn, n={n + 1}, s=1)")[0]
+    # a line window of width 199 has 19,900 basis paths, one of width 200 20,100
+    assert errors(line_window(199)) == []
+    assert "has dimension 20100 and 1333300 arrows" in errors(line_window(200))[0]
     # 1 + 2 + 4 paths up to length 2, 15 up to length 3
     monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 7)
     assert errors(TWO_LOOPS + "coalgebra K = paths(Q, maxlen=2)") == []
@@ -403,6 +436,16 @@ def test_size_limits_are_inclusive(monkeypatch):
     assert errors(chain + "coalgebra K = paths(C)") == []
     monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 5)
     assert "paths(C) has more basis paths" in errors(chain + "coalgebra K = paths(C)")[0]
+    # K has dimension 4 and W 2 + 2 + 1: a sum adds them up
+    parts = (
+        "coalgebra K = family(Cn, n=2, s=1)\n"
+        "coalgebra W = family(A0inf, window=[0,2], r={0:1, 1:2, 2:3})\n"
+    )
+    monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 9)
+    assert errors(parts + "coalgebra S = sum(K, W)") == []
+    assert errors(parts + "coalgebra S = sum(K, W, K)") == [
+        "3:1: coalgebra S: its summands have dimension 13 in all, over the limit of 9"
+    ]
     # q of order 2 and alpha of order 1024: conductor lcm(2, 1024) = 1024
     at_limit = "hopf H = hn(s=1, q=root(2,1), group=cyclic(2), alpha=root(1024,1))"
     assert qcf.cli.MAX_CONDUCTOR == 1024

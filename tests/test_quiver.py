@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcf.lincomb import LinComb, expand_slot, linear
 from qcf.quiver import (
@@ -18,7 +20,8 @@ from qcf.quiver import (
     full_path_coalgebra,
     line_quiver,
 )
-from qcf.rand import random_path_subcoalgebra
+from qcf.posets import Poset, full_incidence_coalgebra
+from qcf.rand import random_incidence_subcoalgebra, random_line_family, random_path_subcoalgebra
 from qcf.scalars import Cyc
 
 
@@ -158,6 +161,55 @@ def test_direct_sum_relabels_disjointly():
     assert total.dimension == 8
     assert total.validate() == []
     assert len(total.quiver.vertices) == 4
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), incidence=st.booleans(), count=st.integers(1, 3))
+def test_direct_sum_validates_exactly_when_every_part_does(seed, incidence, count):
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(count):
+        if incidence:
+            part = random_incidence_subcoalgebra(rng, max_elements=6, max_basis=15)
+            ambient = part.poset
+        else:
+            part = random_path_subcoalgebra(rng, max_basis=15)
+            ambient = part.quiver
+        if rng.random() < 0.4:
+            # dropping a basis element leaves a summand that may fail validation
+            part = type(part)(ambient, part.basis - {rng.choice(part.basis_list)})
+        parts.append(part)
+    total = direct_sum(parts)
+    assert type(total) is type(parts[0])
+    assert (total.validate() == []) == all(part.validate() == [] for part in parts)
+    assert len(total.validate()) == sum(len(part.validate()) for part in parts)
+    assert total.dimension == sum(part.dimension for part in parts)
+
+
+def test_direct_sum_of_incidence_summands_orders_each_copy_by_its_covers():
+    chain = full_incidence_coalgebra(Poset.from_covers("xyz", [("x", "y"), ("y", "z")]))
+    total = direct_sum([chain, chain])
+    assert total.poset.covers() == [
+        ("s0.x", "s0.y"), ("s0.y", "s0.z"), ("s1.x", "s1.y"), ("s1.y", "s1.z")
+    ]
+    assert total.poset.leq("s1.x", "s1.z") and not total.poset.leq("s0.x", "s1.z")
+    assert total.dimension == 12 and total.validate() == []
+
+
+def test_direct_sum_refuses_mixed_summands():
+    point = full_path_coalgebra(Quiver(["p"], []))
+    chain = full_incidence_coalgebra(Poset.from_covers("xy", [("x", "y")]))
+    with pytest.raises(QuiverError, match="cannot mix incidence and path summands"):
+        direct_sum([chain, point])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), tag=st.sampled_from([A_INF, A_0INF]))
+def test_family_size_counts_the_built_basis(seed, tag):
+    rng = random.Random(seed)
+    for fam in (random_line_family(rng, tag), WindowedFamily.cycle(rng.randint(1, 6), rng.randint(1, 4))):
+        built = build_family(fam)
+        assert fam.size() == (built.dimension, sum(p.length for p in built.basis_list))
 
 
 def test_line_and_cycle_quiver_shapes():
