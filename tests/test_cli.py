@@ -143,12 +143,15 @@ GOLDEN_COMMANDS = [
 ]
 # sums.qcf pins the direct sums: golden sums-<command>.json
 SUMS_COMMANDS = ["validate", "forms", "frobenius", "classify", "embed"]
+# windows.qcf pins the line-family windows: golden windows-<command>.json
+WINDOWS_COMMANDS = ["validate", "frobenius", "classify"]
 
 
 @pytest.mark.parametrize(
     "document, command",
     [pytest.param("doc", c, id=c) for c in GOLDEN_COMMANDS]
-    + [pytest.param("sums", c, id=f"sums-{c}") for c in SUMS_COMMANDS],
+    + [pytest.param("sums", c, id=f"sums-{c}") for c in SUMS_COMMANDS]
+    + [pytest.param("windows", c, id=f"windows-{c}") for c in WINDOWS_COMMANDS],
 )
 def test_report_matches_golden(document, command, tmp_path, capsys):
     # both sinks, the --output file and standard output, give the golden bytes
