@@ -30,7 +30,6 @@ from .posets import (
     tensor_iso_check,
 )
 from .quiver import (
-    C_N,
     Path,
     PathSubcoalgebra,
     Quiver,
@@ -506,15 +505,13 @@ def frobenius_json(rep: frobenius.FrobeniusReport):
 def _merge_frobenius(reports: list) -> dict:
     if len(reports) == 1:
         return frobenius_json(reports[0])
-    verdict_rank = {"yes": 0, "window-inconclusive": 1, "no": 2}
     merged = {
         "kind": "sum",
         "parts": [frobenius_json(r) for r in reports],
     }
     for side in ("left", "right"):
         verdicts = [getattr(r, f"{side}_verdict") for r in reports]
-        worst = max(verdicts, key=lambda v: verdict_rank[v])
-        merged[f"{side}_coFrobenius"] = worst
+        merged[f"{side}_coFrobenius"] = "no" if "no" in verdicts else "yes"
         merged[f"witness_{side}"] = next(
             (
                 witness_json(getattr(r, f"{side}_witness"))
@@ -543,10 +540,7 @@ def cmd_validate(res: Resolved, flags) -> dict:
             entry["basis"] = basis_json(value.finite)
         if value.families:
             entry["families"] = [
-                {"tag": f.tag, "n": f.n, "s": f.s}
-                if f.tag == C_N
-                else {"tag": f.tag, "window": [f.lo, f.hi], "r": dict(f.r)}
-                for f in value.families
+                {"tag": f.tag, "window": [f.lo, f.hi], "r": dict(f.r)} for f in value.families
             ]
         results[name] = entry
     return results

@@ -31,7 +31,6 @@ from .quiver import (
 
 YES = "yes"
 NO = "no"
-INCONCLUSIVE = "window-inconclusive"
 
 
 @record
@@ -179,26 +178,25 @@ def _analyze_finite(coalg) -> FrobeniusReport:
 
 
 def _analyze_window(fam: WindowedFamily, margin: int | None = None) -> FrobeniusReport:
+    """A line window's maps, read from its reach table without building it:
+    the longest basis path from k ends at min(r(k), hi), and since r is
+    strictly increasing, the longest one into v starts at the least k with
+    r(k) >= v."""
     errs = fam.validate()
     if errs:
         raise QuiverError("; ".join(errs))
-    finite = build_family(fam)
-    base = _analyze_finite(finite)
-    if fam.tag == C_N:
-        return FrobeniusReport(
-            kind="window",
-            per_vertex=base.per_vertex,
-            left_verdict=base.left_verdict,
-            right_verdict=base.right_verdict,
-            left_witness=base.left_witness,
-            right_witness=base.right_witness,
-            family=C_N,
-            interior=tuple(str(k) for k in range(fam.n)),
-            margin=0,
-        )
-    rm = fam.r_map()
-    deviations = [rm[v] - v for v in range(fam.lo, fam.hi + 1)]
-    m = max(deviations) if margin is None else margin
+    r_of: dict = {}
+    l_of: dict = {}
+    k = 0
+    for v, rv in fam.r:
+        r_of[str(v)] = str(min(rv, fam.hi))
+        while fam.r[k][1] < v:
+            k += 1
+        l_of[str(v)] = str(fam.r[k][0])
+    # string order, as PathSubcoalgebra.vertices() gives the built window's
+    base = _assemble("path", sorted(r_of), r_of, l_of, *_REASONS["path"])
+    offsets = [rv - v for v, rv in fam.r]
+    m = max(offsets) if margin is None else margin
     interior = tuple(
         str(v) for v in range(fam.lo + m, fam.hi - m + 1)
     )
@@ -211,58 +209,50 @@ def _analyze_window(fam: WindowedFamily, margin: int | None = None) -> Frobenius
         for v in interior:
             if not base.per_vertex[v].left_ok:
                 raise QuiverError(f"family invariants violated at interior vertex {v}")
-    constant = len(set(deviations)) == 1
-    if fam.tag == A_INF:
-        if constant:
-            right_verdict, right_witness, wl = YES, None, True
-            notes.append(
-                f"offset is constant ({deviations[0]}) on the window; the forward map "
-                "is onto there, which the window cannot certify globally"
-            )
-        else:
-            idx = next(
-                i for i in range(1, len(deviations)) if deviations[i] != deviations[i - 1]
-            )
-            skipped = rm[fam.lo + idx - 1] + 1
-            right_verdict, right_witness, wl = (
-                NO,
-                (str(skipped), "vertex is not the endpoint of any maximal path"),
-                False,
-            )
-        return FrobeniusReport(
-            kind="window",
-            per_vertex=base.per_vertex,
-            left_verdict=YES,
-            right_verdict=right_verdict,
-            right_witness=right_witness,
-            family=A_INF,
-            interior=interior,
-            margin=m,
-            window_limited_left=True,
-            window_limited_right=wl,
-            notes=tuple(notes),
+    if fam.tag == A_0INF:
+        # half line: the bottom vertex certifies the right-side failure exactly
+        right_verdict, right_witness, wl = (
+            NO,
+            ("0", "forward map does not return to the bottom vertex"),
+            False,
         )
-    # half line: the bottom vertex certifies the right-side failure exactly
+    elif len(set(offsets)) == 1:
+        right_verdict, right_witness, wl = YES, None, True
+        notes.append(
+            f"offset is constant ({offsets[0]}) on the window; the forward map "
+            "is onto there, which the window cannot certify globally"
+        )
+    else:
+        idx = next(i for i in range(1, len(offsets)) if offsets[i] != offsets[i - 1])
+        skipped = fam.r[idx - 1][1] + 1
+        right_verdict, right_witness, wl = (
+            NO,
+            (str(skipped), "vertex is not the endpoint of any maximal path"),
+            False,
+        )
     return FrobeniusReport(
         kind="window",
         per_vertex=base.per_vertex,
         left_verdict=YES,
-        right_verdict=NO,
-        right_witness=("0", "forward map does not return to the bottom vertex"),
-        family=A_0INF,
+        right_verdict=right_verdict,
+        right_witness=right_witness,
+        family=fam.tag,
         interior=interior,
         margin=m,
         window_limited_left=True,
-        window_limited_right=False,
+        window_limited_right=wl,
         notes=tuple(notes),
     )
 
 
 def analyze(obj, margin: int | None = None) -> FrobeniusReport:
-    """Full criterion evaluation for a finite coalgebra or a windowed family."""
+    """Full criterion evaluation for a finite coalgebra or a windowed family
+    (a cycle family is finite and is built first)."""
     if isinstance(obj, (PathSubcoalgebra, IncidenceSubcoalgebra)):
         return _analyze_finite(obj)
     if isinstance(obj, WindowedFamily):
+        if obj.tag == C_N:
+            return _analyze_finite(build_family(obj))
         return _analyze_window(obj, margin)
     raise TypeError(f"cannot analyze {type(obj).__name__}")
 
@@ -310,9 +300,6 @@ class Classification:
 
     summands: tuple  # descriptor tuples, sorted
     assignment: dict  # vertex -> summand index (into summands)
-
-    def key(self) -> tuple:
-        return self.summands
 
 
 @record
@@ -409,9 +396,7 @@ def family_descriptor(fam: WindowedFamily) -> tuple:
         raise QuiverError("; ".join(errs))
     if fam.tag == C_N:
         return (C_N, fam.n, fam.s)
-    rm = fam.r_map()
-    diffs = tuple(rm[v] - v for v in range(fam.lo, fam.hi + 1))
-    return (fam.tag, diffs)
+    return (fam.tag, tuple(rv - v for v, rv in fam.r))
 
 
 def classify(obj) -> ClassificationResult:
@@ -445,7 +430,7 @@ def iso_key(classification: Classification) -> tuple:
     is invariant under translating the whole window; half-line families
     compare verbatim; cycles compare by (n, s); points by count.
     """
-    return classification.key()
+    return classification.summands
 
 
 @record

@@ -305,16 +305,13 @@ class WindowedFamily:
     def validate(self) -> list[str]:
         errs = []
         if self.tag in (A_INF, A_0INF):
-            rm = self.r_map()
-            if sorted(rm) != list(range(self.lo, self.hi + 1)):
+            # every reader walks r in order: each window vertex once, ascending
+            if [v for v, _ in self.r] != list(range(self.lo, self.hi + 1)):
                 errs.append("reach table must cover every vertex of the window")
             if self.tag == A_0INF and self.lo != 0:
                 errs.append("half-line window must start at 0")
             prev = None
-            for v in range(self.lo, self.hi + 1):
-                rv = rm.get(v)
-                if rv is None:
-                    continue
+            for v, rv in self.r:
                 if rv <= v:
                     errs.append(f"reach must exceed the vertex: r({v}) = {rv}")
                 if prev is not None and rv <= prev:

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import qcf.frobenius
 from qcf.forms import incidence_form_params, path_form_params
 from qcf.frobenius import (
     Classification,
+    _analyze_finite,
     admits_hopf,
     analyze,
     check_condition_d,
@@ -33,6 +35,7 @@ from qcf.rand import (
     random_acyclic_quiver,
     random_descriptor_multiset,
     random_incidence_subcoalgebra,
+    random_line_family,
     random_path_subcoalgebra,
     random_poset,
 )
@@ -290,3 +293,50 @@ def test_analyzer_matches_the_comultiplication_oracle():
     for kind in ("PathSubcoalgebra", "IncidenceSubcoalgebra"):
         for side in (1, 2):
             assert {v[side] for v in verdicts if v[0] == kind} == {"yes", "no"}
+
+
+def _growing_window(rng):
+    """A window up to 30 wide whose reach offsets grow by random steps; its
+    vertex names cross -10 and 10, where string order is not numeric."""
+    tag = rng.choice((A_INF, A_0INF))
+    lo = 0 if tag == A_0INF else rng.randint(-12, 0)
+    r, reach = {}, lo
+    for v in range(lo, lo + rng.randint(8, 30)):
+        reach = max(reach, v) + rng.choice((1, 1, 2, 5))
+        r[v] = reach
+    return WindowedFamily.line(tag, r)
+
+
+def _random_windows():
+    rng = random.Random(0x3A1F)
+    for _ in range(150):
+        yield random_line_family(rng, A_INF)
+        yield random_line_family(rng, A_0INF)
+        yield _growing_window(rng)
+
+
+def test_window_maps_match_the_built_window():
+    # the reach-table reading against the finite analyzer on the materialized
+    # window: same verdict per vertex, in the same (string) vertex order
+    for fam in _random_windows():
+        report = analyze(fam)
+        built = _analyze_finite(build_family(fam))
+        assert list(report.per_vertex.items()) == list(built.per_vertex.items()), fam
+        assert report.r_map() == built.r_map()
+        assert report.l_map() == built.l_map()
+
+
+def test_windows_are_analyzed_without_building_them(monkeypatch):
+    windows = list(_random_windows())[:60]
+    expected = [(analyze(fam), analyze(fam, margin=1)) for fam in windows]
+    cycles = [WindowedFamily.cycle(n, s) for n in range(1, 6) for s in range(1, 4)]
+    for fam in cycles:
+        report, built = analyze(fam), analyze(build_family(fam))
+        assert (report.left_verdict, report.right_verdict) == (built.left_verdict, built.right_verdict)
+        assert (report.r_map(), report.l_map()) == (built.r_map(), built.l_map())
+
+    def refuse(fam):
+        raise AssertionError("build_family called on a line window")
+
+    monkeypatch.setattr(qcf.frobenius, "build_family", refuse)
+    assert [(analyze(fam), analyze(fam, margin=1)) for fam in windows] == expected

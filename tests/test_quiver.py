@@ -131,6 +131,10 @@ def test_family_invariant_violations():
         build_family(WindowedFamily.line(A_0INF, {1: 2, 2: 3}))  # must start at 0
     with pytest.raises(QuiverError):
         build_family(WindowedFamily.cycle(3, 0))
+    # the table is read in order: each window vertex once, ascending
+    for r in (((1, 3), (0, 2)), ((0, 2), (0, 2), (1, 3))):
+        errs = WindowedFamily(tag=A_INF, lo=0, hi=1, r=r).validate()
+        assert errs[0] == "reach table must cover every vertex of the window"
 
 
 def _check_coalgebra_axioms(coalg):
