@@ -289,9 +289,6 @@ class WindowedFamily:
     def cycle(n: int, s: int) -> "WindowedFamily":
         return WindowedFamily(tag=C_N, n=n, s=s)
 
-    def r_map(self) -> dict[int, int]:
-        return dict(self.r)
-
     def size(self) -> tuple[int, int]:
         """(dimension, arrows in all basis paths) of build_family(self),
         counted without building it: with t_k = min(r(k), hi) - k, a line
@@ -354,10 +351,9 @@ def build_family(fam: WindowedFamily) -> PathSubcoalgebra:
                 basis.append(q.make_path(ids))
         return PathSubcoalgebra(q, basis)
     q = line_quiver(fam.lo, fam.hi)
-    rm = fam.r_map()
     basis = []
-    for k in range(fam.lo, fam.hi + 1):
-        top = min(rm[k], fam.hi)
+    for k, rk in fam.r:
+        top = min(rk, fam.hi)
         for l in range(k, top + 1):
             if l == k:
                 basis.append(q.vertex_path(str(k)))

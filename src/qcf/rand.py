@@ -162,7 +162,6 @@ def random_descriptor_multiset(rng: random.Random):
             tag = A_INF if rng.random() < 0.5 else A_0INF
             fam = random_line_family(rng, tag)
             families.append(fam)
-            rm = fam.r_map()
-            expected.append((tag, tuple(rm[v] - v for v in range(fam.lo, fam.hi + 1))))
+            expected.append((tag, tuple(rv - v for v, rv in fam.r)))
     rng.shuffle(finite_parts)
     return finite_parts, families, tuple(sorted(expected))
