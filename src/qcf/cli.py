@@ -90,6 +90,12 @@ class CoalgValue:
     violations: tuple[str, ...] = ()
 
 
+def _summed_dimension(finite_parts, families) -> int:
+    """The dimension of the sum of finite parts and line families, counted
+    without building a window."""
+    return sum(p.dimension for p in finite_parts) + sum(f.size()[0] for f in families)
+
+
 @record
 class HopfValue:
     """A resolved hopf declaration: `build()` makes its table, without the
@@ -312,7 +318,7 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
         if incidence_parts and (len(incidence_parts) < len(finite_parts) or families):
             fail(d.pos, f"coalgebra {d.name}: cannot mix incidence and path summands")
             return None
-        dimension = sum(p.dimension for p in finite_parts) + sum(f.size()[0] for f in families)
+        dimension = _summed_dimension(finite_parts, families)
         if dimension > MAX_FAMILY_DIMENSION:
             fail(d.pos, f"coalgebra {d.name}: its summands have dimension {dimension} in all, "
                  f"over the limit of {MAX_FAMILY_DIMENSION}")
@@ -551,6 +557,8 @@ def cmd_forms(res: Resolved, flags) -> dict:
     for name, value in sorted(res.coalgebras.items()):
         _require_valid(name, value)
         parts = [value.finite] if value.finite is not None else []
+        # refused before the windows are built and the quadratic work starts
+        forms.require_within_bound(_summed_dimension(parts, value.families), flags.bound)
         parts.extend(build_family(f) for f in value.families)
         coalg = direct_sum(parts) if len(parts) > 1 else parts[0]
         if isinstance(coalg, IncidenceSubcoalgebra):

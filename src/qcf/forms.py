@@ -80,14 +80,19 @@ def is_balanced(form: BilinearForm) -> BalancedCheck:
 BRUTEFORCE_BOUND = 200  # largest basis size the brute-force solver accepts by default
 
 
+def require_within_bound(n: int, bound: int) -> None:
+    """Refuse a basis of size n that the brute-force solver would not accept."""
+    if n > bound:
+        raise FormError(f"basis size {n} exceeds brute-force bound {bound}")
+
+
 def balanced_space_bruteforce(coalg, bound: int = BRUTEFORCE_BOUND) -> list[BilinearForm]:
     """Exact nullspace basis of the balance constraints, treating every
     beta(p, q) as an unknown, found by `linalg.sparse_int_nullspace`.
     It uses none of the closed-form parameterizations it is checked against."""
     basis = coalg.basis_list
     n = len(basis)
-    if n > bound:
-        raise FormError(f"basis size {n} exceeds brute-force bound {bound}")
+    require_within_bound(n, bound)
     index = {p: i for i, p in enumerate(basis)}
     # one equation per pair and coordinate, emitted in the repr order of the
     # coordinate; any row order gives the same nullspace basis, which is read

@@ -313,12 +313,14 @@ def _rational(c: Cyc):
 
 
 def _number_paths(phi: dict[Segment, LinComb]) -> tuple[dict, dict]:
-    """Number the paths in the images: ({(source, arrows): id}, and per
-    segment its image as a row {id: coefficient})."""
-    index: dict[tuple, int] = {}
+    """Number the paths in the images, in order of first appearance: ({key:
+    id}, and per segment its image as a row {id: coefficient}). A path's key
+    is its arrow tuple, or its source for a vertex: a path of one quiver is
+    fixed by its arrows, and a vertex name, a str, never equals a tuple."""
+    index: dict = {}
     rows = {
         seg: {
-            index.setdefault((p.source, p.arrows), len(index)): _rational(c)
+            index.setdefault(p.arrows or p.source, len(index)): _rational(c)
             for p, c in image.items()
         }
         for seg, image in phi.items()
@@ -333,27 +335,48 @@ def _morphism_failure(
     comultiplications and the counits, segment by segment in basis order;
     the failure message for the first segment where it does not, else None.
 
-    Paths are numbered by `_number_paths` (its result may be passed in as
-    `numbering`, and is neither copied nor changed). Two links per path id
-    a, `init[a]` and `tail[a]`, give the ids of a without its last and
-    without its first arrow, or None when that part is no image path; so
-    walking them lists every prefix and every suffix of a. Per segment one
-    accumulator, keyed by the pair of path ids (a, b) packed as a * n + b,
-    takes (phi (x) phi) Delta with a plus sign and Delta phi, a sum over
-    the splits of the image paths, with a minus sign; the segment fails
-    when an entry is left nonzero, or at once when a walk stops before a
-    vertex: that split of an image path has a part that is no image path,
-    so (phi (x) phi) Delta has no term to cancel it."""
+    The check reads only path ids: the rows and keys of `_number_paths`
+    (its result may be passed in as `numbering`, and is neither copied nor
+    changed). Two links per id a, `init[a]` and `tail[a]`, give the ids of a
+    without its last and without its first arrow, or -2 when that part is no
+    image path; a vertex's id has -1 in both, so walking them lists every
+    prefix and every suffix of a and stops at -1. Per segment one
+    accumulator, keyed by the pair of ids (a, b) packed as a * n + b, first
+    takes Delta phi with plain stores, since the splits of distinct image
+    paths are distinct pairs (a prefix and its suffix give back the path),
+    then (phi (x) phi) Delta is subtracted, summed, since its pairs repeat
+    across split points. The segment fails when an entry is left nonzero,
+    or when a walk stops at -2: that split of an image path has a part that
+    is no image path, so (phi (x) phi) Delta has no term to cancel it. A
+    missing subinterval raises PosetError before that failure is returned."""
     index, rows = numbering if numbering is not None else _number_paths(phi)
-    number, target, n = index.get, quiver.target, len(index)
-    init: list = [None] * n
-    tail: list = [None] * n
-    for (source, arrows), a in index.items():
-        if arrows:
-            init[a] = number((source, arrows[:-1]))
-            tail[a] = number((target(arrows[0]), arrows[1:]))
+    number, source, target, n = index.get, quiver.source, quiver.target, len(index)
+    init = [-1] * n
+    tail = [-1] * n
+    for key, a in index.items():
+        if isinstance(key, tuple):  # no vertex
+            init[a] = number(key[:-1] or source(key[0]), -2)
+            tail[a] = number(key[1:] or target(key[-1]), -2)
     for seg in coalg.basis_list:
         diff: dict = {}
+        get = diff.get
+        whole, vertex_sum = True, 0
+        for p, c in rows[seg].items():
+            prefixes, suffixes = [p], [p]
+            a, b = init[p], tail[p]
+            if a == -1:
+                vertex_sum += c
+            while a >= 0:
+                prefixes.append(a)
+                a = init[a]
+            while b >= 0:
+                suffixes.append(b)
+                b = tail[b]
+            if a != -1 or b != -1:
+                whole = False
+                break
+            for a, b in zip(reversed(prefixes), suffixes):
+                diff[a * n + b] = c
         for (first, second), c in coalg.comul(seg).items():
             c = _rational(c)
             try:
@@ -362,28 +385,12 @@ def _morphism_failure(
                 raise PosetError(f"segment {err.args[0]!r} lies inside {seg!r} but is missing") from None
             for a, ca in first_row:
                 ca *= c
+                a *= n
                 for b, cb in second_row:
-                    key = a * n + b
-                    diff[key] = diff.get(key, 0) + ca * cb
-        for p, c in phi[seg].items():
-            c = _rational(c)
-            source, arrows = p.source, p.arrows
-            prefixes, suffixes = [], []
-            a = b = number((source, arrows))
-            while a is not None:
-                prefixes.append(a)
-                a = init[a]
-            while b is not None:
-                suffixes.append(b)
-                b = tail[b]
-            if not len(prefixes) == len(suffixes) == len(arrows) + 1:
-                return f"comultiplication does not commute at segment {seg!r}"
-            for a, b in zip(reversed(prefixes), suffixes):
-                key = a * n + b
-                diff[key] = diff.get(key, 0) - c
-        if any(diff.values()):
+                    key = a + b
+                    diff[key] = get(key, 0) - ca * cb
+        if not whole or any(diff.values()):
             return f"comultiplication does not commute at segment {seg!r}"
-        vertex_sum = sum(_rational(c) for p, c in phi[seg].items() if p.is_vertex())
         if _rational(coalg.counit(seg)) != vertex_sum:
             return f"counit does not commute at segment {seg!r}"
     return None

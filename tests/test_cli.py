@@ -237,6 +237,32 @@ def test_oversize_input_rejected(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, bound, params, n",
+    [
+        pytest.param("coalgebra K = family(Cn, n=21, s=1)", 40, "path_form_params", 42, id="cycle"),
+        # Big, the largest window the size limits admit, comes first
+        pytest.param((GOLDEN / "windows.qcf").read_text(), 200, "path_form_params", 19900,
+                     id="window"),
+        pytest.param(
+            "poset P { elements: 0 1 2; covers: 0 < 1; 1 < 2; }\ncoalgebra F = full(P)",
+            5, "incidence_form_params", 6, id="incidence",
+        ),
+    ],
+)
+def test_forms_refuses_over_bound_before_the_form_parameters(
+    tmp_path, capsys, monkeypatch, text, bound, params, n
+):
+    def unreachable(coalg):
+        raise AssertionError(f"{params} ran on a basis over the bound")
+
+    monkeypatch.setattr(qcf.forms, params, unreachable)
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(text)
+    assert main(["forms", "--input", str(doc), "--bound", str(bound)]) == 2
+    assert capsys.readouterr().err == f"error: basis size {n} exceeds brute-force bound {bound}\n"
+
+
 def test_default_bound_admits_dimension_44(tmp_path, capsys):
     doc = tmp_path / "doc.qcf"
     doc.write_text("coalgebra K = family(Cn, n=11, s=3)")

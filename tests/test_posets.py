@@ -352,12 +352,15 @@ def _corruptions(phi, rng):
             yield "drop_inner_arrow", {**phi, seg: LinComb()}
 
 
-def test_morphism_check_agrees_with_the_lincomb_oracle(diamond):
-    rng = random.Random(13)
-    b3 = Poset.from_covers(
+def _boolean_lattice3():
+    return Poset.from_covers(
         range(8), [(i, i | 1 << b) for i in range(8) for b in range(3) if not i >> b & 1]
     )
-    cases = [full_incidence_coalgebra(diamond), full_incidence_coalgebra(b3)]
+
+
+def test_morphism_check_agrees_with_the_lincomb_oracle(diamond):
+    rng = random.Random(13)
+    cases = [full_incidence_coalgebra(diamond), full_incidence_coalgebra(_boolean_lattice3())]
     cases.extend(random_incidence_subcoalgebra(rng, max_elements=6) for _ in range(12))
     verdicts = Counter()
     failing_kinds = Counter()
@@ -387,10 +390,7 @@ def test_morphism_check_agrees_with_the_lincomb_oracle(diamond):
 
 
 def _morphism_cases(rng, count):
-    b3 = Poset.from_covers(
-        range(8), [(i, i | 1 << b) for i in range(8) for b in range(3) if not i >> b & 1]
-    )
-    yield full_incidence_coalgebra(b3)
+    yield full_incidence_coalgebra(_boolean_lattice3())
     for _ in range(count):
         yield random_incidence_subcoalgebra(rng, max_elements=6)
 
@@ -406,3 +406,45 @@ def test_morphism_check_leaves_phi_and_numbering_unchanged():
             assert phi == phi_before
             assert numbering == numbering_before
             assert failure == _morphism_failure(coalg, result.quiver, phi)
+
+
+def test_morphism_check_sums_the_terms_of_all_split_points():
+    # t (v_x - v_y) added to the image of (x, y) still commutes at (x, y):
+    # (phi (x) phi) Delta meets the pair (v_x, v_y) at z = x and at z = y,
+    # with opposite signs, so the check must sum those terms, not store them
+    coalg = full_incidence_coalgebra(_boolean_lattice3())
+    result = embed(coalg)
+    quiver, phi = result.quiver, result.phi
+    cases = [((0, 7), None), ((0, 3), "comultiplication does not commute at segment (0, 7)")]
+    for t in (1, Fraction(-1, 2)):
+        for (x, y), expected in cases:
+            shift = linear([
+                (quiver.vertex_path(str(x)), Cyc.rational(t)),
+                (quiver.vertex_path(str(y)), Cyc.rational(-t)),
+            ])
+            bad = {**phi, (x, y): phi[(x, y)] + shift}
+            failure = _morphism_failure(coalg, quiver, bad)
+            assert failure == expected
+            assert failure == _lincomb_morphism_failure(coalg, quiver, bad)
+
+
+def test_path_numbering_keeps_its_ids():
+    # the ids of a numbering keyed by (source, arrows), handed out in order
+    # of first appearance, so the rank reads the same rows
+    def reference(phi):
+        index = {}
+        return {
+            seg: {
+                index.setdefault((p.source, p.arrows), len(index)): c.rational_value()
+                for p, c in image.items()
+            }
+            for seg, image in phi.items()
+        }
+
+    rng = random.Random(29)
+    for coalg in _morphism_cases(rng, 6):
+        phi = embed(coalg).phi
+        for phi in [phi, *(bad for _, bad in _corruptions(phi, rng))]:
+            index, rows = _number_paths(phi)
+            assert rows == reference(phi)
+            assert len(index) == len({p for image in phi.values() for p in image.labels()})
