@@ -354,7 +354,7 @@ def _morphism_failure(
     init = [-1] * n
     tail = [-1] * n
     for key, a in index.items():
-        if isinstance(key, tuple):  # no vertex
+        if isinstance(key, tuple):  # a vertex's key is its name; its links stay -1
             init[a] = number(key[:-1] or source(key[0]), -2)
             tail[a] = number(key[1:] or target(key[-1]), -2)
     for seg in coalg.basis_list:

@@ -443,8 +443,8 @@ def test_path_numbering_keeps_its_ids():
 
     rng = random.Random(29)
     for coalg in _morphism_cases(rng, 6):
-        phi = embed(coalg).phi
-        for phi in [phi, *(bad for _, bad in _corruptions(phi, rng))]:
+        result = embed(coalg)
+        for phi in [result.phi, *(bad for _, bad in _corruptions(result.phi, rng))]:
             index, rows = _number_paths(phi)
             assert rows == reference(phi)
             assert len(index) == len({p for image in phi.values() for p in image.labels()})
