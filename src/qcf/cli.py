@@ -281,7 +281,7 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
         else:
             r = dict(e.r)
             lo, hi = e.window
-            if sorted(r) != list(range(lo, hi + 1)):
+            if hi < lo or sorted(r) != list(range(lo, hi + 1)):
                 fail(d.pos, f"coalgebra {d.name}: reach table must cover the window")
                 return None
             fam = WindowedFamily.line(e.family_tag, r)

@@ -19,11 +19,16 @@ Declarations, one per statement:
 Groups: cyclic(n), dihedral(n) (order 2n), product(G1, G2), csv("table.csv");
 csv groups need explicit g=INDEX and chi=[...] entries. Scalars are integers,
 fractions p/q, or root(m, k) for the k-th power of a primitive m-th root.
+An integer is decimal digits with an optional leading '-', as int() reads
+them (so a superscript digit is no integer). A reach key of r={...} and an
+argument of hn(...) may not repeat.
 
 Diagnostics carry line and column. parse() never raises on bad input.
 """
 
 from __future__ import annotations
+
+import re
 
 from ._record import record
 
@@ -53,73 +58,39 @@ class Token:
     pos: Pos
 
 
-_PUNCT2 = ("->",)
-_PUNCT1 = "{}()[]=,;:</"
+# One alternative per token kind, tried in order, after the blanks and the
+# comment before the token: skipping those in the same match halves the
+# matches per document. The pattern matches at every index, at the end of the
+# text by `\Z`, which is no group. A name starts with a letter, '_' or a digit
+# that is no decimal digit; `tokenize` reports any other start of a `name`
+# match, such as '½', as an unexpected character.
+_TOKEN = re.compile(
+    r'[ \t\r]*(?:#[^\n]*)?'
+    r'(?:(?P<newline>\n)|(?P<punct>->|[{}()\[\]=,;:</])|(?P<string>"[^"\n]*")|(?P<quote>")'
+    r'|(?P<int>-?\d+)|(?P<name>[^\W\d][\w.]*)|(?P<other>.)|\Z)'
+)
 
 
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start, i = 1, 0, 0  # start: the index where the current line starts
+    while kind := (m := _TOKEN.match(text, i)).lastgroup:
+        s, i = m.span(kind)
+        if kind == "newline":
+            line, start = line + 1, i
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        pos = Pos(line, col)
-        if text.startswith("->", i):
-            tokens.append(Token("punct", "->", pos))
-            i += 2
-            col += 2
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"' and text[j] != "\n":
-                j += 1
-            if j >= n or text[j] != '"':
-                diags.append(Diagnostic(pos, "unterminated string"))
-                return tokens, diags
-            tokens.append(Token("string", text[i + 1 : j], pos))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            tokens.append(Token("name", text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("punct", ch, pos))
-            i += 1
-            col += 1
-            continue
-        diags.append(Diagnostic(pos, f"unexpected character {ch!r}"))
-        i += 1
-        col += 1
-    tokens.append(Token("eof", "", Pos(line, col)))
+        pos = Pos(line, s - start + 1)
+        if kind == "name" and not (text[s].isalpha() or text[s] == "_" or text[s].isdigit()):
+            kind, i = "other", s + 1
+        if kind == "quote":
+            diags.append(Diagnostic(pos, "unterminated string"))
+            return tokens, diags
+        if kind == "other":
+            diags.append(Diagnostic(pos, f"unexpected character {text[s]!r}"))
+        else:
+            tokens.append(Token(kind, text[s + 1 : i - 1] if kind == "string" else text[s:i], pos))
+    tokens.append(Token("eof", "", Pos(line, len(text) - start + 1)))
     return tokens, diags
 
 
@@ -236,7 +207,12 @@ class _Parser:
         return self.expect("name", value)
 
     def expect_int(self) -> int:
-        return int(self.expect("int").text)
+        """An int literal's value; every int literal is read here."""
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            self.error(tok.pos, f"integer literal too long ({len(tok.text.lstrip('-'))} digits)")
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         tok = self.peek()
@@ -250,6 +226,75 @@ class _Parser:
             self.error(tok.pos, f"expected an identifier, found {tok.text!r}")
         return self.next().text
 
+    def idents(self) -> list[str]:
+        """Identifiers up to the next token that is none."""
+        names = []
+        while self.peek().kind in ("name", "int"):
+            names.append(self.ident())
+        return names
+
+    # --- token sequences that recur
+
+    def head(self, punct: str) -> tuple[str, Pos]:
+        """`KEYWORD NAME punct`: the declared name and the keyword's position."""
+        pos = self.next().pos
+        name = self.expect_name().text
+        self.expect("punct", punct)
+        return name, pos
+
+    def key(self, name: str, read):
+        """`name = value`: the value, as `read` reads it."""
+        self.expect_name(name)
+        self.expect("punct", "=")
+        return read()
+
+    def inside(self, read):
+        """`( value )`: the value, as `read` reads it."""
+        self.expect("punct", "(")
+        value = read()
+        self.expect("punct", ")")
+        return value
+
+    def target(self) -> str:
+        return self.inside(self.expect_name).text
+
+    def listed(self, item) -> tuple:
+        """`(item, ..., item)`, one item or more."""
+        self.expect("punct", "(")
+        items = [item()]
+        while self.accept("punct", ","):
+            items.append(item())
+        self.expect("punct", ")")
+        return tuple(items)
+
+    def until(self, close: str, item) -> list:
+        """`item, ..., item close`, after the opening bracket: none or more
+        items, and a comma may follow the last."""
+        items = []
+        while not self.accept("punct", close):
+            items.append(item())
+            if not self.accept("punct", ","):
+                self.expect("punct", close)
+                break
+        return items
+
+    def pair(self, item, open: str = "[", close: str = "]") -> tuple:
+        self.expect("punct", open)
+        lo = item()
+        self.expect("punct", ",")
+        hi = item()
+        self.expect("punct", close)
+        return lo, hi
+
+    def block(self, item) -> tuple:
+        """`{ item; ...; item; }`, the items of `basis` and `segments`."""
+        self.expect("punct", "{")
+        items = []
+        while not self.accept("punct", "}"):
+            items.append(item())
+            self.expect("punct", ";")
+        return tuple(items)
+
     # --- declarations
 
     def document(self) -> Document:
@@ -259,69 +304,38 @@ class _Parser:
             if tok.kind != "name":
                 self.error(tok.pos, f"expected a declaration, found {tok.text!r}")
             if tok.text == "quiver":
-                decls.append(self.quiver_decl())
+                decls.append(self.listing(QuiverDecl, "vertices", "arrows", (":", "->")))
             elif tok.text == "poset":
-                decls.append(self.poset_decl())
+                decls.append(self.listing(PosetDecl, "elements", "covers", ("<",)))
             elif tok.text == "coalgebra":
-                decls.append(self.coalgebra_decl())
+                decls.append(CoalgebraDecl(*self.head("="), self.coalg_expr()))
             elif tok.text == "hopf":
-                decls.append(self.hopf_decl())
+                decls.append(HopfDecl(*self.head("="), self.hopf_expr()))
             else:
                 self.error(tok.pos, f"unknown declaration keyword {tok.text!r}")
         return Document(tuple(decls))
 
-    def quiver_decl(self) -> QuiverDecl:
-        pos = self.next().pos
-        name = self.expect_name().text
-        self.expect("punct", "{")
-        self.expect_name("vertices")
+    def listing(self, decl, members: str, links: str, seps: tuple[str, ...]):
+        """`quiver Q { vertices: ...; arrows: a: u -> v; ... }` or
+        `poset P { elements: ...; covers: x < y; ... }`: a link is its
+        identifiers with `seps` between them."""
+        name, pos = self.head("{")
+        self.expect_name(members)
         self.expect("punct", ":")
-        vertices = []
-        while self.peek().kind in ("name", "int"):
-            vertices.append(self.ident())
+        ids = self.idents()
         self.expect("punct", ";")
-        arrows = []
-        if self.accept("name", "arrows"):
+        rows = []
+        if self.accept("name", links):
             self.expect("punct", ":")
             while self.peek().kind in ("name", "int"):
-                aid = self.ident()
-                self.expect("punct", ":")
-                src = self.ident()
-                self.expect("punct", "->")
-                tgt = self.ident()
+                row = [self.ident()]
+                for sep in seps:
+                    self.expect("punct", sep)
+                    row.append(self.ident())
                 self.expect("punct", ";")
-                arrows.append((aid, src, tgt))
+                rows.append(tuple(row))
         self.expect("punct", "}")
-        return QuiverDecl(name, pos, tuple(vertices), tuple(arrows))
-
-    def poset_decl(self) -> PosetDecl:
-        pos = self.next().pos
-        name = self.expect_name().text
-        self.expect("punct", "{")
-        self.expect_name("elements")
-        self.expect("punct", ":")
-        elements = []
-        while self.peek().kind in ("name", "int"):
-            elements.append(self.ident())
-        self.expect("punct", ";")
-        covers = []
-        if self.accept("name", "covers"):
-            self.expect("punct", ":")
-            while self.peek().kind in ("name", "int"):
-                a = self.ident()
-                self.expect("punct", "<")
-                b = self.ident()
-                self.expect("punct", ";")
-                covers.append((a, b))
-        self.expect("punct", "}")
-        return PosetDecl(name, pos, tuple(elements), tuple(covers))
-
-    def coalgebra_decl(self) -> CoalgebraDecl:
-        pos = self.next().pos
-        name = self.expect_name().text
-        self.expect("punct", "=")
-        expr = self.coalg_expr()
-        return CoalgebraDecl(name, pos, expr)
+        return decl(name, pos, tuple(ids), tuple(rows))
 
     def coalg_expr(self) -> CoalgExpr:
         tok = self.expect_name()
@@ -329,183 +343,109 @@ class _Parser:
         if kind == "paths":
             self.expect("punct", "(")
             target = self.expect_name().text
-            maxlen = None
-            if self.accept("punct", ","):
-                self.expect_name("maxlen")
-                self.expect("punct", "=")
-                maxlen = self.expect_int()
+            maxlen = self.key("maxlen", self.expect_int) if self.accept("punct", ",") else None
             self.expect("punct", ")")
             return CoalgExpr("paths", target=target, maxlen=maxlen)
         if kind == "basis":
-            self.expect("punct", "(")
-            target = self.expect_name().text
-            self.expect("punct", ")")
-            self.expect("punct", "{")
-            items = []
-            while not self.accept("punct", "}"):
-                parts = [self.ident()]
-                while self.peek().kind in ("name", "int"):
-                    parts.append(self.ident())
-                self.expect("punct", ";")
-                items.append(tuple(parts))
-            return CoalgExpr("basis", target=target, items=tuple(items))
+            path = lambda: (self.ident(), *self.idents())
+            return CoalgExpr("basis", target=self.target(), items=self.block(path))
         if kind == "segments":
-            self.expect("punct", "(")
-            target = self.expect_name().text
-            self.expect("punct", ")")
-            self.expect("punct", "{")
-            items = []
-            while not self.accept("punct", "}"):
-                self.expect("punct", "[")
-                lo = self.ident()
-                self.expect("punct", ",")
-                hi = self.ident()
-                self.expect("punct", "]")
-                self.expect("punct", ";")
-                items.append((lo, hi))
-            return CoalgExpr("segments", target=target, items=tuple(items))
+            segment = lambda: self.pair(self.ident)
+            return CoalgExpr("segments", target=self.target(), items=self.block(segment))
         if kind == "full":
-            self.expect("punct", "(")
-            target = self.expect_name().text
-            self.expect("punct", ")")
-            return CoalgExpr("full", target=target)
+            return CoalgExpr("full", target=self.target())
         if kind == "family":
             self.expect("punct", "(")
             tag = self.expect_name().text
             if tag not in ("Ainf", "A0inf", "Cn"):
                 self.error(tok.pos, f"unknown family tag {tag!r}")
+            self.expect("punct", ",")
             if tag == "Cn":
+                n = self.key("n", self.expect_int)
                 self.expect("punct", ",")
-                self.expect_name("n")
-                self.expect("punct", "=")
-                n = self.expect_int()
-                self.expect("punct", ",")
-                self.expect_name("s")
-                self.expect("punct", "=")
-                s = self.expect_int()
+                s = self.key("s", self.expect_int)
                 self.expect("punct", ")")
                 return CoalgExpr("family", family_tag=tag, n=n, s=s)
+            window = self.key("window", lambda: self.pair(self.expect_int))
             self.expect("punct", ",")
-            self.expect_name("window")
-            self.expect("punct", "=")
-            self.expect("punct", "[")
-            lo = self.expect_int()
-            self.expect("punct", ",")
-            hi = self.expect_int()
-            self.expect("punct", "]")
-            self.expect("punct", ",")
-            self.expect_name("r")
-            self.expect("punct", "=")
-            self.expect("punct", "{")
-            entries = []
-            while not self.accept("punct", "}"):
-                k = self.expect_int()
-                self.expect("punct", ":")
-                v = self.expect_int()
-                entries.append((k, v))
-                if not self.accept("punct", ","):
-                    self.expect("punct", "}")
-                    break
+            r = self.key("r", self.reach_table)
             self.expect("punct", ")")
-            return CoalgExpr(
-                "family", family_tag=tag, window=(lo, hi), r=tuple(entries)
-            )
+            return CoalgExpr("family", family_tag=tag, window=window, r=r)
         if kind == "sum":
-            self.expect("punct", "(")
-            names = [self.expect_name().text]
-            while self.accept("punct", ","):
-                names.append(self.expect_name().text)
-            self.expect("punct", ")")
-            return CoalgExpr("sum", items=tuple(names))
+            return CoalgExpr("sum", items=self.listed(lambda: self.expect_name().text))
         self.error(tok.pos, f"unknown coalgebra constructor {kind!r}")
+
+    def reach_table(self) -> tuple[tuple[int, int], ...]:
+        """`{k: v, ...}`; a repeated k gets a diagnostic at the repeat."""
+        reach: dict[int, int] = {}
+
+        def entry():
+            pos = self.peek().pos
+            k = self.expect_int()
+            if k in reach:
+                self.error(pos, f"repeated reach key {k}")
+            self.expect("punct", ":")
+            reach[k] = self.expect_int()
+
+        self.expect("punct", "{")
+        self.until("}", entry)
+        return tuple(reach.items())
 
     def scalar_expr(self) -> ScalarExpr:
         tok = self.peek()
         if tok.kind == "int":
-            num = self.expect_int()
+            num, den = self.expect_int(), 1
             if self.accept("punct", "/"):
-                den_tok = self.expect("int")
-                den = int(den_tok.text)
+                pos = self.peek().pos
+                den = self.expect_int()
                 if den == 0:
-                    self.error(den_tok.pos, "zero denominator in scalar")
-                return ScalarExpr("rational", num=num, den=den)
-            return ScalarExpr("rational", num=num)
+                    self.error(pos, "zero denominator in scalar")
+            return ScalarExpr("rational", num=num, den=den)
         if tok.kind == "name" and tok.text == "root":
             self.next()
-            self.expect("punct", "(")
-            order = self.expect_int()
-            self.expect("punct", ",")
-            exponent = self.expect_int()
-            self.expect("punct", ")")
+            order, exponent = self.pair(self.expect_int, "(", ")")
             return ScalarExpr("root", order=order, exponent=exponent)
         self.error(tok.pos, f"expected a scalar, found {tok.text!r}")
 
     def group_expr(self) -> GroupExpr:
         tok = self.expect_name()
-        if tok.text == "cyclic":
-            self.expect("punct", "(")
-            n = self.expect_int()
-            self.expect("punct", ")")
-            return GroupExpr("cyclic", n=n)
-        if tok.text == "dihedral":
-            self.expect("punct", "(")
-            n = self.expect_int()
-            self.expect("punct", ")")
-            return GroupExpr("dihedral", n=n)
+        if tok.text in ("cyclic", "dihedral"):
+            return GroupExpr(tok.text, n=self.inside(self.expect_int))
         if tok.text == "product":
-            self.expect("punct", "(")
-            parts = [self.group_expr()]
-            while self.accept("punct", ","):
-                parts.append(self.group_expr())
-            self.expect("punct", ")")
-            return GroupExpr("product", parts=tuple(parts))
+            return GroupExpr("product", parts=self.listed(self.group_expr))
         if tok.text == "csv":
-            self.expect("punct", "(")
-            path = self.expect("string").text
-            self.expect("punct", ")")
-            return GroupExpr("csv", path=path)
+            return GroupExpr("csv", path=self.inside(lambda: self.expect("string")).text)
         self.error(tok.pos, f"unknown group constructor {tok.text!r}")
 
-    def hopf_decl(self) -> HopfDecl:
-        pos = self.next().pos
-        name = self.expect_name().text
-        self.expect("punct", "=")
+    def hopf_expr(self) -> HopfExpr:
         tok = self.expect_name()
         if tok.text == "group_algebra":
-            self.expect("punct", "(")
-            group = self.group_expr()
-            self.expect("punct", ")")
-            return HopfDecl(name, pos, HopfExpr("group_algebra", group=group))
+            return HopfExpr("group_algebra", group=self.inside(self.group_expr))
         if tok.text != "hn":
             self.error(tok.pos, f"unknown hopf constructor {tok.text!r}")
         self.expect("punct", "(")
         expr = HopfExpr("hn")
+        seen = set()
         while not self.accept("punct", ")"):
-            key = self.expect_name().text
+            key = self.expect_name()
             self.expect("punct", "=")
-            if key == "s":
-                expr.s = self.expect_int()
-            elif key == "q":
-                expr.q = self.scalar_expr()
-            elif key == "group":
-                expr.group = self.group_expr()
-            elif key == "g":
-                expr.g = self.expect_int()
-            elif key == "chi":
+            if key.text in seen:
+                self.error(key.pos, f"repeated hn(...) argument {key.text!r}")
+            seen.add(key.text)
+            if key.text in ("s", "g"):
+                value = self.expect_int()
+            elif key.text in ("q", "alpha"):
+                value = self.scalar_expr()
+            elif key.text == "group":
+                value = self.group_expr()
+            elif key.text == "chi":
                 self.expect("punct", "[")
-                vals = []
-                while not self.accept("punct", "]"):
-                    vals.append(self.scalar_expr())
-                    if not self.accept("punct", ","):
-                        self.expect("punct", "]")
-                        break
-                expr.chi = tuple(vals)
-            elif key == "alpha":
-                expr.alpha = self.scalar_expr()
+                value = tuple(self.until("]", self.scalar_expr))
             else:
-                self.error(tok.pos, f"unknown hn(...) argument {key!r}")
+                self.error(tok.pos, f"unknown hn(...) argument {key.text!r}")
+            setattr(expr, key.text, value)
             self.accept("punct", ",")
-        return HopfDecl(name, pos, expr)
+        return expr
 
 
 class _ParseAbort(Exception):
@@ -536,17 +476,17 @@ def parse(text: str) -> tuple[Document | None, list[Diagnostic]]:
 # canonical printer (parse . print . parse is the identity on documents)
 
 
-def _print_scalar(sc: ScalarExpr) -> str:
+def _print_scalar(sc: ScalarExpr | tuple[ScalarExpr, ...]) -> str:
+    if isinstance(sc, tuple):  # chi=[...]
+        return "[" + ", ".join(map(_print_scalar, sc)) + "]"
     if sc.kind == "rational":
         return str(sc.num) if sc.den == 1 else f"{sc.num}/{sc.den}"
     return f"root({sc.order}, {sc.exponent})"
 
 
 def _print_group(g: GroupExpr) -> str:
-    if g.kind == "cyclic":
-        return f"cyclic({g.n})"
-    if g.kind == "dihedral":
-        return f"dihedral({g.n})"
+    if g.kind in ("cyclic", "dihedral"):
+        return f"{g.kind}({g.n})"
     if g.kind == "product":
         return "product(" + ", ".join(_print_group(p) for p in g.parts) + ")"
     return f'csv("{g.path}")'
@@ -602,12 +542,11 @@ def print_document(doc: Document) -> str:
             if e.kind == "group_algebra":
                 out.append(f"hopf {d.name} = group_algebra({_print_group(e.group)})")
             else:
-                parts = [f"s={e.s}", f"q={_print_scalar(e.q)}", f"group={_print_group(e.group)}"]
-                if e.g is not None:
-                    parts.append(f"g={e.g}")
-                if e.chi is not None:
-                    parts.append("chi=[" + ", ".join(_print_scalar(c) for c in e.chi) + "]")
-                if e.alpha is not None:
-                    parts.append(f"alpha={_print_scalar(e.alpha)}")
+                # the arguments the document gives; hn(...) may lack any but s
+                parts = [f"s={e.s}"]
+                for key, show in (("q", _print_scalar), ("group", _print_group), ("g", str),
+                                  ("chi", _print_scalar), ("alpha", _print_scalar)):
+                    if getattr(e, key) is not None:
+                        parts.append(f"{key}={show(getattr(e, key))}")
                 out.append(f"hopf {d.name} = hn(" + ", ".join(parts) + ")")
     return "\n".join(out) + "\n"

@@ -310,6 +310,37 @@ def test_bad_hopf_input_exits_2_without_traceback(hopf_decl, message, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+LONG_INT = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("coalgebra K = family(Cn, n=², s=1)", "1:28: expected 'int', found '²'"),
+        (f"coalgebra K = family(Cn, n={LONG_INT}, s=1)",
+         "1:28: integer literal too long (5000 digits)"),
+        (f"hopf H = hn(s=1, q=root(2,1), group=cyclic(4), alpha=1/{LONG_INT})",
+         "1:56: integer literal too long (5000 digits)"),
+        ("coalgebra W = family(Ainf, window=[0,1], r={0:1, 0:2, 1:3})",
+         "1:50: repeated reach key 0"),
+        ("hopf H = hn(s=2, s=1, q=root(3,1), q=root(2,1), group=cyclic(4), alpha=1)",
+         "1:18: repeated hn(...) argument 's'"),
+        # an empty table covers the reversed window [1,0] as list(range(1, 1))
+        ("coalgebra W = family(Ainf, window=[1,0], r={})",
+         "1:1: coalgebra W: reach table must cover the window"),
+    ],
+    ids=["superscript-digit", "long-n", "long-denominator", "repeated-reach-key",
+         "repeated-hn-argument", "reversed-window"],
+)
+def test_malformed_input_exits_2_with_a_positioned_message(text, message, tmp_path, capsys):
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(text + "\n")
+    assert main(["validate", "--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_negative_window_margin_exits_2_without_traceback():
     # a negative margin would list vertices outside W's window [-2,3] as interior
     src = str(Path(qcf.__file__).resolve().parent.parent)
