@@ -75,6 +75,14 @@ class InputError(Exception):
     pass
 
 
+class ResolveError(InputError):
+    """The positioned diagnostics of resolving a document."""
+
+    def __init__(self, diags: list[dsl.Diagnostic]):
+        super().__init__("; ".join(str(d) for d in diags))
+        self.diags = diags
+
+
 # ---------------------------------------------------------------------------
 # resolution: declarations -> library objects
 
@@ -767,7 +775,7 @@ def _require_valid(name: str, value: CoalgValue) -> None:
 def run(command: str, doc: dsl.Document, flags, base=None) -> dict:
     resolved, diags = resolve(doc, base)
     if diags:
-        raise InputError("; ".join(str(d) for d in diags))
+        raise ResolveError(diags)
     dispatch = {
         "validate": cmd_validate,
         "forms": cmd_forms,
@@ -824,6 +832,10 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run(flags.command, doc, flags, base=FilePath(flags.input).parent)
+    except ResolveError as exc:
+        for d in exc.diags:
+            print(f"{flags.input}:{d}", file=sys.stderr)
+        return 2
     except (InputError, forms.FormError, QuiverError, hopf.HopfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -442,7 +442,7 @@ class _Parser:
                 self.expect("punct", "[")
                 value = tuple(self.until("]", self.scalar_expr))
             else:
-                self.error(tok.pos, f"unknown hn(...) argument {key.text!r}")
+                self.error(key.pos, f"unknown hn(...) argument {key.text!r}")
             setattr(expr, key.text, value)
             self.accept("punct", ",")
         return expr

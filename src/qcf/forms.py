@@ -89,36 +89,82 @@ def require_within_bound(n: int, bound: int) -> None:
 def balanced_space_bruteforce(coalg, bound: int = BRUTEFORCE_BOUND) -> list[BilinearForm]:
     """Exact nullspace basis of the balance constraints, treating every
     beta(p, q) as an unknown, found by `linalg.sparse_int_nullspace`.
-    It uses none of the closed-form parameterizations it is checked against."""
+    It reads only the basis and the comultiplication, and uses none of the
+    closed-form parameterizations it is checked against.
+
+    The unknown x(i, j) = beta(p_i, p_j) is column i * n + j. Every term of
+    Delta p must have coefficient 1 and no factor may repeat on either side,
+    as in the path and incidence subcoalgebras (a path's prefixes have
+    distinct lengths, a segment's midpoints are distinct); otherwise
+    FormError. Then, per basis index i, Delta p_i is two maps from a
+    coordinate r (a basis element) to an index: left[i] sends the left
+    factor r of a term r (x) p_k to k, right[i] sends the right factor r of
+    a term p_k (x) r to k. The equation of the pair (i, j) at coordinate r is
+
+        x(left[i][r], j) - x(i, right[j][r])
+
+    with only the terms whose key r is present. When both are, it is a
+    two-term row, or nothing if the two unknowns are one. When only one is,
+    it forces an unknown to zero: x(k, j) is forced exactly when some r with
+    left[i][r] = k for some i is no key of right[j], and x(i, k) exactly
+    when some r with right[j][r] = k for some j is no key of left[i].
+
+    The rows are one {u: 1} per forced unknown u, in ascending order, then
+    the two-term rows. The equations of every pair and coordinate differ
+    from these only by a sign on each one-term row and by repeats of it, so
+    both systems have one row space, and with it one reduced row echelon
+    form, from which `sparse_int_nullspace` reads the same vectors.
+    """
     basis = coalg.basis_list
     n = len(basis)
     require_within_bound(n, bound)
     index = {p: i for i, p in enumerate(basis)}
-    # one equation per pair and coordinate, emitted in the repr order of the
-    # coordinate; any row order gives the same nullspace basis, which is read
-    # off the unique reduced row echelon form
-    rank = {p: r for r, p in enumerate(sorted(basis, key=repr))}
-    comuls = [coalg.comul(p).labels() for p in basis]
-    # per basis index: (coordinate rank, index of the other factor) per term
-    left = [[(rank[p1], index[p2]) for p1, p2 in terms] for terms in comuls]
-    right = [[(rank[q2], index[q1]) for q1, q2 in terms] for terms in comuls]
-    rows: list[dict[int, int]] = []
+    left: list[dict] = []
+    right: list[dict] = []
+    for p in basis:
+        terms = coalg.comul(p).items()
+        by_left, by_right = {}, {}
+        for (p1, p2), c in terms:
+            if not c.is_one():
+                raise FormError(f"Delta {p!r} has coefficient {c!r} on {p1!r} (x) {p2!r}")
+            by_left[p1] = index[p2]
+            by_right[p2] = index[p1]
+        if len(by_left) < len(terms) or len(by_right) < len(terms):
+            raise FormError(f"Delta {p!r} repeats a factor")
+        left.append(by_left)
+        right.append(by_right)
+    # per coordinate r: the indices i with r a key of left[i], resp. right[i]
+    in_left: dict = {}
+    in_right: dict = {}
+    # per index k: the coordinates r with left[i][r] = k for some i, resp. right
+    to_left: list[set] = [set() for _ in range(n)]
+    to_right: list[set] = [set() for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            # one equation per coordinate appearing on either side
-            per_coord: dict[int, dict[int, int]] = {}
-            for r, k in left[i]:
-                unknown = k * n + j
-                row = per_coord.setdefault(r, {})
-                row[unknown] = row.get(unknown, 0) + 1
-            for r, k in right[j]:
-                unknown = i * n + k
-                row = per_coord.setdefault(r, {})
-                row[unknown] = row.get(unknown, 0) - 1
-            for r in sorted(per_coord):
-                row = {k: v for k, v in per_coord[r].items() if v}
-                if row:
-                    rows.append(row)
+        for r, k in left[i].items():
+            in_left.setdefault(r, set()).add(i)
+            to_left[k].add(r)
+        for r, k in right[i].items():
+            in_right.setdefault(r, set()).add(i)
+            to_right[k].add(r)
+    everyone = set(range(n))
+    empty: set = set()
+    forced: set[int] = set()
+    for k in range(n):
+        # x(k, j) is free of one-term rows for the j whose right[j] has every
+        # coordinate of to_left[k] as a key, and likewise x(i, k)
+        if to_left[k]:
+            kept = set.intersection(*(in_right.get(r, empty) for r in to_left[k]))
+            forced.update(k * n + j for j in everyone - kept)
+        if to_right[k]:
+            kept = set.intersection(*(in_left.get(r, empty) for r in to_right[k]))
+            forced.update(i * n + k for i in everyone - kept)
+    rows: list[dict[int, int]] = [{u: 1} for u in sorted(forced)]
+    for i in range(n):
+        for r, k in left[i].items():
+            for j in in_right.get(r, ()):
+                u, v = k * n + j, i * n + right[j][r]
+                if u != v:
+                    rows.append({u: 1, v: -1})
     return [
         BilinearForm(
             coalg,

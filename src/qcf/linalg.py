@@ -45,8 +45,8 @@ def _force_zeros(rows: list[dict[int, int]]) -> tuple[dict[int, dict[int, int]],
     forced: dict[int, dict[int, int]] = {}
     rest: list[dict[int, int]] = []
     for raw in rows:
-        # rest gets copies; most rows of the form systems have one term and
-        # are not copied
+        # rest gets copies; a one-term row is not copied: the form systems
+        # give one per forced unknown, and these are most of their rows
         row = raw if len(raw) < 2 else {c: v for c, v in raw.items() if v}
         if len(row) > 1:
             rest.append(row)

@@ -325,19 +325,21 @@ LONG_INT = "1" * 5000
          "1:50: repeated reach key 0"),
         ("hopf H = hn(s=2, s=1, q=root(3,1), q=root(2,1), group=cyclic(4), alpha=1)",
          "1:18: repeated hn(...) argument 's'"),
+        ("hopf H = hn(s=1, x=2)", "1:18: unknown hn(...) argument 'x'"),
         # an empty table covers the reversed window [1,0] as list(range(1, 1))
         ("coalgebra W = family(Ainf, window=[1,0], r={})",
          "1:1: coalgebra W: reach table must cover the window"),
     ],
     ids=["superscript-digit", "long-n", "long-denominator", "repeated-reach-key",
-         "repeated-hn-argument", "reversed-window"],
+         "repeated-hn-argument", "unknown-hn-argument", "reversed-window"],
 )
 def test_malformed_input_exits_2_with_a_positioned_message(text, message, tmp_path, capsys):
     doc = tmp_path / "doc.qcf"
     doc.write_text(text + "\n")
     assert main(["validate", "--input", str(doc)]) == 2
     captured = capsys.readouterr()
-    assert message in captured.err
+    # parse and resolution diagnostics alike, one line each, after the file name
+    assert captured.err == f"{doc}:{message}\n"
     assert captured.out == ""
 
 

@@ -3,6 +3,7 @@ from itertools import chain
 
 import pytest
 
+from qcf import forms as forms_module
 from qcf.forms import (
     BalancedCheck,
     BilinearForm,
@@ -17,12 +18,14 @@ from qcf.forms import (
     path_form_params,
     radicals,
 )
-from qcf.lincomb import linear
+from qcf.linalg import sparse_int_nullspace
+from qcf.lincomb import LinComb, linear
 from qcf.posets import IncidenceSubcoalgebra, Poset, full_incidence_coalgebra
 from qcf.quiver import (
     PathSubcoalgebra,
     Quiver,
     WindowedFamily,
+    bounded_path_coalgebra,
     build_family,
     full_path_coalgebra,
 )
@@ -87,6 +90,101 @@ def test_bruteforce_respects_bound(single_arrow):
     _, coalg = single_arrow
     with pytest.raises(FormError):
         balanced_space_bruteforce(coalg, bound=2)
+
+
+def reference_rows(coalg) -> list[dict[int, int]]:
+    """The balance system built pair by pair: one row per basis pair (i, j)
+    and coordinate, with every term of both sides, x(i, j) at column i * n + j."""
+    basis = coalg.basis_list
+    n = len(basis)
+    index = {p: i for i, p in enumerate(basis)}
+    rank = {p: r for r, p in enumerate(sorted(basis, key=repr))}
+    comuls = [coalg.comul(p).labels() for p in basis]
+    left = [[(rank[p1], index[p2]) for p1, p2 in terms] for terms in comuls]
+    right = [[(rank[q2], index[q1]) for q1, q2 in terms] for terms in comuls]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            per_coord: dict[int, dict[int, int]] = {}
+            for r, k in left[i]:
+                row = per_coord.setdefault(r, {})
+                row[k * n + j] = row.get(k * n + j, 0) + 1
+            for r, k in right[j]:
+                row = per_coord.setdefault(r, {})
+                row[i * n + k] = row.get(i * n + k, 0) - 1
+            for r in sorted(per_coord):
+                row = {k: v for k, v in per_coord[r].items() if v}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def builder_cases():
+    rng = random.Random(19)
+    for _ in range(12):
+        yield random_path_subcoalgebra(rng, max_basis=16)
+        yield random_incidence_subcoalgebra(rng, max_elements=7, max_basis=18)
+    # the shapes of the forms benchmark: family(Cn, ...), full(B4), paths(Q, maxlen=3)
+    yield build_family(WindowedFamily.cycle(4, 3))
+    subsets = [str(m) for m in range(16)]
+    covers = [(str(m), str(m | 1 << b)) for m in range(16) for b in range(4) if not m >> b & 1]
+    yield full_incidence_coalgebra(Poset.from_covers(subsets, covers))
+    quiver = Quiver(
+        ["u", "v", "w"],
+        [("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u"), ("l", "u", "u")],
+    )
+    yield bounded_path_coalgebra(quiver, 3)
+
+
+def test_bruteforce_rows_have_the_per_pair_row_space(monkeypatch):
+    systems = []
+
+    def capture(rows, ncols):
+        systems.append([dict(row) for row in rows])
+        return sparse_int_nullspace(rows, ncols)
+
+    monkeypatch.setattr(forms_module, "sparse_int_nullspace", capture)
+    for coalg in builder_cases():
+        n = len(coalg.basis_list)
+        systems.clear()
+        balanced_space_bruteforce(coalg)
+        (rows,) = systems
+        reference = reference_rows(coalg)
+        assert sparse_int_nullspace(rows, n * n) == sparse_int_nullspace(reference, n * n)
+        assert len(rows) <= len(reference)
+        forced = [next(iter(row)) for row in rows if len(row) == 1]
+        assert len(forced) == len(set(forced))
+        # each forced unknown once, and the reference's two-term rows as they are
+        assert set(forced) == {next(iter(row)) for row in reference if len(row) == 1}
+        pairs = [row for row in rows if len(row) == 2]
+        assert len(pairs) + len(forced) == len(rows)
+        assert sorted(map(sorted, (row.items() for row in pairs))) == sorted(
+            map(sorted, (row.items() for row in reference if len(row) == 2))
+        )
+
+
+class _StubCoalgebra:
+    def __init__(self, comul: dict):
+        self.basis_list = list(comul)
+        self._comul = comul
+
+    def comul(self, p) -> LinComb:
+        return self._comul[p]
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({("a", "a"): Cyc.rational(2)}, "coefficient 2"),
+        ({("a", "a"): Cyc.one(), ("a", "b"): Cyc.one()}, "repeats a factor"),
+        ({("a", "a"): Cyc.one(), ("b", "a"): Cyc.one()}, "repeats a factor"),
+    ],
+    ids=["coefficient", "repeated-left-factor", "repeated-right-factor"],
+)
+def test_bruteforce_refuses_comultiplications_it_cannot_read(terms, message):
+    b = LinComb({("b", "b"): Cyc.one()})
+    with pytest.raises(FormError, match=message):
+        balanced_space_bruteforce(_StubCoalgebra({"a": LinComb(terms), "b": b}))
 
 
 def test_form_with_partial_zero_alpha_still_balanced():
