@@ -121,31 +121,28 @@ def balanced_space_bruteforce(coalg, bound: int = BRUTEFORCE_BOUND) -> list[Bili
     index = {p: i for i, p in enumerate(basis)}
     left: list[dict] = []
     right: list[dict] = []
-    for p in basis:
-        terms = coalg.comul(p).items()
-        by_left, by_right = {}, {}
-        for (p1, p2), c in terms:
-            if not c.is_one():
-                raise FormError(f"Delta {p!r} has coefficient {c!r} on {p1!r} (x) {p2!r}")
-            by_left[p1] = index[p2]
-            by_right[p2] = index[p1]
-        if len(by_left) < len(terms) or len(by_right) < len(terms):
-            raise FormError(f"Delta {p!r} repeats a factor")
-        left.append(by_left)
-        right.append(by_right)
     # per coordinate r: the indices i with r a key of left[i], resp. right[i]
     in_left: dict = {}
     in_right: dict = {}
     # per index k: the coordinates r with left[i][r] = k for some i, resp. right
     to_left: list[set] = [set() for _ in range(n)]
     to_right: list[set] = [set() for _ in range(n)]
-    for i in range(n):
-        for r, k in left[i].items():
-            in_left.setdefault(r, set()).add(i)
-            to_left[k].add(r)
-        for r, k in right[i].items():
-            in_right.setdefault(r, set()).add(i)
-            to_right[k].add(r)
+    for i, p in enumerate(basis):
+        terms = coalg.comul(p).items()
+        by_left, by_right = {}, {}
+        for (p1, p2), c in terms:
+            if not c.is_one():
+                raise FormError(f"Delta {p!r} has coefficient {c!r} on {p1!r} (x) {p2!r}")
+            by_left[p1] = k = index[p2]
+            in_left.setdefault(p1, set()).add(i)
+            to_left[k].add(p1)
+            by_right[p2] = k = index[p1]
+            in_right.setdefault(p2, set()).add(i)
+            to_right[k].add(p2)
+        if len(by_left) < len(terms) or len(by_right) < len(terms):
+            raise FormError(f"Delta {p!r} repeats a factor")
+        left.append(by_left)
+        right.append(by_right)
     everyone = set(range(n))
     empty: set = set()
     forced: set[int] = set()
