@@ -340,15 +340,22 @@ def _morphism_failure(
     changed). Two links per id a, `init[a]` and `tail[a]`, give the ids of a
     without its last and without its first arrow, or -2 when that part is no
     image path; a vertex's id has -1 in both, so walking them lists every
-    prefix and every suffix of a and stops at -1. Per segment one
-    accumulator, keyed by the pair of ids (a, b) packed as a * n + b, first
-    takes Delta phi with plain stores, since the splits of distinct image
-    paths are distinct pairs (a prefix and its suffix give back the path),
-    then (phi (x) phi) Delta is subtracted, summed, since its pairs repeat
-    across split points. The segment fails when an entry is left nonzero,
-    or when a walk stops at -2: that split of an image path has a part that
-    is no image path, so (phi (x) phi) Delta has no term to cancel it. A
-    missing subinterval raises PosetError before that failure is returned."""
+    prefix and every suffix of a and stops at -1. Delta phi(s) is the sum,
+    over the image paths p of s with coefficient c_p and over the splits
+    (a, b) of p, of c_p a (x) b; the splits of distinct paths are distinct
+    pairs, since a prefix and its suffix give back the path. A split with a
+    part that is no image path fails its segment, since (phi (x) phi) Delta
+    has no term to cancel it.
+
+    When the rows have pairwise disjoint supports, which holds exactly when
+    their lengths sum to the number of ids, each id a lies in one row, of
+    the segment home[a], with the coefficient coef[a], and
+    `_commutes_by_count` decides each segment by matching every split to its
+    one term of (phi (x) phi) Delta and counting that side's terms. `embed`'s
+    phi has disjoint rows, since distinct segments have distinct endpoints.
+    Otherwise `_commutes_by_accumulator` sums both sides into one dict. A
+    missing subinterval raises PosetError before a failure at its segment
+    is returned."""
     index, rows = numbering if numbering is not None else _number_paths(phi)
     number, source, target, n = index.get, quiver.source, quiver.target, len(index)
     init = [-1] * n
@@ -357,43 +364,101 @@ def _morphism_failure(
         if isinstance(key, tuple):  # a vertex's key is its name; its links stay -1
             init[a] = number(key[:-1] or source(key[0]), -2)
             tail[a] = number(key[1:] or target(key[-1]), -2)
+    home = coef = None
+    if sum(map(len, rows.values())) == n:
+        home, coef = [None] * n, [0] * n
+        for seg, row in rows.items():
+            for a, c in row.items():
+                home[a] = seg
+                coef[a] = c
     for seg in coalg.basis_list:
-        diff: dict = {}
-        get = diff.get
-        whole, vertex_sum = True, 0
-        for p, c in rows[seg].items():
-            prefixes, suffixes = [p], [p]
-            a, b = init[p], tail[p]
-            if a == -1:
-                vertex_sum += c
-            while a >= 0:
-                prefixes.append(a)
-                a = init[a]
-            while b >= 0:
-                suffixes.append(b)
-                b = tail[b]
-            if a != -1 or b != -1:
-                whole = False
-                break
-            for a, b in zip(reversed(prefixes), suffixes):
-                diff[a * n + b] = c
-        for (first, second), c in coalg.comul(seg).items():
-            c = _rational(c)
-            try:
-                first_row, second_row = rows[first].items(), rows[second].items()
-            except KeyError as err:  # the basis is not closed under subintervals
-                raise PosetError(f"segment {err.args[0]!r} lies inside {seg!r} but is missing") from None
-            for a, ca in first_row:
-                ca *= c
-                a *= n
-                for b, cb in second_row:
-                    key = a + b
-                    diff[key] = get(key, 0) - ca * cb
-        if not whole or any(diff.values()):
+        try:
+            factors = [(rows[first], rows[second], c) for (first, second), c in coalg.comul(seg).items()]
+        except KeyError as err:  # the basis is not closed under subintervals
+            raise PosetError(f"segment {err.args[0]!r} lies inside {seg!r} but is missing") from None
+        row = rows[seg]
+        if home is None:
+            commutes = _commutes_by_accumulator(row, factors, init, tail)
+        else:
+            commutes = _commutes_by_count(seg, row, factors, init, tail, home, coef)
+        if not commutes:
             return f"comultiplication does not commute at segment {seg!r}"
-        if _rational(coalg.counit(seg)) != vertex_sum:
+        if _rational(coalg.counit(seg)) != sum(c for p, c in row.items() if init[p] == -1):
             return f"counit does not commute at segment {seg!r}"
     return None
+
+
+def _commutes_by_count(seg: Segment, row: dict, factors: list, init, tail, home, coef) -> bool:
+    """Whether Delta phi and (phi (x) phi) Delta agree at seg = (lo, hi),
+    whose image is `row`, when the rows have disjoint supports; `factors`
+    holds, per term of Delta(seg), the rows of its two factors.
+
+    An id a lies in row(lo, w) for w = the upper end of home[a] alone, so a
+    term a (x) b of (phi (x) phi) Delta(lo, hi) comes from that one w: that
+    side has exactly N = sum over w of |row(lo, w)| |row(w, hi)| distinct
+    terms, each with coefficient coef[a] coef[b], which is not 0 (the
+    incidence comultiplication has coefficient 1, and a row holds no zero).
+    A split (a, b) of an image path p is one of those terms with p's
+    coefficient c_p exactly when home[a] = (lo, w) and home[b] = (w, hi) for
+    one w (a key of phi is a segment, so w lies in [lo, hi]) and coef[a]
+    coef[b] = c_p. The splits are distinct pairs, so the two sides are
+    equal exactly when every split passes that test and there are N of
+    them."""
+    lo, hi = seg
+    count = sum(len(first) * len(second) for first, second, _ in factors)
+    for p, c in row.items():
+        suffixes = [p]
+        b = tail[p]
+        while b >= 0:
+            suffixes.append(b)
+            b = tail[b]
+        if b == -2:
+            return False
+        count -= len(suffixes)
+        a = p  # the prefixes, longest first, pair with the suffixes, shortest first
+        for b in reversed(suffixes):
+            if a < 0:  # -2: this prefix is no image path
+                return False
+            (x, w), (v, y) = home[a], home[b]
+            if x != lo or w != v or y != hi or coef[a] * coef[b] != c:
+                return False
+            a = init[a]
+    return count == 0
+
+
+def _commutes_by_accumulator(row: dict, factors: list, init, tail) -> bool:
+    """Whether Delta phi and (phi (x) phi) Delta agree at a segment whose
+    image is `row`, for any rows; `factors` holds the rows of the two factors
+    and the coefficient of each term of the segment's comultiplication. One
+    accumulator, keyed by the pair of ids (a, b) packed as a * n + b, first
+    takes Delta phi with plain stores, since its pairs are distinct, then
+    (phi (x) phi) Delta is subtracted, summed, since its pairs repeat across
+    split points when rows overlap."""
+    n = len(init)
+    diff: dict = {}
+    get = diff.get
+    for p, c in row.items():
+        prefixes, suffixes = [p], [p]
+        a, b = init[p], tail[p]
+        while a >= 0:
+            prefixes.append(a)
+            a = init[a]
+        while b >= 0:
+            suffixes.append(b)
+            b = tail[b]
+        if a != -1 or b != -1:
+            return False
+        for a, b in zip(reversed(prefixes), suffixes):
+            diff[a * n + b] = c
+    for first_row, second_row, c in factors:
+        c = _rational(c)
+        for a, ca in first_row.items():
+            ca *= c
+            a *= n
+            for b, cb in second_row.items():
+                key = a + b
+                diff[key] = get(key, 0) - ca * cb
+    return not any(diff.values())
 
 
 def embed(coalg: IncidenceSubcoalgebra) -> EmbeddingResult:

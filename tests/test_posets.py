@@ -333,10 +333,13 @@ def _corruptions(phi, rng):
     added, the image replaced by another segment's image, or, for a segment
     whose image is one arrow that lies on a longer image path, that arrow
     dropped. The last passes its own segment, so the longer paths meet a
-    prefix or suffix that is no image path."""
+    prefix or suffix that is no image path. Also "swap", with two images
+    changed: the path exchanged with one of the same length from the next
+    segment's image that has one, so the rows keep disjoint supports and
+    their lengths; it draws nothing from rng."""
     segments = list(phi)
     long_arrows = {a for v in phi.values() for p in v.labels() if p.length > 1 for a in p.arrows}
-    for seg in segments:
+    for i, seg in enumerate(segments):
         terms = dict(phi[seg].items())
         path = rng.choice(sorted(terms))
         yield "drop", {**phi, seg: LinComb({p: c for p, c in terms.items() if p != path})}
@@ -350,6 +353,22 @@ def _corruptions(phi, rng):
             yield "replace", {**phi, seg: phi[other]}
         if len(terms) == 1 and path.length == 1 and path.arrows[0] in long_arrows:
             yield "drop_inner_arrow", {**phi, seg: LinComb()}
+        swap = next(
+            (
+                (other, q)
+                for other in segments[i + 1:] + segments[:i]
+                for q in sorted(phi[other].labels())
+                if q.length == path.length
+            ),
+            None,
+        )
+        if swap is not None:
+            other, q = swap
+            yield "swap", {
+                **phi,
+                seg: LinComb({q if p == path else p: c for p, c in terms.items()}),
+                other: LinComb({path if p == q else p: c for p, c in phi[other].items()}),
+            }
 
 
 def _boolean_lattice3():
@@ -385,7 +404,7 @@ def test_morphism_check_agrees_with_the_lincomb_oracle(diamond):
     assert verdicts["counit"] > 10
     assert verdicts[None] > 0
     assert set(failing_kinds) == {
-        "drop", "two", "half", "minus_one", "extra", "replace", "drop_inner_arrow"
+        "drop", "two", "half", "minus_one", "extra", "replace", "drop_inner_arrow", "swap"
     }
 
 
@@ -448,3 +467,36 @@ def test_path_numbering_keeps_its_ids():
             index, rows = _number_paths(phi)
             assert rows == reference(phi)
             assert len(index) == len({p for image in phi.values() for p in image.labels()})
+
+
+def test_morphism_check_counts_on_disjoint_rows_and_sums_on_overlapping_ones(monkeypatch):
+    # rows with disjoint supports (embed's phi, and every corruption but
+    # "extra" and "replace") are decided without the accumulator, with the
+    # oracle's verdict; rows that overlap still reach it
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(qcf.posets, "_commutes_by_accumulator", reached)
+    rng = random.Random(31)
+    overlapping = Counter()
+    for coalg in _morphism_cases(rng, 6):
+        result = embed(coalg)
+        assert result.morphism_ok, result.failure
+        quiver, phi = result.quiver, result.phi
+        for kind, bad in _corruptions(phi, rng):
+            if kind in ("extra", "replace"):
+                with pytest.raises(Reached):
+                    _morphism_failure(coalg, quiver, bad)
+                overlapping[kind] += 1
+            else:
+                assert _morphism_failure(coalg, quiver, bad) == _lincomb_morphism_failure(coalg, quiver, bad)
+    assert set(overlapping) == {"extra", "replace"}
+    # the shifted image of the split-point test overlaps the vertex rows
+    coalg = full_incidence_coalgebra(_boolean_lattice3())
+    result = embed(coalg)
+    shift = linear([(result.quiver.vertex_path("0"), Cyc.one()), (result.quiver.vertex_path("7"), -Cyc.one())])
+    with pytest.raises(Reached):
+        _morphism_failure(coalg, result.quiver, {**result.phi, (0, 7): result.phi[(0, 7)] + shift})
