@@ -61,11 +61,19 @@ COMMANDS = (
 # sum(...), whose summands' dimensions add up, to the same number of basis
 # paths; `embed` lists every Hasse path between the ends of each basis
 # segment, 297,856 for full(B8) and 2,681,216 for full(B9), B_n the Boolean
-# lattice on n points.
+# lattice on n points. A poset declaration, built in time quadratic in its
+# elements, holds at most MAX_POSET_ELEMENTS of them (B9 has 512), and
+# full(P) and segments(P) at most MAX_FAMILY_DIMENSION segments, counted
+# before they are listed. `tensor` builds the product poset, also quadratic
+# in its elements, and compares both comultiplications on every product
+# segment: T_X T_Y terms in all, T the sum of a factor's interval sizes.
 MAX_HOPF_DIMENSION = 512
 MAX_FAMILY_DIMENSION = 20_000
 MAX_FAMILY_ARROWS = 2_000_000
 MAX_EMBED_PATHS = 1_000_000
+MAX_POSET_ELEMENTS = 512
+MAX_TENSOR_ELEMENTS = 1_024
+MAX_TENSOR_TERMS = 200_000
 # The lcm of the orders of the roots of unity declared for q, chi and alpha
 # in hn(...); a character value has an order dividing the group order.
 MAX_CONDUCTOR = 1024
@@ -202,6 +210,10 @@ def resolve(doc: dsl.Document, base: FilePath | None = None) -> tuple[Resolved, 
             except QuiverError as exc:
                 fail(d.pos, f"quiver {d.name}: {exc}")
         elif isinstance(d, dsl.PosetDecl):
+            if len(d.elements) > MAX_POSET_ELEMENTS:
+                fail(d.pos, f"poset {d.name}: {len(d.elements)} elements, "
+                     f"over the limit of {MAX_POSET_ELEMENTS}")
+                continue
             try:
                 posets[d.name] = Poset.from_covers(d.elements, d.covers)
             except Exception as exc:
@@ -273,6 +285,11 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
         poset = posets.get(e.target)
         if poset is None:
             fail(d.pos, f"coalgebra {d.name}: unknown poset {e.target!r}")
+            return None
+        count = poset.segment_count() if e.kind == "full" else len(e.items)
+        if count > MAX_FAMILY_DIMENSION:
+            fail(d.pos, f"coalgebra {d.name}: {e.kind}({e.target}) has {count} segments, "
+                 f"over the limit of {MAX_FAMILY_DIMENSION}")
             return None
         try:
             if e.kind == "full":
@@ -716,6 +733,15 @@ def cmd_tensor(res: Resolved, flags) -> dict:
         x, y = res.posets[names[0]], res.posets[names[1]]
     except KeyError as exc:
         raise InputError(f"unknown poset {exc.args[0]!r}") from exc
+    product = f"the product of {names[0]} and {names[1]}"
+    elements = len(x.elements) * len(y.elements)
+    if elements > MAX_TENSOR_ELEMENTS:
+        raise InputError(f"{product} has {elements} elements, over the limit of {MAX_TENSOR_ELEMENTS}")
+    terms = x.interval_size_sum() * y.interval_size_sum()
+    if terms > MAX_TENSOR_TERMS:
+        raise InputError(
+            f"{product} has {terms} comultiplication terms, over the limit of {MAX_TENSOR_TERMS}"
+        )
     r = tensor_iso_check(x, y)
     return {
         "posets": names,

@@ -112,6 +112,16 @@ class Poset:
         elements = self.elements
         return [elements[k] for k in _bits(self._interval_mask(x, y))]
 
+    def segment_count(self) -> int:
+        """How many segments (x, y) with x <= y there are."""
+        return sum(row.bit_count() for row in self._up)
+
+    def interval_size_sum(self) -> int:
+        """The sum of |[x, y]| over the segments (x, y): how many terms the
+        full incidence coalgebra's comultiplication has."""
+        down = self._down
+        return sum((row & down[j]).bit_count() for row in self._up for j in _bits(row))
+
     def all_segments(self) -> list[Segment]:
         elements = self.elements
         return [(a, elements[j]) for a, row in zip(elements, self._up) for j in _bits(row)]
@@ -334,28 +344,17 @@ def _morphism_failure(
     """Check that phi (rational coefficients) commutes with the
     comultiplications and the counits, segment by segment in basis order;
     the failure message for the first segment where it does not, else None.
+    A missing subinterval raises PosetError before a failure at its segment
+    is returned, and images that share a path raise ValueError: `embed`'s
+    never do, since distinct segments have distinct endpoints.
 
     The check reads only path ids: the rows and keys of `_number_paths`
     (its result may be passed in as `numbering`, and is neither copied nor
     changed). Two links per id a, `init[a]` and `tail[a]`, give the ids of a
     without its last and without its first arrow, or -2 when that part is no
     image path; a vertex's id has -1 in both, so walking them lists every
-    prefix and every suffix of a and stops at -1. Delta phi(s) is the sum,
-    over the image paths p of s with coefficient c_p and over the splits
-    (a, b) of p, of c_p a (x) b; the splits of distinct paths are distinct
-    pairs, since a prefix and its suffix give back the path. A split with a
-    part that is no image path fails its segment, since (phi (x) phi) Delta
-    has no term to cancel it.
-
-    When the rows have pairwise disjoint supports, which holds exactly when
-    their lengths sum to the number of ids, each id a lies in one row, of
-    the segment home[a], with the coefficient coef[a], and
-    `_commutes_by_count` decides each segment by matching every split to its
-    one term of (phi (x) phi) Delta and counting that side's terms. `embed`'s
-    phi has disjoint rows, since distinct segments have distinct endpoints.
-    Otherwise `_commutes_by_accumulator` sums both sides into one dict. A
-    missing subinterval raises PosetError before a failure at its segment
-    is returned."""
+    prefix and every suffix of a and stops at -1. Each id a lies in one row,
+    of the segment home[a], with the coefficient coef[a]."""
     index, rows = numbering if numbering is not None else _number_paths(phi)
     number, source, target, n = index.get, quiver.source, quiver.target, len(index)
     init = [-1] * n
@@ -364,48 +363,47 @@ def _morphism_failure(
         if isinstance(key, tuple):  # a vertex's key is its name; its links stay -1
             init[a] = number(key[:-1] or source(key[0]), -2)
             tail[a] = number(key[1:] or target(key[-1]), -2)
-    home = coef = None
-    if sum(map(len, rows.values())) == n:
-        home, coef = [None] * n, [0] * n
-        for seg, row in rows.items():
-            for a, c in row.items():
-                home[a] = seg
-                coef[a] = c
+    home, coef = [None] * n, [0] * n
+    for seg, row in rows.items():
+        for a, c in row.items():
+            if home[a] is not None:
+                raise ValueError(f"the images of {home[a]!r} and {seg!r} share a path")
+            home[a] = seg
+            coef[a] = c
+    interval = coalg.poset.interval
     for seg in coalg.basis_list:
+        lo, hi = seg
         try:
-            factors = [(rows[first], rows[second], c) for (first, second), c in coalg.comul(seg).items()]
+            count = sum(len(rows[lo, w]) * len(rows[w, hi]) for w in interval(lo, hi))
         except KeyError as err:  # the basis is not closed under subintervals
             raise PosetError(f"segment {err.args[0]!r} lies inside {seg!r} but is missing") from None
         row = rows[seg]
-        if home is None:
-            commutes = _commutes_by_accumulator(row, factors, init, tail)
-        else:
-            commutes = _commutes_by_count(seg, row, factors, init, tail, home, coef)
-        if not commutes:
+        if not _commutes(seg, row, count, init, tail, home, coef):
             return f"comultiplication does not commute at segment {seg!r}"
         if _rational(coalg.counit(seg)) != sum(c for p, c in row.items() if init[p] == -1):
             return f"counit does not commute at segment {seg!r}"
     return None
 
 
-def _commutes_by_count(seg: Segment, row: dict, factors: list, init, tail, home, coef) -> bool:
+def _commutes(seg: Segment, row: dict, count: int, init, tail, home, coef) -> bool:
     """Whether Delta phi and (phi (x) phi) Delta agree at seg = (lo, hi),
-    whose image is `row`, when the rows have disjoint supports; `factors`
-    holds, per term of Delta(seg), the rows of its two factors.
+    whose image is `row`; `count` is N = sum over w in [lo, hi] of
+    |row(lo, w)| |row(w, hi)|.
 
-    An id a lies in row(lo, w) for w = the upper end of home[a] alone, so a
-    term a (x) b of (phi (x) phi) Delta(lo, hi) comes from that one w: that
-    side has exactly N = sum over w of |row(lo, w)| |row(w, hi)| distinct
-    terms, each with coefficient coef[a] coef[b], which is not 0 (the
-    incidence comultiplication has coefficient 1, and a row holds no zero).
-    A split (a, b) of an image path p is one of those terms with p's
-    coefficient c_p exactly when home[a] = (lo, w) and home[b] = (w, hi) for
-    one w (a key of phi is a segment, so w lies in [lo, hi]) and coef[a]
-    coef[b] = c_p. The splits are distinct pairs, so the two sides are
-    equal exactly when every split passes that test and there are N of
-    them."""
+    Delta phi(seg) is the sum, over the paths p of `row` with coefficient
+    c_p and over the splits (a, b) of p, of c_p a (x) b; the splits of
+    distinct paths are distinct pairs, since a prefix and its suffix give
+    back the path. An id a lies in row(lo, w) for w = the upper end of
+    home[a] alone, so a term a (x) b of (phi (x) phi) Delta(seg) comes from
+    that one w: that side has exactly N distinct terms, each with
+    coefficient coef[a] coef[b], which is not 0 (the incidence
+    comultiplication has coefficient 1, and a row holds no zero). A split
+    (a, b) is one of them with coefficient c_p exactly when home[a] = (lo,
+    w) and home[b] = (w, hi) for one w (a key of phi is a segment, so w
+    lies in [lo, hi]) and coef[a] coef[b] = c_p; a split with a part that
+    is no image path matches none. So the two sides are equal exactly when
+    every split passes that test and there are N of them."""
     lo, hi = seg
-    count = sum(len(first) * len(second) for first, second, _ in factors)
     for p, c in row.items():
         suffixes = [p]
         b = tail[p]
@@ -424,41 +422,6 @@ def _commutes_by_count(seg: Segment, row: dict, factors: list, init, tail, home,
                 return False
             a = init[a]
     return count == 0
-
-
-def _commutes_by_accumulator(row: dict, factors: list, init, tail) -> bool:
-    """Whether Delta phi and (phi (x) phi) Delta agree at a segment whose
-    image is `row`, for any rows; `factors` holds the rows of the two factors
-    and the coefficient of each term of the segment's comultiplication. One
-    accumulator, keyed by the pair of ids (a, b) packed as a * n + b, first
-    takes Delta phi with plain stores, since its pairs are distinct, then
-    (phi (x) phi) Delta is subtracted, summed, since its pairs repeat across
-    split points when rows overlap."""
-    n = len(init)
-    diff: dict = {}
-    get = diff.get
-    for p, c in row.items():
-        prefixes, suffixes = [p], [p]
-        a, b = init[p], tail[p]
-        while a >= 0:
-            prefixes.append(a)
-            a = init[a]
-        while b >= 0:
-            suffixes.append(b)
-            b = tail[b]
-        if a != -1 or b != -1:
-            return False
-        for a, b in zip(reversed(prefixes), suffixes):
-            diff[a * n + b] = c
-    for first_row, second_row, c in factors:
-        c = _rational(c)
-        for a, ca in first_row.items():
-            ca *= c
-            a *= n
-            for b, cb in second_row.items():
-                key = a + b
-                diff[key] = get(key, 0) - ca * cb
-    return not any(diff.values())
 
 
 def embed(coalg: IncidenceSubcoalgebra) -> EmbeddingResult:

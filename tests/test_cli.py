@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 import qcf
 from qcf import dsl
 import qcf.cli
-from qcf.cli import MAX_FAMILY_DIMENSION, MAX_HOPF_DIMENSION, _write_report, main, resolve
+from qcf.cli import (
+    MAX_FAMILY_DIMENSION,
+    MAX_HOPF_DIMENSION,
+    MAX_POSET_ELEMENTS,
+    MAX_TENSOR_TERMS,
+    _write_report,
+    main,
+    resolve,
+)
 from qcf.posets import TensorIsoResult
 from qcf.quiver import Path as QPath
 from qcf.scalars import Cyc
@@ -471,12 +479,14 @@ def test_oversized_input_exits_2_before_it_is_built(command, decl, message, tmp_
     assert "Traceback" not in proc.stderr
 
 
-def test_size_limits_are_inclusive(monkeypatch):
-    def errors(text):
-        doc, diags = dsl.parse(text)
-        assert doc is not None, diags
-        return [str(d) for d in resolve(doc)[1]]
+def errors(text):
+    """The resolution diagnostics of a document that parses."""
+    doc, diags = dsl.parse(text)
+    assert doc is not None, diags
+    return [str(d) for d in resolve(doc)[1]]
 
+
+def test_size_limits_are_inclusive(monkeypatch):
     order = MAX_HOPF_DIMENSION // 2
     assert errors(f"hopf H = hn(s=1, q=root(2,1), group=cyclic({order}), alpha=1)") == []
     assert "over the limit" in errors(
@@ -557,6 +567,73 @@ def test_embed_path_limit_is_inclusive(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(qcf.cli, "MAX_EMBED_PATHS", 37)
     assert main(["embed", "--input", str(doc)]) == 2
     assert "maps its segments to 38 Hasse paths, over the limit of 37" in capsys.readouterr().err
+
+
+def chain(name: str, n: int) -> str:
+    covers = " ".join(f"{i} < {i + 1};" for i in range(n - 1))
+    return f"poset {name} {{ elements: {' '.join(map(str, range(n)))}; covers: {covers} }}\n"
+
+
+def test_poset_and_segment_limits_are_inclusive(monkeypatch):
+    def antichain(n):
+        return f"poset A {{ elements: {' '.join(f'e{i}' for i in range(n))}; }}\n"
+
+    assert errors(antichain(MAX_POSET_ELEMENTS)) == []
+    assert errors(antichain(MAX_POSET_ELEMENTS + 1)) == [
+        f"1:1: poset A: {MAX_POSET_ELEMENTS + 1} elements, over the limit of {MAX_POSET_ELEMENTS}"
+    ]
+    assert errors(boolean_lattice(8)) == []  # 256 elements, 6,561 segments
+    # a 200-element chain has 20,100 segments, refused before one is listed
+    assert errors(chain("P", 200) + "coalgebra C = full(P)\n") == [
+        "2:1: coalgebra C: full(P) has 20100 segments, over the limit of 20000"
+    ]
+    # the 3-element chain has 6 segments
+    monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 6)
+    assert errors(chain("P", 3) + "coalgebra C = full(P)\n") == []
+    monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 5)
+    assert "full(P) has 6 segments, over the limit of 5" in errors(chain("P", 3) + "coalgebra C = full(P)\n")[0]
+    part = chain("P", 3) + "coalgebra C = segments(P) { [0,0]; [1,1]; [0,1]; }\n"
+    monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 3)
+    assert errors(part) == []
+    monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", 2)
+    assert errors(part) == ["2:1: coalgebra C: segments(P) has 3 segments, over the limit of 2"]
+
+
+def test_tensor_limits_are_inclusive(tmp_path, capsys, monkeypatch):
+    # chains of 3 and 2 elements: 6 product elements; the sums of their
+    # interval sizes are 3 + 2 * 2 + 3 = 10 and 2 + 2 = 4, so 40 terms
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(chain("X", 3) + chain("Y", 2))
+    argv = ["tensor", "--input", str(doc), "--targets", "X,Y"]
+    monkeypatch.setattr(qcf.cli, "MAX_TENSOR_ELEMENTS", 6)
+    monkeypatch.setattr(qcf.cli, "MAX_TENSOR_TERMS", 40)
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["results"]["ok"] and report["results"]["checked_segments"] == 6 * 3
+    monkeypatch.setattr(qcf.cli, "MAX_TENSOR_TERMS", 39)
+    assert main(argv) == 2
+    assert "the product of X and Y has 40 comultiplication terms, over the limit of 39" in capsys.readouterr().err
+    monkeypatch.setattr(qcf.cli, "MAX_TENSOR_ELEMENTS", 5)
+    assert main(argv) == 2
+    assert "the product of X and Y has 6 elements, over the limit of 5" in capsys.readouterr().err
+
+
+def test_oversized_tensor_exits_2_at_once(tmp_path):
+    # two 30-element chains: 900 product elements, but 4,960^2 comultiplication
+    # terms, which took the check over 100 s
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(chain("A", 30) + chain("B", 30))
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", "tensor", "--input", str(doc), "--targets", "A,B"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert time.monotonic() - start < 5.0
+    assert proc.returncode == 2
+    assert f"has 24601600 comultiplication terms, over the limit of {MAX_TENSOR_TERMS}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
 
 def test_hopf_verify_of_dimension_200_runs_in_seconds(tmp_path):
     # associativity over 2 certified generators visits 80,000 triples, not 8,000,000
