@@ -113,12 +113,10 @@ class Poset:
         return [elements[k] for k in _bits(self._interval_mask(x, y))]
 
     def segment_count(self) -> int:
-        """How many segments (x, y) with x <= y there are."""
         return sum(row.bit_count() for row in self._up)
 
     def interval_size_sum(self) -> int:
-        """The sum of |[x, y]| over the segments (x, y): how many terms the
-        full incidence coalgebra's comultiplication has."""
+        """The number of terms of the full incidence comultiplication."""
         down = self._down
         return sum((row & down[j]).bit_count() for row in self._up for j in _bits(row))
 
@@ -470,7 +468,7 @@ def tensor_iso_check(x_poset: Poset, y_poset: Poset) -> TensorIsoResult:
         (a, b), (c, d) = seg
         return ((a, c), (b, d))
 
-    checked = 0
+    checked, failure = 0, None
     for seg in cp.basis_list:
         sx, sy = iso(seg)
         # both sides labelled ((x-segment, x-segment), (y-segment, y-segment))
@@ -478,22 +476,16 @@ def tensor_iso_check(x_poset: Poset, y_poset: Poset) -> TensorIsoResult:
             cp.comul(seg),
             lambda pair: LinComb.basis(tuple(zip(iso(pair[0]), iso(pair[1])))),
         )
-        rhs = pair_tensor(cx.comul(sx), cy.comul(sy))
-        if lhs != rhs:
-            return TensorIsoResult(
-                ok=False,
-                product_elements=len(prod.elements),
-                checked_segments=checked,
-                failure=f"comultiplication mismatch at {seg!r}",
-            )
-        if not (cp.counit(seg) - cx.counit(sx) * cy.counit(sy)).is_zero():
-            return TensorIsoResult(
-                ok=False,
-                product_elements=len(prod.elements),
-                checked_segments=checked,
-                failure=f"counit mismatch at {seg!r}",
-            )
+        if lhs != pair_tensor(cx.comul(sx), cy.comul(sy)):
+            failure = f"comultiplication mismatch at {seg!r}"
+        elif not (cp.counit(seg) - cx.counit(sx) * cy.counit(sy)).is_zero():
+            failure = f"counit mismatch at {seg!r}"
+        if failure is not None:
+            break
         checked += 1
     return TensorIsoResult(
-        ok=True, product_elements=len(prod.elements), checked_segments=checked
+        ok=failure is None,
+        product_elements=len(prod.elements),
+        checked_segments=checked,
+        failure=failure,
     )

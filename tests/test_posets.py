@@ -283,6 +283,26 @@ def test_tensor_iso_check_comultiplies_each_segment_once(monkeypatch):
     assert calls == 300  # one comultiplication per segment in each of the three coalgebras
 
 
+def test_tensor_iso_check_reports_the_first_mismatch(monkeypatch, chain3):
+    # broken on the product's segments only, whose ends are pairs
+    two = Poset.from_covers(["0", "1"], [("0", "1")])
+    comul, counit = IncidenceSubcoalgebra.comul, IncidenceSubcoalgebra.counit
+    monkeypatch.setattr(
+        IncidenceSubcoalgebra, "comul",
+        lambda self, seg: LinComb() if isinstance(seg[0], tuple) and seg[0] != seg[1] else comul(self, seg),
+    )
+    r = tensor_iso_check(chain3, two)
+    assert (r.ok, r.product_elements, r.checked_segments) == (False, 6, 6)  # the vertices pass
+    assert r.failure.startswith("comultiplication mismatch at ")
+    monkeypatch.setattr(
+        IncidenceSubcoalgebra, "counit",
+        lambda self, seg: Cyc.zero() if isinstance(seg[0], tuple) else counit(self, seg),
+    )
+    r = tensor_iso_check(chain3, two)
+    assert (r.ok, r.checked_segments) == (False, 0)
+    assert r.failure == "counit mismatch at (('0', '0'), ('0', '0'))"
+
+
 def test_tensor_iso_check_random_pairs():
     rng = random.Random(99)
     done = 0
