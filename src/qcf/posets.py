@@ -34,46 +34,30 @@ class Poset:
     element indices: `_up[i]` holds every j with i <= j, `_down[i]` every j
     with j <= i."""
 
-    def __init__(self, elements, leq_pairs):
-        """leq_pairs: iterable of (a, b) meaning a <= b; reflexivity is added."""
+    def __init__(self, elements, up):
+        """up: the `_up` masks of a reflexive, transitive relation; it must be antisymmetric."""
         self.elements = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
             raise PosetError("duplicate element")
         self._index = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        up = [1 << i for i in range(n)]
-        for a, b in leq_pairs:
-            up[self._idx(a)] |= 1 << self._idx(b)
-        down = [1 << j for j in range(n)]
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
         self._up = up
+        down = [0] * len(up)
+        # the first failing (i, j) in row-major order, as the full matrix scan found it
+        for i, row in enumerate(up):
+            bit = 1 << i
+            for j in _bits(row):
+                if up[j] & bit and i != j:
+                    raise PosetError(
+                        f"antisymmetry fails between {self.elements[i]!r} and {self.elements[j]!r}"
+                    )
+                down[j] |= bit
         self._down = down
-        self._validate()
 
     def _idx(self, e) -> int:
         try:
             return self._index[e]
         except KeyError:
             raise PosetError(f"unknown element {e!r}") from None
-
-    def _validate(self) -> None:
-        # the first failing (i, j) in row-major order, as the full matrix scan found it
-        up = self._up
-        for i in range(len(self.elements)):
-            for j in _bits(up[i]):
-                if i != j and up[j] >> i & 1:
-                    raise PosetError(
-                        f"antisymmetry fails between {self.elements[i]!r} and {self.elements[j]!r}"
-                    )
-                missing = up[j] & ~up[i]
-                if missing:
-                    k = next(_bits(missing))
-                    raise PosetError(
-                        f"transitivity fails at ({self.elements[i]!r}, "
-                        f"{self.elements[j]!r}, {self.elements[k]!r})"
-                    )
 
     @staticmethod
     def from_covers(elements, covers) -> "Poset":
@@ -82,7 +66,7 @@ class Poset:
         elements = tuple(elements)
         index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
-        reach = [0] * n
+        reach = [1 << i for i in range(n)]
         for a, b in covers:
             if a not in index or b not in index:
                 raise PosetError(f"cover ({a!r}, {b!r}) uses an unknown element")
@@ -94,9 +78,7 @@ class Poset:
             for i in range(n):
                 if reach[i] & bit:
                     reach[i] |= rk
-        return Poset(
-            elements, ((elements[i], elements[j]) for i in range(n) for j in _bits(reach[i]))
-        )
+        return Poset(elements, reach)
 
     def leq(self, a, b) -> bool:
         return bool(self._up[self._idx(a)] >> self._idx(b) & 1)
@@ -145,15 +127,10 @@ class Poset:
         return all(row == 1 << i for i, row in enumerate(self._up))
 
     def product(self, other: "Poset") -> "Poset":
-        """Componentwise order on pairs."""
-        elements = [(a, b) for a in self.elements for b in other.elements]
-        pairs = [
-            ((a, b), (c, d))
-            for (a, b) in elements
-            for (c, d) in elements
-            if self.leq(a, c) and other.leq(b, d)
-        ]
-        return Poset(elements, pairs)
+        """Componentwise order on pairs; (a_i, b_j) has index i |other| + j."""
+        width = len(other.elements)
+        up = [sum(y << k * width for k in _bits(x)) for x in self._up for y in other._up]
+        return Poset([(a, b) for a in self.elements for b in other.elements], up)
 
 
 def _segment_sort_key(poset: Poset, seg: Segment):

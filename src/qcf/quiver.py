@@ -365,19 +365,19 @@ def build_family(fam: WindowedFamily) -> PathSubcoalgebra:
 def direct_sum(parts: list):
     """Disjoint union of path summands, or of incidence summands, on renamed
     copies: summand i's vertices, arrows and poset elements get the prefix
-    's{i}.'. An incidence sum's order is generated by the summands' covers."""
+    's{i}.'. An incidence sum's order is the summands' orders side by side."""
     if not all(isinstance(part, PathSubcoalgebra) for part in parts):
         from .posets import IncidenceSubcoalgebra, Poset  # posets imports this module
 
         if not all(isinstance(part, IncidenceSubcoalgebra) for part in parts):
             raise QuiverError("cannot mix incidence and path summands")
-        elements, covers, segments = [], [], []
+        elements, up, segments = [], [], []
         for i, part in enumerate(parts):
-            pref = f"s{i}."
+            pref, shift = f"s{i}.", len(elements)
             elements.extend(f"{pref}{x}" for x in part.poset.elements)
-            covers.extend((f"{pref}{a}", f"{pref}{b}") for a, b in part.poset.covers())
+            up.extend(row << shift for row in part.poset._up)
             segments.extend((f"{pref}{a}", f"{pref}{b}") for a, b in part.basis_list)
-        return IncidenceSubcoalgebra(Poset.from_covers(elements, covers), segments)
+        return IncidenceSubcoalgebra(Poset(elements, up), segments)
     vertices, arrows, basis = [], [], []
     for i, part in enumerate(parts):
         pref, q = f"s{i}.", part.quiver

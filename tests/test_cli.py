@@ -207,6 +207,29 @@ def test_validation_violations_are_data_for_validate(tmp_path, capsys):
     assert len(entry["violations"]) == 2  # both endpoints missing
 
 
+def test_full_incidence_coalgebras_resolve_without_validation(tmp_path, capsys, monkeypatch):
+    # full(P) is closed under subintervals by construction; its entries
+    # read as in the golden report of the document that declares them
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(
+        "poset  P { elements: 0 1 2; covers: 0 < 1; 1 < 2; }\n"
+        "poset Vee { elements: 0 1 2; covers: 0 < 1; 0 < 2; }\n"
+        "poset Wedge { elements: 0 1 2; covers: 1 < 0; 2 < 0; }\n"
+        "coalgebra Chain = full(P)\n"
+        "coalgebra VeeFull = full(Vee)\n"
+        "coalgebra WedgeFull = full(Wedge)\n"
+    )
+
+    def refuse(self):
+        raise AssertionError("validate called")
+
+    monkeypatch.setattr(qcf.cli.IncidenceSubcoalgebra, "validate", refuse)
+    code, report = run_cli(capsys, "validate", "--input", doc)
+    assert code == 0
+    golden = json.loads((GOLDEN / "validate.json").read_text())["results"]
+    assert report["results"] == {name: golden[name] for name in ("Chain", "VeeFull", "WedgeFull")}
+
+
 def test_invalid_coalgebra_blocks_analysis(tmp_path, capsys):
     doc = tmp_path / "doc.qcf"
     doc.write_text(
@@ -337,9 +360,11 @@ LONG_INT = "1" * 5000
         # an empty table covers the reversed window [1,0] as list(range(1, 1))
         ("coalgebra W = family(Ainf, window=[1,0], r={})",
          "1:1: coalgebra W: reach table must cover the window"),
+        ("poset P { elements: x y z; covers: x < y; y < z; z < x; }",
+         "1:1: poset P: antisymmetry fails between 'x' and 'y'"),
     ],
     ids=["superscript-digit", "long-n", "long-denominator", "repeated-reach-key",
-         "repeated-hn-argument", "unknown-hn-argument", "reversed-window"],
+         "repeated-hn-argument", "unknown-hn-argument", "reversed-window", "cyclic-covers"],
 )
 def test_malformed_input_exits_2_with_a_positioned_message(text, message, tmp_path, capsys):
     doc = tmp_path / "doc.qcf"

@@ -197,7 +197,7 @@ def test_form_with_partial_zero_alpha_still_balanced():
 
 
 def test_incidence_params_antichain():
-    poset = Poset(["p", "q", "r"], [])
+    poset = Poset.from_covers(["p", "q", "r"], [])
     coalg = full_incidence_coalgebra(poset)
     params = incidence_form_params(coalg)
     assert params.size == 3

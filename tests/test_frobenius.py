@@ -119,7 +119,7 @@ def test_extension_condition_agrees_on_small_examples():
 
 
 def test_extension_condition_incidence_examples():
-    antichain = full_incidence_coalgebra(Poset(["p", "q"], []))
+    antichain = full_incidence_coalgebra(Poset.from_covers(["p", "q"], []))
     assert check_condition_d_incidence(antichain, incidence_form_params(antichain)).ok
 
     chain = full_incidence_coalgebra(

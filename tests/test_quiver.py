@@ -200,6 +200,26 @@ def test_direct_sum_of_incidence_summands_orders_each_copy_by_its_covers():
     assert total.dimension == 12 and total.validate() == []
 
 
+def test_incidence_sum_order_is_the_closure_of_the_prefixed_covers():
+    rng = random.Random(0)
+    for _ in range(60):
+        parts = [random_incidence_subcoalgebra(rng, max_elements=6, max_basis=15)
+                 for _ in range(rng.randint(1, 3))]
+        parts.append(direct_sum(parts))  # a sum taken as a summand
+        rng.shuffle(parts)
+        elements, covers = [], []
+        for i, part in enumerate(parts):
+            pref = f"s{i}."
+            elements.extend(pref + x for x in part.poset.elements)
+            covers.extend((pref + a, pref + b) for a, b in part.poset.covers())
+        expected = Poset.from_covers(elements, covers)
+        poset = direct_sum(parts).poset
+        assert poset.elements == expected.elements
+        assert poset._up == expected._up
+        assert poset.covers() == expected.covers()
+        assert poset.all_segments() == expected.all_segments()
+
+
 def test_direct_sum_refuses_mixed_summands():
     point = full_path_coalgebra(Quiver(["p"], []))
     chain = full_incidence_coalgebra(Poset.from_covers("xy", [("x", "y")]))
