@@ -212,7 +212,7 @@ def test_full_incidence_coalgebras_resolve_without_validation(tmp_path, capsys, 
     # read as in the golden report of the document that declares them
     doc = tmp_path / "doc.qcf"
     doc.write_text(
-        "poset  P { elements: 0 1 2; covers: 0 < 1; 1 < 2; }\n"
+        "poset P { elements: 0 1 2; covers: 0 < 1; 1 < 2; }\n"
         "poset Vee { elements: 0 1 2; covers: 0 < 1; 0 < 2; }\n"
         "poset Wedge { elements: 0 1 2; covers: 1 < 0; 2 < 0; }\n"
         "coalgebra Chain = full(P)\n"
