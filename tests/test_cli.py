@@ -153,13 +153,17 @@ GOLDEN_COMMANDS = [
 SUMS_COMMANDS = ["validate", "forms", "frobenius", "classify", "embed"]
 # windows.qcf pins the line-family windows: golden windows-<command>.json
 WINDOWS_COMMANDS = ["validate", "frobenius", "classify"]
+# pentagon.qcf pins embed's image order where saturated chains differ in
+# length: golden pentagon-embed.json
+PENTAGON_COMMANDS = ["embed"]
 
 
 @pytest.mark.parametrize(
     "document, command",
     [pytest.param("doc", c, id=c) for c in GOLDEN_COMMANDS]
     + [pytest.param("sums", c, id=f"sums-{c}") for c in SUMS_COMMANDS]
-    + [pytest.param("windows", c, id=f"windows-{c}") for c in WINDOWS_COMMANDS],
+    + [pytest.param("windows", c, id=f"windows-{c}") for c in WINDOWS_COMMANDS]
+    + [pytest.param("pentagon", c, id=f"pentagon-{c}") for c in PENTAGON_COMMANDS],
 )
 def test_report_matches_golden(document, command, tmp_path, capsys):
     # both sinks, the --output file and standard output, give the golden bytes
