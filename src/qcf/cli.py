@@ -715,10 +715,7 @@ def cmd_embed(res: Resolved, flags) -> dict:
             "image_dimension": r.image_dimension,
             "single_path_image": r.single_path_image,
             "failure": r.failure,
-            "images": {
-                segment_str(seg): sorted(v.labels(), key=lambda p: (len(p.arrows), p.source, p.arrows))
-                for seg, v in r.phi.items()
-            },
+            "images": {segment_str(seg): paths for seg, paths in r.images.items()},
         }
     if not results:
         raise InputError("embed needs at least one incidence coalgebra declaration")

@@ -7,6 +7,8 @@ subcoalgebra basis must be closed under subintervals.
 
 from __future__ import annotations
 
+from itertools import count
+
 from ._record import record
 from .lincomb import LinComb, linear, map_linear, pair_tensor
 from .linalg import sparse_int_rank
@@ -219,12 +221,18 @@ class EmbeddingResult:
     """The sum-over-paths map into the Hasse path coalgebra, with its verification."""
 
     quiver: Quiver
-    phi: dict[Segment, LinComb]  # values are combinations of Hasse paths
+    images: dict[Segment, list[Path]]  # per segment its Hasse paths, in report order
     morphism_ok: bool
     injective: bool
     image_dimension: int
     single_path_image: bool  # true iff every segment maps to one path
     failure: str | None = None
+
+    @property
+    def phi(self) -> dict[Segment, LinComb]:
+        """The map itself: per segment the sum of its image paths."""
+        one = Cyc.one()
+        return {seg: linear((p, one) for p in paths) for seg, paths in self.images.items()}
 
 
 def _source_regions(coalg: IncidenceSubcoalgebra) -> dict[int, tuple[int, int]]:
@@ -261,32 +269,53 @@ def hasse_path_count(coalg: IncidenceSubcoalgebra) -> int:
     return total
 
 
-def _image_paths(
+def _walk_images(
     coalg: IncidenceSubcoalgebra, quiver: Quiver, names: dict
-) -> dict[Segment, list[Path]]:
-    """Every Hasse path between the ends of each basis segment, in the
-    depth-first order of the quiver's arrows: one walk per lower end, kept
-    inside its region of `_source_regions`."""
+) -> tuple[dict[Segment, list[Path]], tuple[dict, dict]]:
+    """Every Hasse path between the ends of each basis segment, numbered as
+    it is found: one depth-first walk per lower end, kept inside its region
+    of `_source_regions`, that takes each vertex's out-arrows in name order
+    and so meets the paths to one upper end in the order of their arrow
+    tuples. A stable sort by length puts them in report order, (length,
+    source, arrows), with one source per segment.
+
+    Returns per segment its paths in that order, and the numbering
+    `_morphism_failure` reads, keyed as `_number_paths` keys it: ({key:
+    id}, per segment its row {id: 1}), the ids handed out in report order."""
     elements = coalg.poset.elements
     vertex = [names[e] for e in elements]
     at = {v: i for i, v in enumerate(vertex)}
-    # reversed, so that popping the stack takes the arrows in order
-    steps = [[(at[quiver.target(a)], a) for a in reversed(quiver.out_arrows(v))] for v in vertex]
-    paths: dict[Segment, list[Path]] = {}
+    # reversed, so that popping the stack takes the arrows in name order
+    steps = [
+        [(at[quiver.target(a)], a) for a in sorted(quiver.out_arrows(v), reverse=True)]
+        for v in vertex
+    ]
+    images: dict[Segment, list[Path]] = {}
+    index: dict = {}
+    rows: dict[Segment, dict[int, int]] = {}
     for i, (tops, region) in _source_regions(coalg).items():
         start = vertex[i]
-        found: dict[int, list[Path]] = {j: [] for j in _bits(tops)}
+        found: dict[int, list[tuple]] = {j: [] for j in _bits(tops)}
         stack = [(i, ())]
         while stack:
             v, seq = stack.pop()
             if tops >> v & 1:
-                found[v].append(Path(start, vertex[v], seq))
+                found[v].append(seq)
             for w, a in steps[v]:
                 if region >> w & 1:
                     stack.append((w, seq + (a,)))
-        for j, found_paths in found.items():
-            paths[(elements[i], elements[j])] = found_paths
-    return paths
+        for j, seqs in found.items():
+            seqs.sort(key=len)
+            seg = (elements[i], elements[j])
+            end = vertex[j]
+            images[seg] = [Path(start, end, seq) for seq in seqs]
+            first = len(index)
+            if j == i:  # the vertex path alone, keyed by its source
+                index[start] = first
+            else:
+                index.update(zip(seqs, count(first)))
+            rows[seg] = dict.fromkeys(range(first, len(index)), 1)
+    return images, (index, rows)
 
 
 def _rational(c: Cyc):
@@ -323,9 +352,9 @@ def _morphism_failure(
     is returned, and images that share a path raise ValueError: `embed`'s
     never do, since distinct segments have distinct endpoints.
 
-    The check reads only path ids: the rows and keys of `_number_paths`
-    (its result may be passed in as `numbering`, and is neither copied nor
-    changed). Two links per id a, `init[a]` and `tail[a]`, give the ids of a
+    The check reads only path ids: the rows and keys of `_number_paths`,
+    or a numbering keyed and shaped as it is (passed in as `numbering`, when
+    phi is not read and may be None; it is neither copied nor changed). Two links per id a, `init[a]` and `tail[a]`, give the ids of a
     without its last and without its first arrow, or -2 when that part is no
     image path; a vertex's id has -1 in both, so walking them lists every
     prefix and every suffix of a and stops at -1. Each id a lies in one row,
@@ -403,21 +432,17 @@ def embed(coalg: IncidenceSubcoalgebra) -> EmbeddingResult:
     """Map every basis segment to the sum of all Hasse-quiver paths between
     its endpoints, then verify the map is a coalgebra morphism and injective."""
     quiver, names = _hasse_with_names(coalg.poset)
-    paths = _image_paths(coalg, quiver, names)
-    one = Cyc.one()
-    phi: dict[Segment, LinComb] = {
-        seg: linear((p, one) for p in paths.pop(seg)) for seg in coalg.basis_list
-    }
-    numbering = _number_paths(phi)
-    failure = _morphism_failure(coalg, quiver, phi, numbering)
+    paths, numbering = _walk_images(coalg, quiver, names)
+    images = {seg: paths[seg] for seg in coalg.basis_list}
+    failure = _morphism_failure(coalg, quiver, None, numbering)
     rank = sparse_int_rank([numbering[1][seg] for seg in coalg.basis_list])
     return EmbeddingResult(
         quiver=quiver,
-        phi=phi,
+        images=images,
         morphism_ok=failure is None,
         injective=rank == coalg.dimension,
         image_dimension=rank,
-        single_path_image=all(v.support_size() == 1 for v in phi.values()),
+        single_path_image=all(len(v) == 1 for v in images.values()),
         failure=failure,
     )
 

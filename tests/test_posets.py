@@ -10,8 +10,10 @@ from qcf.posets import (
     IncidenceSubcoalgebra,
     Poset,
     PosetError,
+    _hasse_with_names,
     _morphism_failure,
     _number_paths,
+    _walk_images,
     embed,
     full_incidence_coalgebra,
     hasse_path_count,
@@ -459,7 +461,8 @@ def test_morphism_check_leaves_phi_and_numbering_unchanged():
 
 def test_path_numbering_keeps_its_ids():
     # the ids of a numbering keyed by (source, arrows), handed out in order
-    # of first appearance, so the rank reads the same rows
+    # of first appearance: the morphism check reads the same rows when it
+    # numbers phi itself
     def reference(phi):
         index = {}
         return {
@@ -495,3 +498,136 @@ def test_morphism_check_makes_no_comultiplication(monkeypatch):
             if kind not in SHARED:
                 verdicts[_morphism_failure(coalg, result.quiver, bad) is None] += 1
     assert verdicts[False] > 50
+
+
+def _pentagon():
+    # N5 with names against the cover order: the chain e < b < c < a of
+    # length 3 comes first by name, the chain e < d < a of length 2 by length
+    return Poset.from_covers("edcba", [("e", "b"), ("b", "c"), ("c", "a"), ("e", "d"), ("d", "a")])
+
+
+def _walk_cases(rng, count):
+    yield full_incidence_coalgebra(_pentagon())
+    yield full_incidence_coalgebra(_pentagon().product(_pentagon()))
+    yield full_incidence_coalgebra(_boolean_lattice3())
+    for _ in range(count):
+        yield random_incidence_subcoalgebra(rng, max_elements=7)
+
+
+def _report_order(paths):
+    return sorted(paths, key=lambda p: (len(p.arrows), p.source, p.arrows))
+
+
+def test_walk_gives_the_images_in_report_order():
+    rng = random.Random(37)
+    mixed = Counter()
+    for coalg in _walk_cases(rng, 40):
+        result = embed(coalg)
+        names = _hasse_with_names(coalg.poset)[1]
+        assert list(result.images) == list(coalg.basis_list)
+        for (lo, hi), paths in result.images.items():
+            assert paths == _report_order(paths)
+            assert {(p.source, p.target) for p in paths} == {(names[lo], names[hi])}
+            if len({p.length for p in paths}) > 1:
+                mixed["lengths"] += 1
+                mixed["name order differs"] += sorted(paths, key=lambda p: p.arrows) != paths
+        one = Cyc.one()
+        assert result.phi == {
+            seg: linear((p, one) for p in paths) for seg, paths in result.images.items()
+        }
+    # segments whose saturated chains differ in length, in some of which
+    # sorting by arrow names alone would give another order
+    assert mixed["lengths"] > 20
+    assert mixed["name order differs"] > 10
+
+
+def test_pentagon_images_put_the_shorter_chain_first():
+    result = embed(full_incidence_coalgebra(_pentagon()))
+    assert [p.arrows for p in result.images[("e", "a")]] == [
+        ("e<d", "d<a"),
+        ("e<b", "b<c", "c<a"),
+    ]
+    assert not result.single_path_image and result.morphism_ok and result.injective
+
+
+def test_walk_numbers_the_paths_as_number_paths_keys_them():
+    # the walk's numbering names the same paths per segment as numbering
+    # phi does, and the morphism check gives one verdict on either
+    rng = random.Random(41)
+    for coalg in _walk_cases(rng, 30):
+        quiver, names = _hasse_with_names(coalg.poset)
+        images, (index, rows) = _walk_images(coalg, quiver, names)
+        ref_index, ref_rows = _number_paths(embed(coalg).phi)
+        assert sorted(index.values()) == list(range(len(index)))
+        assert index.keys() == ref_index.keys()
+        key = {a: k for k, a in index.items()}
+        ref_key = {a: k for k, a in ref_index.items()}
+        assert rows.keys() == ref_rows.keys() == images.keys()
+        for seg, row in rows.items():
+            # ids in report order, one per image path, all with coefficient 1
+            assert [key[a] for a in row] == [p.arrows or p.source for p in images[seg]]
+            assert set(row.values()) == {1}
+            assert {key[a] for a in row} == {ref_key[a] for a in ref_rows[seg]}
+        assert _morphism_failure(coalg, quiver, None, (index, rows)) == _morphism_failure(
+            coalg, quiver, None, (ref_index, ref_rows)
+        )
+
+
+def test_walk_verdicts_match_on_shifted_rows():
+    # a corrupted numbering, a path's coefficient doubled, fails the same
+    # segment whether the walk or _number_paths handed out the ids
+    rng = random.Random(43)
+    checked = 0
+    for coalg in _walk_cases(rng, 20):
+        quiver, names = _hasse_with_names(coalg.poset)
+        _, (index, rows) = _walk_images(coalg, quiver, names)
+        phi = embed(coalg).phi
+        seg = rng.choice(coalg.basis_list)
+        path = rng.choice(sorted(phi[seg].labels()))
+        bad_phi = {**phi, seg: LinComb({**dict(phi[seg].items()), path: Cyc.rational(2)})}
+        bad_rows = {**rows, seg: {**rows[seg], index[path.arrows or path.source]: 2}}
+        failure = _morphism_failure(coalg, quiver, None, (index, bad_rows))
+        assert failure == _morphism_failure(coalg, quiver, bad_phi)
+        checked += failure is not None
+    assert checked > 10
+
+
+def test_embed_builds_no_lincomb_and_numbers_no_phi():
+    # a traced count: while embed runs, no function of qcf.lincomb is
+    # called and _number_paths is not, but the morphism check and the rank
+    # run once each
+    import sys
+
+    import qcf.lincomb
+    import qcf.posets
+
+    lincomb_file = qcf.lincomb.__file__
+    watched = {
+        qcf.posets._number_paths.__code__: "_number_paths",
+        qcf.posets._morphism_failure.__code__: "_morphism_failure",
+        qcf.posets.sparse_int_rank.__code__: "sparse_int_rank",
+    }
+    rng = random.Random(47)
+    for coalg in _walk_cases(rng, 10):
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                if code.co_filename == lincomb_file:
+                    calls["lincomb"] += 1
+                elif code in watched:
+                    calls[watched[code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = embed(coalg)
+        finally:
+            sys.setprofile(None)
+        assert calls == {"_morphism_failure": 1, "sparse_int_rank": 1}
+        sys.setprofile(profile)
+        try:
+            result.phi  # the property builds the LinCombs when asked
+        finally:
+            sys.setprofile(None)
+        assert calls["lincomb"] >= len(coalg.basis_list)
