@@ -68,6 +68,9 @@ COMMANDS = (
 # builds the product poset from the factors' masks (0.1 s for two
 # 32-element chains) and compares both comultiplications on every product
 # segment: T_X T_Y terms in all, T the sum of a factor's interval sizes.
+# A sum(...) holds at most MAX_SUM_FAMILIES line families, whatever their
+# dimensions: each is reported on its own, 0.9 MB of frobenius report for
+# 1,024 families of dimension 1.
 MAX_HOPF_DIMENSION = 512
 MAX_FAMILY_DIMENSION = 20_000
 MAX_FAMILY_ARROWS = 2_000_000
@@ -75,6 +78,7 @@ MAX_EMBED_PATHS = 1_000_000
 MAX_POSET_ELEMENTS = 512
 MAX_TENSOR_ELEMENTS = 1_024
 MAX_TENSOR_TERMS = 200_000
+MAX_SUM_FAMILIES = 1_024
 # The lcm of the orders of the roots of unity declared for q, chi and alpha
 # in hn(...); a character value has an order dividing the group order.
 MAX_CONDUCTOR = 1024
@@ -343,14 +347,21 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
         if incidence_parts and (len(incidence_parts) < len(finite_parts) or families):
             fail(d.pos, f"coalgebra {d.name}: cannot mix incidence and path summands")
             return None
+        if len(families) > MAX_SUM_FAMILIES:
+            fail(d.pos, f"coalgebra {d.name}: its summands hold {len(families)} line families, "
+                 f"over the limit of {MAX_SUM_FAMILIES}")
+            return None
         dimension = _summed_dimension(finite_parts, families)
         if dimension > MAX_FAMILY_DIMENSION:
             fail(d.pos, f"coalgebra {d.name}: its summands have dimension {dimension} in all, "
                  f"over the limit of {MAX_FAMILY_DIMENSION}")
             return None
         finite = direct_sum(finite_parts) if finite_parts else None
-        violations = tuple(finite.validate()) if finite is not None else ()
-        return CoalgValue(finite, tuple(families), violations)
+        # a sum is valid exactly when its summands are: a subpath or a
+        # subinterval of a summand's renamed copy lies in that copy
+        if any(coalgebras[name].violations for name in e.items):
+            return CoalgValue(finite, tuple(families), tuple(finite.validate()))
+        return CoalgValue(finite, tuple(families))
     raise AssertionError(e.kind)
 
 

@@ -264,6 +264,77 @@ def test_sum_of_invalid_path_coalgebras_is_invalid(tmp_path, capsys):
     ]
 
 
+def test_sums_of_valid_summands_resolve_without_validation(tmp_path, capsys, monkeypatch):
+    # a sum is valid exactly when its summands are, so a sum of valid
+    # summands is never validated itself; the report is the golden one
+    real_sum = qcf.cli.direct_sum
+
+    def unvalidated(parts):
+        coalg = real_sum(parts)
+
+        def refuse():
+            raise AssertionError("the sum was validated")
+
+        coalg.validate = refuse
+        return coalg
+
+    monkeypatch.setattr(qcf.cli, "direct_sum", unvalidated)
+    code, report = run_cli(capsys, "validate", "--input", GOLDEN / "sums.qcf")
+    assert code == 0
+    assert report == json.loads((GOLDEN / "sums-validate.json").read_text())
+
+
+def test_sum_with_an_invalid_summand_reports_the_sums_violations(tmp_path, capsys):
+    # the summand Part misses [1,1]: the sum is validated, and its
+    # violations are those of the renamed copies side by side
+    text = (
+        "quiver Q { vertices: u v; arrows: a: u -> v; }\n"
+        "poset P { elements: 0 1 2; covers: 0 < 1; 1 < 2; }\n"
+        "coalgebra Hand = basis(Q) { u; v; a; }\n"
+        "coalgebra C = basis(Q) { a; }\n"
+        "coalgebra Chain = full(P)\n"
+        "coalgebra Part = segments(P) { [0,0]; [0,1]; }\n"
+        "coalgebra PathSum = sum(Hand, C)\n"
+        "coalgebra IncidenceSum = sum(Chain, Part)\n"
+    )
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(text)
+    code, report = run_cli(capsys, "validate", "--input", doc)
+    assert code == 0
+    coalgebras = resolve(dsl.parse(text)[0])[0].coalgebras
+    for name, parts in [("PathSum", ["Hand", "C"]), ("IncidenceSum", ["Chain", "Part"])]:
+        expected = qcf.cli.direct_sum([coalgebras[p].finite for p in parts]).validate()
+        entry = report["results"][name]
+        assert entry["ok"] is False
+        assert entry["violations"] == list(expected) != []
+    assert report["results"]["IncidenceSum"]["violations"] == [
+        "segment ('s1.1', 's1.1') lies inside ('s1.0', 's1.1') but is missing"
+    ]
+
+
+def test_sums_of_more_line_families_than_the_limit_exit_2(tmp_path):
+    # each line doubles the number of line families: 1,024 for S10, the
+    # limit, and 2,048 for S11, refused before it is built
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(
+        "coalgebra S0 = family(Ainf, window=[0,0], r={0:1})\n"
+        + "".join(f"coalgebra S{k} = sum(S{k - 1}, S{k - 1})\n" for k in range(1, 14))
+    )
+    assert qcf.cli.MAX_SUM_FAMILIES == 1024
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf.cli", "frobenius", "--input", str(doc)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[0] == (
+        f"{doc}:12:1: coalgebra S11: its summands hold 2048 line families, "
+        "over the limit of 1024"
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_oversize_input_rejected(tmp_path, capsys):
     doc = tmp_path / "doc.qcf"
     doc.write_text("coalgebra K = family(Cn, n=21, s=1)")
@@ -546,6 +617,13 @@ def test_size_limits_are_inclusive(monkeypatch):
     assert errors(parts + "coalgebra S = sum(K, W)") == []
     assert errors(parts + "coalgebra S = sum(K, W, K)") == [
         "3:1: coalgebra S: its summands have dimension 13 in all, over the limit of 9"
+    ]
+    # the line families of a sum are counted whatever their dimensions
+    monkeypatch.setattr(qcf.cli, "MAX_FAMILY_DIMENSION", MAX_FAMILY_DIMENSION)
+    monkeypatch.setattr(qcf.cli, "MAX_SUM_FAMILIES", 2)
+    assert errors(parts + "coalgebra S = sum(W, K, W)") == []
+    assert errors(parts + "coalgebra S = sum(W, W, W)") == [
+        "3:1: coalgebra S: its summands hold 3 line families, over the limit of 2"
     ]
     # q of order 2 and alpha of order 1024: conductor lcm(2, 1024) = 1024
     at_limit = "hopf H = hn(s=1, q=root(2,1), group=cyclic(2), alpha=root(1024,1))"
