@@ -353,12 +353,13 @@ def _morphism_failure(
     never do, since distinct segments have distinct endpoints.
 
     The check reads only path ids: the rows and keys of `_number_paths`,
-    or a numbering keyed and shaped as it is (passed in as `numbering`, when
-    phi is not read and may be None; it is neither copied nor changed). Two links per id a, `init[a]` and `tail[a]`, give the ids of a
-    without its last and without its first arrow, or -2 when that part is no
-    image path; a vertex's id has -1 in both, so walking them lists every
-    prefix and every suffix of a and stops at -1. Each id a lies in one row,
-    of the segment home[a], with the coefficient coef[a]."""
+    or a numbering keyed and shaped as they are, passed in as `numbering`
+    (phi is then not read and may be None; the numbering is neither copied
+    nor changed). Two links per id a, `init[a]` and `tail[a]`, give the ids
+    of a without its last and without its first arrow, or -2 when that part
+    is no image path; a vertex's id has -1 in both, so walking them lists
+    every prefix and every suffix of a and stops at -1. Each id a lies in
+    one row, of the segment home[a], with the coefficient coef[a]."""
     index, rows = numbering if numbering is not None else _number_paths(phi)
     number, source, target, n = index.get, quiver.source, quiver.target, len(index)
     init = [-1] * n

@@ -1,10 +1,13 @@
 import copy
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import qcf.lincomb
+import qcf.posets
 import qcf.rand
 from qcf.posets import (
     IncidenceSubcoalgebra,
@@ -552,12 +555,15 @@ def test_pentagon_images_put_the_shorter_chain_first():
 
 def test_walk_numbers_the_paths_as_number_paths_keys_them():
     # the walk's numbering names the same paths per segment as numbering
-    # phi does, and the morphism check gives one verdict on either
+    # phi does, and the morphism check gives one verdict on either, also
+    # once a path's coefficient is doubled
     rng = random.Random(41)
+    failing = 0
     for coalg in _walk_cases(rng, 30):
         quiver, names = _hasse_with_names(coalg.poset)
         images, (index, rows) = _walk_images(coalg, quiver, names)
-        ref_index, ref_rows = _number_paths(embed(coalg).phi)
+        phi = embed(coalg).phi
+        ref_index, ref_rows = _number_paths(phi)
         assert sorted(index.values()) == list(range(len(index)))
         assert index.keys() == ref_index.keys()
         key = {a: k for k, a in index.items()}
@@ -568,39 +574,22 @@ def test_walk_numbers_the_paths_as_number_paths_keys_them():
             assert [key[a] for a in row] == [p.arrows or p.source for p in images[seg]]
             assert set(row.values()) == {1}
             assert {key[a] for a in row} == {ref_key[a] for a in ref_rows[seg]}
-        assert _morphism_failure(coalg, quiver, None, (index, rows)) == _morphism_failure(
-            coalg, quiver, None, (ref_index, ref_rows)
-        )
-
-
-def test_walk_verdicts_match_on_shifted_rows():
-    # a corrupted numbering, a path's coefficient doubled, fails the same
-    # segment whether the walk or _number_paths handed out the ids
-    rng = random.Random(43)
-    checked = 0
-    for coalg in _walk_cases(rng, 20):
-        quiver, names = _hasse_with_names(coalg.poset)
-        _, (index, rows) = _walk_images(coalg, quiver, names)
-        phi = embed(coalg).phi
+        assert _morphism_failure(coalg, quiver, None, (index, rows)) is None
+        assert _morphism_failure(coalg, quiver, None, (ref_index, ref_rows)) is None
         seg = rng.choice(coalg.basis_list)
-        path = rng.choice(sorted(phi[seg].labels()))
+        path = rng.choice(images[seg])
         bad_phi = {**phi, seg: LinComb({**dict(phi[seg].items()), path: Cyc.rational(2)})}
         bad_rows = {**rows, seg: {**rows[seg], index[path.arrows or path.source]: 2}}
         failure = _morphism_failure(coalg, quiver, None, (index, bad_rows))
         assert failure == _morphism_failure(coalg, quiver, bad_phi)
-        checked += failure is not None
-    assert checked > 10
+        failing += failure is not None
+    assert failing > 10
 
 
 def test_embed_builds_no_lincomb_and_numbers_no_phi():
     # a traced count: while embed runs, no function of qcf.lincomb is
     # called and _number_paths is not, but the morphism check and the rank
     # run once each
-    import sys
-
-    import qcf.lincomb
-    import qcf.posets
-
     lincomb_file = qcf.lincomb.__file__
     watched = {
         qcf.posets._number_paths.__code__: "_number_paths",
