@@ -7,8 +7,6 @@ subcoalgebra basis must be closed under subintervals.
 
 from __future__ import annotations
 
-from itertools import count
-
 from ._record import record
 from .lincomb import LinComb, linear, map_linear, pair_tensor
 from .linalg import sparse_int_rank
@@ -309,12 +307,13 @@ def _walk_images(
             seg = (elements[i], elements[j])
             end = vertex[j]
             images[seg] = [Path(start, end, seq) for seq in seqs]
-            first = len(index)
+            # a list, so that the index and the row share one int per id
+            ids = list(range(len(index), len(index) + len(seqs)))
             if j == i:  # the vertex path alone, keyed by its source
-                index[start] = first
+                index[start] = ids[0]
             else:
-                index.update(zip(seqs, count(first)))
-            rows[seg] = dict.fromkeys(range(first, len(index)), 1)
+                index.update(zip(seqs, ids))
+            rows[seg] = dict.fromkeys(ids, 1)
     return images, (index, rows)
 
 
