@@ -12,17 +12,19 @@ it, and `field(default_factory=f)` gives every instance a fresh `f()`.
 `@record` writes `__init__`, the dataclass `__repr__` and an `__eq__` that
 returns NotImplemented for other classes. `frozen=True` adds `__hash__`
 over the fields and makes assigning or deleting a field raise
-FrozenInstanceError; other records are unhashable. `order=True` adds the
-four comparisons, field tuple against field tuple. A method the class body
-defines itself is kept. Unlike `@dataclass`, `__repr__` has no guard against
-a record that contains itself.
+FrozenInstanceError; other records are unhashable. A frozen record's
+`__reduce__` rebuilds it from its field tuple, so `copy` and `pickle` never
+assign a field, and a frozen class may declare `__slots__` in its body.
+`order=True` adds the four comparisons, field tuple against field tuple. A
+method the class body defines itself is kept. Unlike `@dataclass`,
+`__repr__` has no guard against a record that contains itself.
 
 Every CLI command starts a fresh interpreter, so this runs at each start.
 All of a class's methods are compiled from one source text with one `exec`,
 where `@dataclass` pays one `exec` per method plus the import of `inspect`,
 `ast`, `dis` and `tokenize`. The methods stay field by field, not loops
-over the fields: `Path` is built and hashed tens of thousands of times per
-`embed` run.
+over the fields: `Path` is built and hashed once or more for every basis
+path of a path coalgebra.
 """
 
 
@@ -98,6 +100,8 @@ def _build(cls, frozen, order):
         src += [
             "def __hash__(self):",
             f"    return hash({mine})",
+            "def __reduce__(self):",
+            f"    return self.__class__, {mine}",
             "def __setattr__(self, name, value):",
             "    if type(self) is __cls or name in __names:",
             '        raise __frozen(f"cannot assign to field {name!r}")',

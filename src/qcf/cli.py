@@ -31,6 +31,7 @@ from .posets import (
 )
 from .quiver import (
     Path,
+    PathRun,
     PathSubcoalgebra,
     Quiver,
     QuiverError,
@@ -431,16 +432,34 @@ def _default_datum(gexpr, s, q, table, names, identity, chi):
 # JSON serialization helpers
 
 
+def _path_text(arrows, source: str, target: str, pad: str) -> str:
+    """A path's dict form as json.dumps(..., indent=2, sort_keys=True) writes
+    it at the indent `pad`: {"vertex": source} for a vertex, else {"arrows":
+    [...], "source": source, "target": target}. `source` and `target` come
+    already JSON-encoded."""
+    inner = pad + "  "
+    if not arrows:
+        return f'{{\n{inner}"vertex": {source}\n{pad}}}'
+    body = f",\n{inner}  ".join(map(encode_basestring_ascii, arrows))
+    return (
+        f'{{\n{inner}"arrows": [\n{inner}  {body}\n{inner}],\n'
+        f'{inner}"source": {source},\n{inner}"target": {target}\n{pad}}}'
+    )
+
+
 def _write_report(report, write, batch: int = 512) -> None:
     """Hand `write` the text of json.dumps(report, indent=2, sort_keys=True)
     in strings of about `batch` pieces, never the whole text at once. A piece
-    is one key, scalar, bracket or separator, or one whole `Path`. Only
-    dicts, lists, strings, ints, booleans, None and `Path`s; a float is a
-    TypeError.
+    is one key, scalar, bracket or separator, or one whole path. Only dicts,
+    lists, strings, ints, booleans, None, `Path`s and `PathRun`s; a float is
+    a TypeError.
 
-    A `Path` is written as its dict form, {"vertex": source} for a vertex and
-    {"arrows": [...], "source": s, "target": t} otherwise, as one piece, so
-    a report of paths needs no dict per path; it may not be a dict key."""
+    A `Path` is written as its dict form (see `_path_text`) and a `PathRun`,
+    as `embed` reports a segment's image, as the list of its paths' dict
+    forms, its source and target encoded once for the run; a run is flushed
+    every `batch` pieces as a list is. So a report of paths needs no dict
+    per path, and embed's none per image path either. Neither may be a dict
+    key."""
     pieces: list[str] = []
 
     def scalar(o) -> str:
@@ -454,16 +473,24 @@ def _write_report(report, write, batch: int = 512) -> None:
         if isinstance(o, str):
             pieces.append(encode_basestring_ascii(o))
         elif isinstance(o, Path):
-            inner = pad + "  "
-            if o.arrows:
-                arrows = f",\n{inner}  ".join(map(encode_basestring_ascii, o.arrows))
-                pieces.append(
-                    f'{{\n{inner}"arrows": [\n{inner}  {arrows}\n{inner}],\n'
-                    f'{inner}"source": {encode_basestring_ascii(o.source)},\n'
-                    f'{inner}"target": {encode_basestring_ascii(o.target)}\n{pad}}}'
-                )
+            ends = encode_basestring_ascii(o.source), encode_basestring_ascii(o.target)
+            pieces.append(_path_text(o.arrows, *ends, pad))
+        elif isinstance(o, PathRun):
+            if not o.seqs:
+                pieces.append("[]")
             else:
-                pieces.append(f'{{\n{inner}"vertex": {encode_basestring_ascii(o.source)}\n{pad}}}')
+                inner = pad + "  "
+                sep = ",\n" + inner
+                ends = encode_basestring_ascii(o.source), encode_basestring_ascii(o.target)
+                pieces.append("[\n" + inner)
+                for i, seq in enumerate(o.seqs):
+                    if i:
+                        pieces.append(sep)
+                    pieces.append(_path_text(seq, *ends, inner))
+                    if len(pieces) >= batch:
+                        write("".join(pieces))
+                        pieces.clear()
+                pieces.append("\n" + pad + "]")
         elif not isinstance(o, (list, dict)):
             pieces.append(scalar(o))
         elif not o:
@@ -726,7 +753,7 @@ def cmd_embed(res: Resolved, flags) -> dict:
             "image_dimension": r.image_dimension,
             "single_path_image": r.single_path_image,
             "failure": r.failure,
-            "images": {segment_str(seg): paths for seg, paths in r.images.items()},
+            "images": {segment_str(seg): run for seg, run in r.runs.items()},
         }
     if not results:
         raise InputError("embed needs at least one incidence coalgebra declaration")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from ._record import record
 from .lincomb import LinComb, linear, map_linear, pair_tensor
 from .linalg import sparse_int_rank
-from .quiver import Path, Quiver
+from .quiver import Path, PathRun, Quiver
 from .scalars import Cyc
 
 
@@ -216,15 +216,23 @@ def hasse_quiver(poset: Poset) -> Quiver:
 
 @record
 class EmbeddingResult:
-    """The sum-over-paths map into the Hasse path coalgebra, with its verification."""
+    """The sum-over-paths map into the Hasse path coalgebra, with its
+    verification. `runs` holds each segment's Hasse paths as the walk found
+    them, their arrow tuples in report order; `images` and `phi` build
+    `Path`s from them on demand."""
 
     quiver: Quiver
-    images: dict[Segment, list[Path]]  # per segment its Hasse paths, in report order
+    runs: dict[Segment, PathRun]  # per segment its Hasse paths, in report order
     morphism_ok: bool
     injective: bool
     image_dimension: int
     single_path_image: bool  # true iff every segment maps to one path
     failure: str | None = None
+
+    @property
+    def images(self) -> dict[Segment, list[Path]]:
+        """Per segment its image paths, in report order."""
+        return {seg: run.paths() for seg, run in self.runs.items()}
 
     @property
     def phi(self) -> dict[Segment, LinComb]:
@@ -269,7 +277,7 @@ def hasse_path_count(coalg: IncidenceSubcoalgebra) -> int:
 
 def _walk_images(
     coalg: IncidenceSubcoalgebra, quiver: Quiver, names: dict
-) -> tuple[dict[Segment, list[Path]], tuple[dict, dict]]:
+) -> tuple[dict[Segment, PathRun], tuple[dict, dict]]:
     """Every Hasse path between the ends of each basis segment, numbered as
     it is found: one depth-first walk per lower end, kept inside its region
     of `_source_regions`, that takes each vertex's out-arrows in name order
@@ -277,9 +285,11 @@ def _walk_images(
     tuples. A stable sort by length puts them in report order, (length,
     source, arrows), with one source per segment.
 
-    Returns per segment its paths in that order, and the numbering
-    `_morphism_failure` reads, keyed as `_number_paths` keys it: ({key:
-    id}, per segment its row {id: 1}), the ids handed out in report order."""
+    Returns per segment its paths in that order as a `PathRun`, whose arrow
+    tuples are the index's keys themselves (no `Path` is built), and the
+    numbering `_morphism_failure` reads, keyed as `_number_paths` keys it
+    (a vertex by its source): ({key: id}, per segment its row {id: 1}), the
+    ids handed out in report order."""
     elements = coalg.poset.elements
     vertex = [names[e] for e in elements]
     at = {v: i for i, v in enumerate(vertex)}
@@ -288,7 +298,7 @@ def _walk_images(
         [(at[quiver.target(a)], a) for a in sorted(quiver.out_arrows(v), reverse=True)]
         for v in vertex
     ]
-    images: dict[Segment, list[Path]] = {}
+    runs: dict[Segment, PathRun] = {}
     index: dict = {}
     rows: dict[Segment, dict[int, int]] = {}
     for i, (tops, region) in _source_regions(coalg).items():
@@ -305,8 +315,7 @@ def _walk_images(
         for j, seqs in found.items():
             seqs.sort(key=len)
             seg = (elements[i], elements[j])
-            end = vertex[j]
-            images[seg] = [Path(start, end, seq) for seq in seqs]
+            runs[seg] = PathRun(start, vertex[j], seqs)
             # a list, so that the index and the row share one int per id
             ids = list(range(len(index), len(index) + len(seqs)))
             if j == i:  # the vertex path alone, keyed by its source
@@ -314,7 +323,7 @@ def _walk_images(
             else:
                 index.update(zip(seqs, ids))
             rows[seg] = dict.fromkeys(ids, 1)
-    return images, (index, rows)
+    return runs, (index, rows)
 
 
 def _rational(c: Cyc):
@@ -432,17 +441,17 @@ def embed(coalg: IncidenceSubcoalgebra) -> EmbeddingResult:
     """Map every basis segment to the sum of all Hasse-quiver paths between
     its endpoints, then verify the map is a coalgebra morphism and injective."""
     quiver, names = _hasse_with_names(coalg.poset)
-    paths, numbering = _walk_images(coalg, quiver, names)
-    images = {seg: paths[seg] for seg in coalg.basis_list}
+    found, numbering = _walk_images(coalg, quiver, names)
+    runs = {seg: found[seg] for seg in coalg.basis_list}
     failure = _morphism_failure(coalg, quiver, None, numbering)
     rank = sparse_int_rank([numbering[1][seg] for seg in coalg.basis_list])
     return EmbeddingResult(
         quiver=quiver,
-        images=images,
+        runs=runs,
         morphism_ok=failure is None,
         injective=rank == coalg.dimension,
         image_dimension=rank,
-        single_path_image=all(len(v) == 1 for v in images.values()),
+        single_path_image=all(len(run.seqs) == 1 for run in runs.values()),
         failure=failure,
     )
 

@@ -20,6 +20,7 @@ class QuiverError(ValueError):
 class Path:
     """A vertex (empty arrow sequence) or a composable sequence of arrow ids."""
 
+    __slots__ = ("source", "target", "arrows")
     source: str
     target: str
     arrows: tuple[str, ...]
@@ -35,6 +36,20 @@ class Path:
         if not self.arrows:
             return f"<{self.source}>"
         return "<" + " ".join(self.arrows) + ">"
+
+
+@record
+class PathRun:
+    """Paths with one source and one target, held as their arrow tuples (the
+    vertex path as ()): the report writes a run as the list of its paths,
+    and `paths()` builds them."""
+
+    source: str
+    target: str
+    seqs: list[tuple[str, ...]]
+
+    def paths(self) -> list[Path]:
+        return [Path(self.source, self.target, seq) for seq in self.seqs]
 
 
 class Quiver:

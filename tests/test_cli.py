@@ -24,6 +24,7 @@ from qcf.cli import (
 )
 from qcf.posets import TensorIsoResult
 from qcf.quiver import Path as QPath
+from qcf.quiver import PathRun
 from qcf.scalars import Cyc
 
 DOC = """
@@ -836,7 +837,10 @@ def test_report_writer_matches_json_dumps(value, depth):
 
 
 def paths_as_dicts(value):
-    """`value` with every path replaced by its JSON shape in a report."""
+    """`value` with every path replaced by its JSON shape in a report, and
+    every run by the list of its paths' shapes."""
+    if isinstance(value, PathRun):
+        return [paths_as_dicts(p) for p in value.paths()]
     if isinstance(value, QPath):
         if not value.arrows:
             return {"vertex": value.source}
@@ -865,6 +869,26 @@ def test_report_writer_writes_paths_as_their_dict_form(value, depth):
     assert written(value, batch=1) == expected
 
 
+# runs of no path, of a vertex alone, and of arrow paths with the vertex path
+# () among them, as a run of one source and target never holds
+ARROWS = st.lists(TEXT, min_size=1, max_size=7).map(tuple)
+RUNS = st.one_of(
+    TEXT.map(lambda v: PathRun(v, v, [()])),
+    st.builds(PathRun, TEXT, TEXT, st.lists(st.one_of(st.just(()), ARROWS), max_size=6)),
+)
+RUN_VALUES = nested(st.one_of(SCALARS, PATHS, RUNS))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=RUN_VALUES, depth=st.integers(0, 40))
+def test_report_writer_writes_runs_as_lists_of_their_paths(value, depth):
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value, "": [], "e": {}}
+    expected = json.dumps(paths_as_dicts(value), indent=2, sort_keys=True)
+    assert written(value) == expected
+    assert written(value, batch=1) == expected
+
+
 def test_report_writer_flushes_paths_in_bounded_strings():
     # 20,000 seven-arrow paths make a 4.5 MB report; a flush every 512
     # pieces hands `write` about 59 KB at a time, every 4,096 pieces 471 KB
@@ -877,6 +901,19 @@ def test_report_writer_flushes_paths_in_bounded_strings():
     _write_report(report, lambda text: sizes.append(len(text)))
     assert sum(sizes) > 4_000_000
     assert max(sizes) < 100_000
+
+
+def test_report_writer_flushes_inside_a_run():
+    # one run of 20,000 seven-arrow paths, as embed reports one segment's
+    # image, is flushed as the list of those paths is: about 59 KB at a time
+    run = PathRun("v", "w", [tuple(f"a{i}_{j}" for j in range(7)) for i in range(20_000)])
+    sizes: list[int] = []
+    _write_report({"images": {"(v, w)": run}}, lambda text: sizes.append(len(text)))
+    assert sum(sizes) > 4_000_000
+    assert max(sizes) < 100_000
+    assert written({"images": {"(v, w)": run}}) == json.dumps(
+        {"images": {"(v, w)": paths_as_dicts(run)}}, indent=2, sort_keys=True
+    )
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 
 import qcf.lincomb
 import qcf.posets
+import qcf.quiver
 import qcf.rand
 from qcf.posets import (
     IncidenceSubcoalgebra,
@@ -561,23 +562,26 @@ def test_walk_numbers_the_paths_as_number_paths_keys_them():
     failing = 0
     for coalg in _walk_cases(rng, 30):
         quiver, names = _hasse_with_names(coalg.poset)
-        images, (index, rows) = _walk_images(coalg, quiver, names)
+        runs, (index, rows) = _walk_images(coalg, quiver, names)
         phi = embed(coalg).phi
         ref_index, ref_rows = _number_paths(phi)
         assert sorted(index.values()) == list(range(len(index)))
         assert index.keys() == ref_index.keys()
         key = {a: k for k, a in index.items()}
         ref_key = {a: k for k, a in ref_index.items()}
-        assert rows.keys() == ref_rows.keys() == images.keys()
+        assert rows.keys() == ref_rows.keys() == runs.keys()
         for seg, row in rows.items():
-            # ids in report order, one per image path, all with coefficient 1
-            assert [key[a] for a in row] == [p.arrows or p.source for p in images[seg]]
+            # ids in report order, one per image path, all with coefficient 1;
+            # a run's arrow tuples are the index's keys themselves
+            seqs = runs[seg].seqs
+            assert [key[a] for a in row] == [seq or runs[seg].source for seq in seqs]
+            assert all(key[a] is seq for a, seq in zip(row, seqs) if seq)
             assert set(row.values()) == {1}
             assert {key[a] for a in row} == {ref_key[a] for a in ref_rows[seg]}
         assert _morphism_failure(coalg, quiver, None, (index, rows)) is None
         assert _morphism_failure(coalg, quiver, None, (ref_index, ref_rows)) is None
         seg = rng.choice(coalg.basis_list)
-        path = rng.choice(images[seg])
+        path = rng.choice(runs[seg].paths())
         bad_phi = {**phi, seg: LinComb({**dict(phi[seg].items()), path: Cyc.rational(2)})}
         bad_rows = {**rows, seg: {**rows[seg], index[path.arrows or path.source]: 2}}
         failure = _morphism_failure(coalg, quiver, None, (index, bad_rows))
@@ -588,10 +592,11 @@ def test_walk_numbers_the_paths_as_number_paths_keys_them():
 
 def test_embed_builds_no_lincomb_and_numbers_no_phi():
     # a traced count: while embed runs, no function of qcf.lincomb is
-    # called and _number_paths is not, but the morphism check and the rank
-    # run once each
+    # called, no Path is built and _number_paths is not run, but the
+    # morphism check and the rank run once each
     lincomb_file = qcf.lincomb.__file__
     watched = {
+        qcf.quiver.Path.__init__.__code__: "Path",
         qcf.posets._number_paths.__code__: "_number_paths",
         qcf.posets._morphism_failure.__code__: "_morphism_failure",
         qcf.posets.sparse_int_rank.__code__: "sparse_int_rank",
@@ -613,10 +618,12 @@ def test_embed_builds_no_lincomb_and_numbers_no_phi():
             result = embed(coalg)
         finally:
             sys.setprofile(None)
+        assert calls["Path"] == 0
         assert calls == {"_morphism_failure": 1, "sparse_int_rank": 1}
         sys.setprofile(profile)
         try:
-            result.phi  # the property builds the LinCombs when asked
+            result.phi  # the property builds the Paths and LinCombs when asked
         finally:
             sys.setprofile(None)
         assert calls["lincomb"] >= len(coalg.basis_list)
+        assert calls["Path"] == sum(len(run.seqs) for run in result.runs.values())

@@ -1,8 +1,10 @@
 """`qcf._record.record` against `dataclasses.dataclass` as the oracle: each
 shape is declared both ways, and the two classes must agree."""
 
+import copy
 import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import pytest
 
 import qcf
 from qcf._record import FrozenInstanceError, field, record
+from qcf.dsl import Pos, Token
 from qcf.quiver import Path
 
 
@@ -137,6 +140,63 @@ def test_default_factory_gives_each_instance_a_fresh_value():
         assert two.meta == {} and cls(()).meta == {}
     assert hasattr(mine, "meta") == hasattr(oracle, "meta")
     assert mine.antipode is None is oracle.antipode
+
+
+# pickle finds a class by its module and name, so these twins are declared here
+@dataclasses.dataclass(frozen=True, order=True)
+class OracleEdge:
+    source: str
+    target: str
+    arrows: tuple
+
+
+@record(frozen=True, order=True)
+class Edge:
+    source: str
+    target: str
+    arrows: tuple
+
+
+@record(frozen=True, order=True)
+class SlottedEdge:
+    __slots__ = ("source", "target", "arrows")
+    source: str
+    target: str
+    arrows: tuple
+
+
+@pytest.mark.parametrize("mine", [Edge, SlottedEdge])
+def test_frozen_copies_and_pickles_agree_with_the_oracle(mine):
+    # the field values are copied as the oracle copies them: a list field is
+    # shared by a shallow copy and copied by a deep one and by pickling
+    for fields in [("u", "v", ("a", "b")), ("u", "u", ()), ("u", "v", ["a", ["b"]])]:
+        shared = []
+        for obj in (OracleEdge(*fields), mine(*fields)):
+            twins = copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))
+            for twin in twins:
+                assert type(twin) is type(obj) and twin == obj
+                assert repr(twin) == repr(obj)
+            shared.append([twin.arrows is obj.arrows for twin in twins])
+            with pytest.raises(AttributeError) as exc:
+                twins[1].source = "w"
+            assert type(exc.value).__name__ == "FrozenInstanceError"
+        assert shared[0] == shared[1]
+        assert repr(mine(*fields)) == repr(OracleEdge(*fields)).replace("OracleEdge", mine.__name__)
+    assert shared[0] == [True, False, False]
+    assert not hasattr(SlottedEdge("u", "v", ()), "__dict__")
+
+
+def test_paths_positions_and_tokens_survive_copy_and_pickle():
+    assert not hasattr(Path("u", "v", ("a",)), "__dict__")
+    for obj in [
+        Path("u", "u", ()),
+        Path("u", "w", ("a", "b")),
+        Pos(3, 7),
+        Token("name", "x", Pos(1, 1)),
+    ]:
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
+            assert repr(twin) == repr(obj)
 
 
 def test_sorted_paths_agree_with_the_oracle():
