@@ -181,7 +181,6 @@ class PathFormParams:
     """
 
     paths: tuple[Path, ...]
-    witness: dict  # d -> one (q, p) decomposition
 
     @property
     def size(self) -> int:
@@ -191,12 +190,12 @@ class PathFormParams:
 def path_form_params(coalg: PathSubcoalgebra) -> PathFormParams:
     quiver = coalg.quiver
     basis = coalg.basis
-    candidates: dict[Path, tuple[Path, Path]] = {}
-    for q in coalg.basis_list:
-        for p in coalg.basis_list:
-            if q.target == p.source:
-                d = quiver.concat(q, p)
-                candidates.setdefault(d, (q, p))
+    candidates = {
+        quiver.concat(q, p)
+        for q in coalg.basis_list
+        for p in coalg.basis_list
+        if q.target == p.source
+    }
 
     def admissible(d: Path) -> bool:
         for i in range(d.length + 1):
@@ -213,9 +212,8 @@ def path_form_params(coalg: PathSubcoalgebra) -> PathFormParams:
                     return False
         return True
 
-    chosen = sorted((d for d in candidates if admissible(d)), key=path_sort_key)
     return PathFormParams(
-        paths=tuple(chosen), witness={d: candidates[d] for d in chosen}
+        paths=tuple(sorted((d for d in candidates if admissible(d)), key=path_sort_key))
     )
 
 

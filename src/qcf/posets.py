@@ -287,9 +287,10 @@ def _walk_images(
 
     Returns per segment its paths in that order as a `PathRun`, whose arrow
     tuples are the index's keys themselves (no `Path` is built), and the
-    numbering `_morphism_failure` reads, keyed as `_number_paths` keys it
-    (a vertex by its source): ({key: id}, per segment its row {id: 1}), the
-    ids handed out in report order."""
+    numbering `_morphism_failure` reads: ({key: id}, per segment its row
+    {id: 1}), the ids handed out in report order. A path's key is its arrow
+    tuple, or its source for a vertex: a path of one quiver is fixed by its
+    arrows, and a vertex name, a str, never equals a tuple."""
     elements = coalg.poset.elements
     vertex = [names[e] for e in elements]
     at = {v: i for i, v in enumerate(vertex)}
@@ -326,49 +327,24 @@ def _walk_images(
     return runs, (index, rows)
 
 
-def _rational(c: Cyc):
-    """A rational scalar as an int, or as a Fraction when it is not integral."""
-    if c.is_one():
-        return 1
-    value = c.rational_value()
-    return value.numerator if value.denominator == 1 else value
+def _morphism_failure(coalg: IncidenceSubcoalgebra, quiver: Quiver, numbering) -> str | None:
+    """Check that the map sending each segment to the sum of its image paths
+    commutes with the comultiplications and the counits, segment by segment
+    in basis order; the failure message for the first segment where it does
+    not, else None. A missing subinterval raises PosetError before a failure
+    at its segment is returned, and images that share a path raise
+    ValueError: `embed`'s never do, since distinct segments have distinct
+    endpoints.
 
-
-def _number_paths(phi: dict[Segment, LinComb]) -> tuple[dict, dict]:
-    """Number the paths in the images, in order of first appearance: ({key:
-    id}, and per segment its image as a row {id: coefficient}). A path's key
-    is its arrow tuple, or its source for a vertex: a path of one quiver is
-    fixed by its arrows, and a vertex name, a str, never equals a tuple."""
-    index: dict = {}
-    rows = {
-        seg: {
-            index.setdefault(p.arrows or p.source, len(index)): _rational(c)
-            for p, c in image.items()
-        }
-        for seg, image in phi.items()
-    }
-    return index, rows
-
-
-def _morphism_failure(
-    coalg: IncidenceSubcoalgebra, quiver: Quiver, phi: dict[Segment, LinComb], numbering=None
-) -> str | None:
-    """Check that phi (rational coefficients) commutes with the
-    comultiplications and the counits, segment by segment in basis order;
-    the failure message for the first segment where it does not, else None.
-    A missing subinterval raises PosetError before a failure at its segment
-    is returned, and images that share a path raise ValueError: `embed`'s
-    never do, since distinct segments have distinct endpoints.
-
-    The check reads only path ids: the rows and keys of `_number_paths`,
-    or a numbering keyed and shaped as they are, passed in as `numbering`
-    (phi is then not read and may be None; the numbering is neither copied
-    nor changed). Two links per id a, `init[a]` and `tail[a]`, give the ids
-    of a without its last and without its first arrow, or -2 when that part
-    is no image path; a vertex's id has -1 in both, so walking them lists
-    every prefix and every suffix of a and stops at -1. Each id a lies in
-    one row, of the segment home[a], with the coefficient coef[a]."""
-    index, rows = numbering if numbering is not None else _number_paths(phi)
+    The map is given by path ids alone: `numbering` is ({key: id}, per
+    segment its row of ids), keyed as `_walk_images` keys it, every id one
+    Hasse path with coefficient 1; it is neither copied nor changed. Two
+    links per id a, `init[a]` and `tail[a]`, give the ids of a without its
+    last and without its first arrow, or -2 when that part is no image path;
+    a vertex's id has -1 in both, so walking them lists every prefix and
+    every suffix of a and stops at -1. Each id a lies in one row, of the
+    segment home[a]."""
+    index, rows = numbering
     number, source, target, n = index.get, quiver.source, quiver.target, len(index)
     init = [-1] * n
     tail = [-1] * n
@@ -376,13 +352,12 @@ def _morphism_failure(
         if isinstance(key, tuple):  # a vertex's key is its name; its links stay -1
             init[a] = number(key[:-1] or source(key[0]), -2)
             tail[a] = number(key[1:] or target(key[-1]), -2)
-    home, coef = [None] * n, [0] * n
+    home = [None] * n
     for seg, row in rows.items():
-        for a, c in row.items():
+        for a in row:
             if home[a] is not None:
                 raise ValueError(f"the images of {home[a]!r} and {seg!r} share a path")
             home[a] = seg
-            coef[a] = c
     interval = coalg.poset.interval
     for seg in coalg.basis_list:
         lo, hi = seg
@@ -391,33 +366,30 @@ def _morphism_failure(
         except KeyError as err:  # the basis is not closed under subintervals
             raise PosetError(f"segment {err.args[0]!r} lies inside {seg!r} but is missing") from None
         row = rows[seg]
-        if not _commutes(seg, row, count, init, tail, home, coef):
+        if not _commutes(seg, row, count, init, tail, home):
             return f"comultiplication does not commute at segment {seg!r}"
-        if _rational(coalg.counit(seg)) != sum(c for p, c in row.items() if init[p] == -1):
+        if coalg.counit(seg) != Cyc.rational(sum(init[a] == -1 for a in row)):
             return f"counit does not commute at segment {seg!r}"
     return None
 
 
-def _commutes(seg: Segment, row: dict, count: int, init, tail, home, coef) -> bool:
+def _commutes(seg: Segment, row, count: int, init, tail, home) -> bool:
     """Whether Delta phi and (phi (x) phi) Delta agree at seg = (lo, hi),
-    whose image is `row`; `count` is N = sum over w in [lo, hi] of
-    |row(lo, w)| |row(w, hi)|.
+    whose image is the sum of the paths of `row`; `count` is N = sum over w
+    in [lo, hi] of |row(lo, w)| |row(w, hi)|.
 
-    Delta phi(seg) is the sum, over the paths p of `row` with coefficient
-    c_p and over the splits (a, b) of p, of c_p a (x) b; the splits of
-    distinct paths are distinct pairs, since a prefix and its suffix give
-    back the path. An id a lies in row(lo, w) for w = the upper end of
-    home[a] alone, so a term a (x) b of (phi (x) phi) Delta(seg) comes from
-    that one w: that side has exactly N distinct terms, each with
-    coefficient coef[a] coef[b], which is not 0 (the incidence
-    comultiplication has coefficient 1, and a row holds no zero). A split
-    (a, b) is one of them with coefficient c_p exactly when home[a] = (lo,
-    w) and home[b] = (w, hi) for one w (a key of phi is a segment, so w
-    lies in [lo, hi]) and coef[a] coef[b] = c_p; a split with a part that
-    is no image path matches none. So the two sides are equal exactly when
-    every split passes that test and there are N of them."""
+    Delta phi(seg) is the sum, over the paths p of `row` and over the splits
+    (a, b) of p, of a (x) b; the splits of distinct paths are distinct
+    pairs, since a prefix and its suffix give back the path. An id a lies in
+    row(lo, w) for w = the upper end of home[a] alone, so a term a (x) b of
+    (phi (x) phi) Delta(seg) comes from that one w: that side is a sum of
+    exactly N distinct terms, each with coefficient 1. A split (a, b) is one
+    of them exactly when home[a] = (lo, w) and home[b] = (w, hi) for one w (a
+    key of the rows is a segment, so w lies in [lo, hi]); a split with a
+    part that is no image path matches none. So the two sides are equal
+    exactly when every split passes that test and there are N of them."""
     lo, hi = seg
-    for p, c in row.items():
+    for p in row:
         suffixes = [p]
         b = tail[p]
         while b >= 0:
@@ -431,7 +403,7 @@ def _commutes(seg: Segment, row: dict, count: int, init, tail, home, coef) -> bo
             if a < 0:  # -2: this prefix is no image path
                 return False
             (x, w), (v, y) = home[a], home[b]
-            if x != lo or w != v or y != hi or coef[a] * coef[b] != c:
+            if x != lo or w != v or y != hi:
                 return False
             a = init[a]
     return count == 0
@@ -443,7 +415,7 @@ def embed(coalg: IncidenceSubcoalgebra) -> EmbeddingResult:
     quiver, names = _hasse_with_names(coalg.poset)
     found, numbering = _walk_images(coalg, quiver, names)
     runs = {seg: found[seg] for seg in coalg.basis_list}
-    failure = _morphism_failure(coalg, quiver, None, numbering)
+    failure = _morphism_failure(coalg, quiver, numbering)
     rank = sparse_int_rank([numbering[1][seg] for seg in coalg.basis_list])
     return EmbeddingResult(
         quiver=quiver,

@@ -1,4 +1,6 @@
+import importlib
 import random
+import warnings
 
 import pytest
 
@@ -12,6 +14,23 @@ from qcf.forms import (
     path_form_params,
 )
 from qcf.rand import random_incidence_subcoalgebra, random_path_subcoalgebra
+
+
+def pytest_runtest_makereport(item, call):
+    """Import the module hypothesis reports a failing example with, before
+    hypothesis does, with its DeprecationWarning ignored: it imports libcst,
+    whose use of `mypy_extensions.TypedDict` warns, and under `-W error`
+    that warning raised inside hypothesis' report hook ends the session. It
+    is imported only once a hypothesis test has failed, so a passing session
+    does not pay for it."""
+    if call.excinfo is not None and hasattr(item, "_hypothesis_failing_examples"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                importlib.import_module("hypothesis.extra._patching")
+            except ImportError:  # hypothesis then writes no patch either
+                pass
+
 
 PATH_SWEEP_SEED = 0xC0A16
 INCIDENCE_SWEEP_SEED = 0x1DEA5
