@@ -496,6 +496,33 @@ def test_morphism_check_leaves_the_numbering_unchanged():
             assert numbering == before
 
 
+def test_path_numbering_keeps_its_ids():
+    # the ids of a numbering keyed by (source, arrows), handed out in order
+    # of first appearance: the walk's numbering of embed's images and
+    # _numbering of each corruption give these rows, one id per distinct path
+    def reference(phi):
+        index = {}
+        return {
+            seg: {
+                index.setdefault((p.source, p.arrows), len(index)): c.rational_value()
+                for p, c in image.items()
+            }
+            for seg, image in phi.items()
+        }
+
+    rng = random.Random(29)
+    for coalg in _morphism_cases(rng, 6):
+        quiver, names = _hasse_with_names(coalg.poset)
+        runs, numbering = _walk_images(coalg, quiver, names)
+        phi = embed(coalg).phi
+        phi = {seg: phi[seg] for seg in runs}  # in the walk's order
+        cases = [(phi, numbering)]
+        cases.extend((bad, _numbering(bad)) for _, bad in _corruptions(phi, rng, quiver))
+        for images, (index, rows) in cases:
+            assert rows == reference(images)
+            assert len(index) == len({p for image in images.values() for p in image.labels()})
+
+
 def test_morphism_check_makes_no_comultiplication(monkeypatch):
     # the check counts the terms of (phi (x) phi) Delta from the rows over
     # each interval, and never builds Delta(seg) itself
@@ -564,10 +591,9 @@ def test_pentagon_images_put_the_shorter_chain_first():
     assert not result.single_path_image and result.morphism_ok and result.injective
 
 
-def test_walk_numbers_the_paths_as_the_images_key_them():
+def test_walk_numbers_the_paths_as_number_paths_keys_them():
     # the walk's numbering names the same paths per segment as numbering
-    # phi does, one id per distinct path, and the morphism check passes on
-    # either
+    # phi with _numbering does, and the morphism check passes on either
     rng = random.Random(41)
     for coalg in _walk_cases(rng, 30):
         quiver, names = _hasse_with_names(coalg.poset)
@@ -576,7 +602,6 @@ def test_walk_numbers_the_paths_as_the_images_key_them():
         ref_index, ref_rows = _numbering(phi)
         assert sorted(index.values()) == list(range(len(index)))
         assert index.keys() == ref_index.keys()
-        assert len(index) == len({p for image in phi.values() for p in image.labels()})
         key = {a: k for k, a in index.items()}
         ref_key = {a: k for k, a in ref_index.items()}
         assert rows.keys() == ref_rows.keys() == runs.keys()
