@@ -19,7 +19,6 @@ from .posets import (
     Poset,
     embed,
     full_incidence_coalgebra,
-    hasse_quiver,
     tensor_iso_check,
 )
 from .forms import (
@@ -38,8 +37,6 @@ from .frobenius import (
     check_condition_d,
     check_condition_d_incidence,
     classify,
-    finite_path_coalgebra_hopf,
-    iso_check,
     iso_key,
 )
 from .hopf import (

@@ -165,9 +165,7 @@ def _group_value(expr: dsl.GroupExpr, base: FilePath | None, levels: int = 1):
 
     if expr.kind == "cyclic":
         check_order(expr.n)
-        table = hopf.cyclic_table(expr.n)
-        names = tuple("e" if k == 0 else f"c{k}" for k in range(expr.n))
-        return table, names, 0
+        return hopf.cyclic_table(expr.n), hopf.cyclic_names(expr.n), 0
     if expr.kind == "dihedral":
         check_order(2 * expr.n)
         table, names, _ = hopf.dihedral_table(expr.n)
@@ -177,15 +175,9 @@ def _group_value(expr: dsl.GroupExpr, base: FilePath | None, levels: int = 1):
         check_order(prod(len(part[0]) for part in parts))
         table, names, identity = parts[0]
         for t2, n2, e2 in parts[1:]:
-            size1, size2 = len(table), len(t2)
-            pairs = [(i, j) for i in range(size1) for j in range(size2)]
-            index = {p: k for k, p in enumerate(pairs)}
-            table = tuple(
-                tuple(index[(table[i1][j1], t2[i2][j2])] for (j1, j2) in pairs)
-                for (i1, i2) in pairs
-            )
-            names = tuple(f"{names[i]}*{n2[j]}" for (i, j) in pairs)
-            identity = index[(identity, e2)]
+            table = hopf.product_table(table, t2)
+            names = tuple(f"{a}*{b}" for a in names for b in n2)
+            identity = identity * len(t2) + e2
         return table, names, identity
     path = FilePath(expr.path)
     if base is not None and not path.is_absolute():

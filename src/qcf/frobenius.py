@@ -24,7 +24,6 @@ from .quiver import (
     Path,
     PathSubcoalgebra,
     QuiverError,
-    Quiver,
     WindowedFamily,
     build_family,
 )
@@ -434,17 +433,6 @@ def iso_key(classification: Classification) -> tuple:
 
 
 @record
-class IsoCheck:
-    isomorphic: bool
-    window_limited: bool  # true when line-family windows took part
-
-
-def iso_check(c1: Classification, c2: Classification) -> IsoCheck:
-    limited = any(d[0] in (A_INF, A_0INF) for d in c1.summands + c2.summands)
-    return IsoCheck(iso_key(c1) == iso_key(c2), limited)
-
-
-@record
 class HopfAdmissibility:
     family: str  # "I" | "II" | "III" | "none"
     summand_count: int
@@ -488,11 +476,3 @@ def admits_hopf(classification: Classification) -> HopfAdmissibility:
             "none", count, reason="half-line summands are never right co-Frobenius"
         )
     return HopfAdmissibility("none", count, reason="mixed summand kinds")
-
-
-def finite_path_coalgebra_hopf(quiver: Quiver) -> bool:
-    """A finite-dimensional full path coalgebra admits a Hopf structure
-    exactly when the quiver has no arrows."""
-    if not quiver.is_acyclic():
-        raise QuiverError("path coalgebra is infinite dimensional (quiver has a cycle)")
-    return len(quiver.arrow_ids) == 0

@@ -58,15 +58,6 @@ class FiniteGroupData:
                 return b
         raise HopfError(f"element {self.names[a]} has no inverse")
 
-    def element_order(self, a: int) -> int:
-        k, cur = 1, a
-        while cur != self.identity:
-            cur = self.table[cur][a]
-            k += 1
-            if k > self.order:
-                raise HopfError("multiplication table is not a group")
-        return k
-
     def validate(self, s: int, q: RootOfUnity, alpha: Cyc) -> None:
         n_elems = self.order
         if s < 1:
@@ -167,33 +158,54 @@ def _unmultiplicative_pair(t, chi, right):
     return None
 
 
+def element_order(table, identity: int, a: int) -> int:
+    """The least k >= 1 with a^k = identity in the group table."""
+    k, cur = 1, a
+    while cur != identity:
+        cur = table[cur][a]
+        k += 1
+        if k > len(table):
+            raise HopfError("multiplication table is not a group")
+    return k
+
+
 def cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
     if n < 1:
         raise HopfError(f"cyclic group order must be >= 1, got {n}")
     return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
 
 
+def cyclic_names(n: int) -> tuple[str, ...]:
+    """c^k is named "c{k}", the identity "e"."""
+    return tuple("e" if k == 0 else f"c{k}" for k in range(n))
+
+
+def product_table(t1, t2) -> tuple[tuple[int, ...], ...]:
+    """The direct product of two group tables, (i, j) at index i |t2| + j."""
+    n1, n2 = len(t1), len(t2)
+    return tuple(
+        tuple(r1[j1] * n2 + r2[j2] for j1 in range(n1) for j2 in range(n2))
+        for r1 in t1
+        for r2 in t2
+    )
+
+
 def cyclic_hopf_datum(n: int, s: int, q: RootOfUnity) -> FiniteGroupData:
     """Cyclic group of order n, distinguished generator, chi(c^k) = q^k."""
     if n % (s + 1) != 0:
         raise HopfError(f"{s + 1} does not divide {n}: no such character exists")
-    names = tuple("e" if k == 0 else f"c{k}" for k in range(n))
     chi = tuple(q.power(k) for k in range(n))
-    return FiniteGroupData(cyclic_table(n), names, identity=0, g=1 % n, chi=chi)
+    return FiniteGroupData(cyclic_table(n), cyclic_names(n), identity=0, g=1 % n, chi=chi)
 
 
 def cyclic_x_c2_hopf_datum(n: int, s: int, q: RootOfUnity) -> FiniteGroupData:
     """C_n x C_2 with g = (c, e); the character ignores the second factor."""
     if n % (s + 1) != 0:
         raise HopfError(f"{s + 1} does not divide {n}: no such character exists")
-    elems = [(i, f) for i in range(n) for f in range(2)]
-    index = {el: k for k, el in enumerate(elems)}
-    table = tuple(
-        tuple(index[((i + j) % n, (f + t) % 2)] for (j, t) in elems) for (i, f) in elems
-    )
-    names = tuple(f"c{i}t{f}" for (i, f) in elems)
-    chi = tuple(q.power(i) for (i, f) in elems)
-    return FiniteGroupData(table, names, identity=index[(0, 0)], g=index[(1 % n, 0)], chi=chi)
+    table = product_table(cyclic_table(n), cyclic_table(2))
+    names = tuple(f"c{i}t{f}" for i in range(n) for f in range(2))
+    chi = tuple(q.power(i) for i in range(n) for _ in range(2))
+    return FiniteGroupData(table, names, identity=0, g=2 * (1 % n), chi=chi)
 
 
 def dihedral_table(n: int):
@@ -220,18 +232,11 @@ def dihedral_hopf_datum(n: int, s: int, q: RootOfUnity) -> FiniteGroupData | Non
     table, names, index = dihedral_table(n)
     order = 2 * n
     identity = index[(0, 0)]
-
-    def elem_order(a: int) -> int:
-        k, cur = 1, a
-        while cur != identity:
-            cur = table[cur][a]
-            k += 1
-        return k
-
     central = [
         a
         for a in range(order)
-        if all(table[a][h] == table[h][a] for h in range(order)) and elem_order(a) == n
+        if all(table[a][h] == table[h][a] for h in range(order))
+        and element_order(table, identity, a) == n
     ]
     elems = [(i, f) for i in range(n) for f in range(2)]
     # chi(r^i s^f) = (-1)^(er i + es f); the rotation's sign must have order dividing n
@@ -487,7 +492,7 @@ def build_Hn(s: int, q: RootOfUnity, G: FiniteGroupData, alpha: Cyc) -> HopfTabl
             "q_exponent": q.exponent,
             "group_order": order,
             "g": G.names[G.g],
-            "g_order": G.element_order(G.g),
+            "g_order": element_order(G.table, G.identity, G.g),
             "dimension": len(labels),
         },
     )

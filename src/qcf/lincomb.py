@@ -24,10 +24,6 @@ class LinComb:
             self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
 
     @staticmethod
-    def zero() -> "LinComb":
-        return LinComb()
-
-    @staticmethod
     def basis(label, coeff: Cyc | None = None) -> "LinComb":
         c = Cyc.one() if coeff is None else coeff
         if c.is_zero():
@@ -49,9 +45,6 @@ class LinComb:
         if c.is_one():
             return self
         return _wrap({k: cached_mul(v, c) for k, v in self.terms.items()})
-
-    def coeff(self, label) -> Cyc:
-        return self.terms.get(label, Cyc.zero())
 
     def items(self):
         return self.terms.items()

@@ -209,11 +209,6 @@ def _hasse_with_names(poset: Poset) -> tuple[Quiver, dict]:
     return Quiver([names[e] for e in poset.elements], arrows), names
 
 
-def hasse_quiver(poset: Poset) -> Quiver:
-    """Vertices are the elements, arrows the covering pairs."""
-    return _hasse_with_names(poset)[0]
-
-
 @record
 class EmbeddingResult:
     """The sum-over-paths map into the Hasse path coalgebra, with its

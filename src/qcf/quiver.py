@@ -205,9 +205,6 @@ class PathSubcoalgebra:
     def vertices(self) -> list[str]:
         return sorted(p.source for p in self.basis if p.is_vertex())
 
-    def contains_vertex(self, v: str) -> bool:
-        return Path(v, v, ()) in self.basis
-
     def validate(self) -> list[str]:
         """Every subpath-closure violation, as human-readable records."""
         violations = []
@@ -229,33 +226,6 @@ class PathSubcoalgebra:
     def counit(self, p: Path) -> Cyc:
         self._require_member(p)
         return Cyc.one() if p.is_vertex() else Cyc.zero()
-
-    def coradical_degree(self, p: Path) -> int:
-        return p.length
-
-    def grouplikes(self) -> list[str]:
-        return self.vertices()
-
-    def skew_primitive_count(self, v: str, w: str) -> int:
-        """Number of basis arrows from v to w."""
-        return sum(
-            1
-            for p in self.basis
-            if p.length == 1 and p.source == v and p.target == w
-        )
-
-    def injective_envelope(self, v: str, side: str) -> list[Path]:
-        """Basis of the injective envelope of the simple at v: paths ending
-        (left) or starting (right) at v."""
-        if not self.contains_vertex(v):
-            raise QuiverError(f"vertex {v!r} is not in the coalgebra")
-        if side == "left":
-            sel = [p for p in self.basis_list if p.target == v]
-        elif side == "right":
-            sel = [p for p in self.basis_list if p.source == v]
-        else:
-            raise QuiverError(f"side must be 'left' or 'right', got {side!r}")
-        return sel
 
 
 def full_path_coalgebra(quiver: Quiver) -> PathSubcoalgebra:

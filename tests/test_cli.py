@@ -93,6 +93,19 @@ def test_classify_command(doc_file, capsys):
     assert full_q["co_frobenius"] is False
 
 
+def test_classify_names_the_vertex_with_no_outgoing_arrow(tmp_path, capsys):
+    # v0 comes first in the vertex order, so the witness is v0, not the
+    # vertex v1 that has an outgoing arrow but no incoming one
+    doc = tmp_path / "doc.qcf"
+    doc.write_text("quiver Q { vertices: v0 v1; arrows: a: v1 -> v0; }\ncoalgebra C = paths(Q)\n")
+    code, report = run_cli(capsys, "classify", "--input", doc)
+    assert code == 0
+    assert report["results"]["C"] == {
+        "co_frobenius": False,
+        "violation": {"at": "v0", "reason": "vertex with an incoming arrow but no outgoing arrow"},
+    }
+
+
 def test_validate_lists_bases(doc_file, capsys):
     code, report = run_cli(capsys, "validate", "--input", doc_file)
     assert code == 0
@@ -135,6 +148,20 @@ def test_hopf_commands(doc_file, capsys):
     assert len(entry["basis"]) == 8
     assert entry["counit"]["e|x^0"] == "1"
     assert "product" in entry and "antipode" in entry
+
+
+def test_product_groups_list_i_j_at_index_i_times_order_plus_j(tmp_path, capsys):
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(
+        "hopf A = group_algebra(product(cyclic(2), cyclic(3)))\n"
+        "hopf H = hn(s=1, q=root(2,1), group=product(cyclic(2), cyclic(2)))\n"
+    )
+    code, report = run_cli(capsys, "hopf", "--input", doc)
+    assert code == 0
+    assert report["results"]["A"]["basis"] == ["e*e", "e*c1", "e*c2", "c1*e", "c1*c1", "c1*c2"]
+    assert report["results"]["H"]["basis"] == [
+        f"c{i}t{f}|x^{u}" for i in range(2) for f in range(2) for u in range(2)
+    ]
 
 
 def test_reports_are_deterministic(doc_file, capsys, tmp_path):

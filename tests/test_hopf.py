@@ -17,8 +17,10 @@ from qcf.hopf import (
     cyclic_x_c2_hopf_datum,
     dihedral_hopf_datum,
     dihedral_table,
+    element_order,
     group_algebra,
     group_from_csv_rows,
+    product_table,
     verify_coalgebra_iso_Cn,
     verify_hopf,
     with_antipode,
@@ -196,6 +198,23 @@ def test_verify_detects_corruption():
     report = verify_hopf(table)
     assert not report.ok
     assert report.first_failure() is not None
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_product_table_puts_i_j_at_index_i_times_order_plus_j(n):
+    t1, t2 = cyclic_table(n), cyclic_table(2)
+    pairs = [(i, j) for i in range(n) for j in range(2)]
+    table = product_table(t1, t2)
+    for x, (i1, i2) in enumerate(pairs):
+        for y, (j1, j2) in enumerate(pairs):
+            assert pairs[table[x][y]] == (t1[i1][j1], t2[i2][j2])
+    assert cyclic_x_c2_hopf_datum(n, 1, MINUS_ONE).table == table
+
+
+def test_element_order_refuses_a_table_that_is_not_a_group():
+    assert [element_order(cyclic_table(6), 0, a) for a in range(6)] == [1, 6, 3, 2, 3, 6]
+    with pytest.raises(HopfError, match="not a group"):
+        element_order(((0, 1), (1, 1)), 0, 1)
 
 
 def test_group_from_csv_rows_finds_identity():

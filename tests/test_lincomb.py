@@ -39,6 +39,4 @@ def test_accumulator_result_is_not_changed_by_later_adds():
 
 def test_lincomb_public_api_has_no_in_place_methods():
     public = {name for name in vars(LinComb) if not name.startswith("_")}
-    assert public == {
-        "terms", "zero", "basis", "scale", "coeff", "items", "labels", "is_zero", "support_size",
-    }
+    assert public == {"terms", "basis", "scale", "items", "labels", "is_zero", "support_size"}

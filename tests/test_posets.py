@@ -19,7 +19,6 @@ from qcf.posets import (
     embed,
     full_incidence_coalgebra,
     hasse_path_count,
-    hasse_quiver,
     tensor_iso_check,
 )
 from qcf.lincomb import LinComb, expand_slot, linear, map_linear, pair_tensor
@@ -184,10 +183,12 @@ def test_coalgebra_axioms_exhaustive(chain3, diamond):
 
 
 def test_hasse_quiver_shapes(chain3, diamond):
-    assert hasse_quiver(Poset.from_covers(["a", "b", "c"], [])).arrow_ids == ()
-    hq = hasse_quiver(chain3)
-    assert len(hq.arrow_ids) == 2  # 0 < 2 is not a cover
-    assert len(hasse_quiver(diamond).arrow_ids) == 4
+    def hasse(poset):
+        return embed(full_incidence_coalgebra(poset)).quiver
+
+    assert hasse(Poset.from_covers(["a", "b", "c"], [])).arrow_ids == ()
+    assert len(hasse(chain3).arrow_ids) == 2  # 0 < 2 is not a cover
+    assert len(hasse(diamond).arrow_ids) == 4
 
 
 def test_embed_chain_gives_single_paths(chain3):
@@ -494,6 +495,35 @@ def test_morphism_check_leaves_the_numbering_unchanged():
                 failure = _morphism_failure(coalg, quiver, numbering)
                 assert failure == _lincomb_morphism_failure(coalg, quiver, bad)
             assert numbering == before
+
+
+def test_morphism_check_fails_at_a_suffix_that_is_no_image_path():
+    # the image of (0, 0) is the arrow a: u -> v, whose suffix v is no image
+    # path, so the split (a, v) matches no term of (phi (x) phi) Delta.
+    # Walking on past the -2 would pair a with itself, which passes, and
+    # leave the failure to the counit
+    point = full_incidence_coalgebra(Poset.from_covers(["0"], []))
+    quiver = qcf.quiver.Quiver(["u", "v"], [("a", "u", "v")])
+    numbering = ({("a",): 0}, {("0", "0"): {0: 1}})
+    assert _morphism_failure(point, quiver, numbering) == (
+        "comultiplication does not commute at segment ('0', '0')"
+    )
+
+
+def test_morphism_check_fails_at_a_prefix_that_is_no_image_path():
+    # on the chain 0 < 1, (0, 1) maps to the arrow a: u -> v and (0, 0),
+    # (1, 1) to the vertices w, v. The prefix u of a is no image path, so
+    # its link is -2; read as an index, -2 is the id of w, whose home (0, 0)
+    # is just what the split (u, a) needs: only the early return fails it
+    chain = full_incidence_coalgebra(Poset.from_covers(["0", "1"], [("0", "1")]))
+    quiver = qcf.quiver.Quiver(["u", "w", "v"], [("a", "u", "v")])
+    numbering = (
+        {("a",): 0, "w": 1, "v": 2},
+        {("0", "0"): {1: 1}, ("0", "1"): {0: 1}, ("1", "1"): {2: 1}},
+    )
+    assert _morphism_failure(chain, quiver, numbering) == (
+        "comultiplication does not commute at segment ('0', '1')"
+    )
 
 
 def test_path_numbering_keeps_its_ids():

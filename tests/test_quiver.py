@@ -74,39 +74,6 @@ def test_comul_splits_line_paths_at_every_vertex():
         assert left.arrows + right.arrows == p.arrows
 
 
-def test_coradical_degree_is_length(arrow_quiver):
-    coalg = full_path_coalgebra(arrow_quiver)
-    assert coalg.coradical_degree(arrow_quiver.vertex_path("u")) == 0
-    assert coalg.coradical_degree(arrow_quiver.arrow_path("a")) == 1
-    line = build_family(WindowedFamily.line(A_INF, {k: k + 2 for k in range(0, 4)}))
-    two = line.quiver.make_path(("a0", "a1"))
-    assert line.coradical_degree(two) == 2
-
-
-def test_grouplikes_and_skew_primitives():
-    coalg = build_family(WindowedFamily.cycle(2, 1))
-    assert coalg.grouplikes() == ["0", "1"]
-    assert coalg.skew_primitive_count("0", "1") == 1
-    assert coalg.skew_primitive_count("1", "0") == 1
-    assert coalg.skew_primitive_count("0", "0") == 0
-    no_arrows = full_path_coalgebra(Quiver(["x", "y"], []))
-    assert no_arrows.skew_primitive_count("x", "y") == 0
-
-
-def test_injective_envelopes():
-    coalg = build_family(WindowedFamily.cycle(2, 1))
-    right = coalg.injective_envelope("0", "right")
-    assert sorted(p.length for p in right) == [0, 1]
-    assert all(p.source == "0" for p in right)
-    point = full_path_coalgebra(Quiver(["w"], []))
-    assert point.injective_envelope("w", "left") == point.injective_envelope("w", "right")
-    arrow = full_path_coalgebra(Quiver(["u", "v"], [("a", "u", "v")]))
-    left = arrow.injective_envelope("v", "left")
-    assert {p.length for p in left} == {0, 1}
-    with pytest.raises(QuiverError):
-        arrow.injective_envelope("z", "left")
-
-
 def test_cycle_family_dimensions():
     for n in range(1, 9):
         for s in range(1, 5):
