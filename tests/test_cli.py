@@ -465,9 +465,22 @@ LONG_INT = "1" * 5000
          "1:1: coalgebra W: reach table must cover the window"),
         ("poset P { elements: x y z; covers: x < y; y < z; z < x; }",
          "1:1: poset P: antisymmetry fails between 'x' and 'y'"),
+        ("quiver Q { vertices: u u; }", "1:1: quiver Q: duplicate vertex id"),
+        ("coalgebra C = paths(Q)", "1:1: coalgebra C: unknown quiver 'Q'"),
+        ("coalgebra C = full(P)", "1:1: coalgebra C: unknown poset 'P'"),
+        ("coalgebra S = sum(A)", "1:1: coalgebra S: unknown summand 'A'"),
+        ("quiver Q { vertices: u v; arrows: a: u -> v; }\ncoalgebra C = basis(Q) { u; x; }",
+         "2:1: coalgebra C: bad path item 'x'"),
+        ("poset P { elements: 0 1; covers: 0 < 1; }\ncoalgebra C = segments(P) { [1,0]; }",
+         "2:1: coalgebra C: segment ('1', '0') has lo > hi"),
+        ("coalgebra W = family(Ainf, window=[0,1], r={0:0, 1:2})",
+         "1:1: coalgebra W: reach must exceed the vertex: r(0) = 0"),
+        ("hopf H = hn(s=1, q=root(2,1), alpha=1)", "1:1: hopf H: hn(...) needs group"),
     ],
     ids=["superscript-digit", "long-n", "long-denominator", "repeated-reach-key",
-         "repeated-hn-argument", "unknown-hn-argument", "reversed-window", "cyclic-covers"],
+         "repeated-hn-argument", "unknown-hn-argument", "reversed-window", "cyclic-covers",
+         "duplicate-vertex", "unknown-quiver", "unknown-poset", "unknown-summand",
+         "bad-path-item", "reversed-segment", "reach-below-vertex", "hn-without-group"],
 )
 def test_malformed_input_exits_2_with_a_positioned_message(text, message, tmp_path, capsys):
     doc = tmp_path / "doc.qcf"
