@@ -8,8 +8,7 @@
 
 The fields are the names annotated in the class body, in order; base
 classes contribute none. A field with a value in the class body defaults to
-it, and `field(default_factory=f)` gives every instance a fresh `f()`.
-`@record` writes `__init__`, the dataclass `__repr__` and an `__eq__` that
+it. `@record` writes `__init__`, the dataclass `__repr__` and an `__eq__` that
 returns NotImplemented for other classes. `frozen=True` adds `__hash__`
 over the fields and makes assigning or deleting a field raise
 FrozenInstanceError; other records are unhashable. A frozen record's
@@ -35,18 +34,6 @@ class FrozenInstanceError(AttributeError):
 _MISSING = object()
 
 
-class _Factory:
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
-def field(*, default_factory):
-    """A field default made afresh for every instance by `default_factory()`."""
-    return _Factory(default_factory)
-
-
 def record(cls=None, /, *, frozen=False, order=False):
     """Class decorator, bare or called with `frozen` and `order`."""
     if cls is None:
@@ -69,16 +56,12 @@ def _build(cls, frozen, order):
     body = []
     for n in names:
         default = cls.__dict__.get(n, _MISSING)
-        value = n
         if default is _MISSING:
             params.append(n)
         else:
             env[f"__default_{n}"] = default
             params.append(f"{n}=__default_{n}")
-            if isinstance(default, _Factory):
-                value = f"__default_{n}.make() if {n} is __default_{n} else {n}"
-                delattr(cls, n)
-        body.append(f"__setattr(self, {n!r}, {value})" if frozen else f"self.{n} = {value}")
+        body.append(f"__setattr(self, {n!r}, {n})" if frozen else f"self.{n} = {n}")
 
     mine = "(" + "".join(f"self.{n}," for n in names) + ")"
     theirs = "(" + "".join(f"other.{n}," for n in names) + ")"

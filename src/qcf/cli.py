@@ -41,7 +41,7 @@ from .quiver import (
     direct_sum,
     full_path_coalgebra,
 )
-from .scalars import Cyc, RootOfUnity, ScalarError, scalar_to_str
+from .scalars import Cyc, RootOfUnity, scalar_to_str
 
 COMMANDS = (
     "validate",
@@ -192,40 +192,40 @@ def _group_value(expr: dsl.GroupExpr, base: FilePath | None, levels: int = 1):
 
 
 def resolve(doc: dsl.Document, base: FilePath | None = None) -> tuple[Resolved, list[dsl.Diagnostic]]:
+    """The document's objects, and a diagnostic for every declaration that
+    fails: its resolver raises, and the message is prefixed with the
+    declaration's keyword and name. QuiverError, PosetError and HopfError
+    are ValueErrors and ScalarError an ArithmeticError."""
     quivers: dict = {}
     posets: dict = {}
     coalgebras: dict = {}
     hopfs: dict = {}
     diags: list[dsl.Diagnostic] = []
-
-    def fail(pos, msg):
-        diags.append(dsl.Diagnostic(pos, msg))
-
     for d in doc.declarations:
-        if isinstance(d, dsl.QuiverDecl):
-            try:
+        try:
+            if isinstance(d, dsl.QuiverDecl):
                 quivers[d.name] = Quiver(d.vertices, d.arrows)
-            except QuiverError as exc:
-                fail(d.pos, f"quiver {d.name}: {exc}")
-        elif isinstance(d, dsl.PosetDecl):
-            if len(d.elements) > MAX_POSET_ELEMENTS:
-                fail(d.pos, f"poset {d.name}: {len(d.elements)} elements, "
-                     f"over the limit of {MAX_POSET_ELEMENTS}")
-                continue
-            try:
+            elif isinstance(d, dsl.PosetDecl):
+                if len(d.elements) > MAX_POSET_ELEMENTS:
+                    raise InputError(
+                        f"{len(d.elements)} elements, over the limit of {MAX_POSET_ELEMENTS}"
+                    )
                 posets[d.name] = Poset.from_covers(d.elements, d.covers)
-            except Exception as exc:
-                fail(d.pos, f"poset {d.name}: {exc}")
-        elif isinstance(d, dsl.CoalgebraDecl):
-            value = _resolve_coalgebra(d, quivers, posets, coalgebras, fail)
-            if value is not None:
-                coalgebras[d.name] = value
-        elif isinstance(d, dsl.HopfDecl):
-            try:
-                hopfs[d.name] = _resolve_hopf(d, base)
-            except (InputError, hopf.HopfError, ScalarError) as exc:
-                fail(d.pos, f"hopf {d.name}: {exc}")
+            elif isinstance(d, dsl.CoalgebraDecl):
+                coalgebras[d.name] = _resolve_coalgebra(d.expr, quivers, posets, coalgebras)
+            elif isinstance(d, dsl.HopfDecl):
+                hopfs[d.name] = _resolve_hopf(d.expr, base)
+        except (InputError, ValueError, ArithmeticError) as exc:
+            keyword = type(d).__name__.removesuffix("Decl").lower()  # QuiverDecl: quiver
+            diags.append(dsl.Diagnostic(d.pos, f"{keyword} {d.name}: {exc}"))
     return Resolved(quivers, posets, coalgebras, hopfs), diags
+
+
+def _lookup(declared: dict, kind: str, name: str):
+    try:
+        return declared[name]
+    except KeyError:
+        raise InputError(f"unknown {kind} {name!r}") from None
 
 
 def _path_count(quiver: Quiver, maxlen: int | None) -> int:
@@ -243,59 +243,43 @@ def _path_count(quiver: Quiver, maxlen: int | None) -> int:
     return total
 
 
-def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | None:
-    e = d.expr
+def _resolve_coalgebra(e: dsl.CoalgExpr, quivers, posets, coalgebras) -> CoalgValue:
     if e.kind in ("paths", "basis"):
-        quiver = quivers.get(e.target)
-        if quiver is None:
-            fail(d.pos, f"coalgebra {d.name}: unknown quiver {e.target!r}")
-            return None
-        # a cyclic quiver without maxlen is refused below as infinite dimensional
-        if e.kind == "paths" and (e.maxlen is not None or quiver.is_acyclic()):
-            if _path_count(quiver, e.maxlen) > MAX_FAMILY_DIMENSION:
-                bound = "" if e.maxlen is None else f", maxlen={e.maxlen}"
-                fail(d.pos, f"coalgebra {d.name}: paths({e.target}{bound}) has more basis "
-                     f"paths than the limit of {MAX_FAMILY_DIMENSION}")
-                return None
-        try:
-            if e.kind == "paths":
-                if e.maxlen is not None:
-                    coalg = bounded_path_coalgebra(quiver, e.maxlen)
-                else:
-                    coalg = full_path_coalgebra(quiver)
+        quiver = _lookup(quivers, "quiver", e.target)
+        if e.kind == "paths":
+            # a cyclic quiver without maxlen is refused by full_path_coalgebra
+            # as infinite dimensional
+            if e.maxlen is not None or quiver.is_acyclic():
+                if _path_count(quiver, e.maxlen) > MAX_FAMILY_DIMENSION:
+                    bound = "" if e.maxlen is None else f", maxlen={e.maxlen}"
+                    raise InputError(f"paths({e.target}{bound}) has more basis paths "
+                                     f"than the limit of {MAX_FAMILY_DIMENSION}")
+            if e.maxlen is None:
+                coalg = full_path_coalgebra(quiver)
             else:
-                basis = []
-                arrow_set = set(quiver.arrow_ids)
-                vertex_set = set(quiver.vertices)
-                for item in e.items:
-                    if len(item) == 1 and item[0] in vertex_set:
-                        basis.append(quiver.vertex_path(item[0]))
-                    elif all(p in arrow_set for p in item):
-                        basis.append(quiver.make_path(item))
-                    else:
-                        raise QuiverError(f"bad path item {' '.join(item)!r}")
-                coalg = PathSubcoalgebra(quiver, basis)
-        except QuiverError as exc:
-            fail(d.pos, f"coalgebra {d.name}: {exc}")
-            return None
+                coalg = bounded_path_coalgebra(quiver, e.maxlen)
+        else:
+            basis = []
+            arrow_set = set(quiver.arrow_ids)
+            vertex_set = set(quiver.vertices)
+            for item in e.items:
+                if len(item) == 1 and item[0] in vertex_set:
+                    basis.append(quiver.vertex_path(item[0]))
+                elif all(p in arrow_set for p in item):
+                    basis.append(quiver.make_path(item))
+                else:
+                    raise InputError(f"bad path item {' '.join(item)!r}")
+            coalg = PathSubcoalgebra(quiver, basis)
         return CoalgValue(coalg, violations=tuple(coalg.validate()))
     if e.kind in ("segments", "full"):
-        poset = posets.get(e.target)
-        if poset is None:
-            fail(d.pos, f"coalgebra {d.name}: unknown poset {e.target!r}")
-            return None
+        poset = _lookup(posets, "poset", e.target)
         count = poset.segment_count() if e.kind == "full" else len(e.items)
         if count > MAX_FAMILY_DIMENSION:
-            fail(d.pos, f"coalgebra {d.name}: {e.kind}({e.target}) has {count} segments, "
-                 f"over the limit of {MAX_FAMILY_DIMENSION}")
-            return None
-        try:
-            if e.kind == "full":  # closed under subintervals by construction
-                return CoalgValue(full_incidence_coalgebra(poset))
-            coalg = IncidenceSubcoalgebra(poset, e.items)
-        except Exception as exc:
-            fail(d.pos, f"coalgebra {d.name}: {exc}")
-            return None
+            raise InputError(f"{e.kind}({e.target}) has {count} segments, "
+                             f"over the limit of {MAX_FAMILY_DIMENSION}")
+        if e.kind == "full":  # closed under subintervals by construction
+            return CoalgValue(full_incidence_coalgebra(poset))
+        coalg = IncidenceSubcoalgebra(poset, e.items)
         return CoalgValue(coalg, violations=tuple(coalg.validate()))
     if e.kind == "family":
         if e.family_tag == "Cn":
@@ -304,62 +288,47 @@ def _resolve_coalgebra(d, quivers, posets, coalgebras, fail) -> CoalgValue | Non
             r = dict(e.r)
             lo, hi = e.window
             if hi < lo or sorted(r) != list(range(lo, hi + 1)):
-                fail(d.pos, f"coalgebra {d.name}: reach table must cover the window")
-                return None
+                raise InputError("reach table must cover the window")
             fam = WindowedFamily.line(e.family_tag, r)
         errs = fam.validate()
         if errs:
-            fail(d.pos, f"coalgebra {d.name}: " + "; ".join(errs))
-            return None
+            raise InputError("; ".join(errs))
         dimension, arrows = fam.size()
         if dimension > MAX_FAMILY_DIMENSION or arrows > MAX_FAMILY_ARROWS:
             shape = f"n={e.n}, s={e.s}" if e.family_tag == "Cn" else f"window=[{fam.lo},{fam.hi}]"
-            fail(
-                d.pos,
-                f"coalgebra {d.name}: family({e.family_tag}, {shape}) has dimension "
-                f"{dimension} and {arrows} arrows in its basis paths, over the limits "
-                f"{MAX_FAMILY_DIMENSION} and {MAX_FAMILY_ARROWS}",
+            raise InputError(
+                f"family({e.family_tag}, {shape}) has dimension {dimension} and {arrows} "
+                f"arrows in its basis paths, over the limits {MAX_FAMILY_DIMENSION} "
+                f"and {MAX_FAMILY_ARROWS}"
             )
-            return None
         if e.family_tag == "Cn":
             # cycle families are finite; materialize them outright
             return CoalgValue(build_family(fam))
         return CoalgValue(None, (fam,))
     if e.kind == "sum":
-        finite_parts: list = []
-        families: list[WindowedFamily] = []
-        for name in e.items:
-            part = coalgebras.get(name)
-            if part is None:
-                fail(d.pos, f"coalgebra {d.name}: unknown summand {name!r}")
-                return None
-            if part.finite is not None:
-                finite_parts.append(part.finite)
-            families.extend(part.families)
+        parts = [_lookup(coalgebras, "summand", name) for name in e.items]
+        finite_parts = [p.finite for p in parts if p.finite is not None]
+        families = [f for p in parts for f in p.families]
         incidence_parts = [p for p in finite_parts if isinstance(p, IncidenceSubcoalgebra)]
         if incidence_parts and (len(incidence_parts) < len(finite_parts) or families):
-            fail(d.pos, f"coalgebra {d.name}: cannot mix incidence and path summands")
-            return None
+            raise InputError("cannot mix incidence and path summands")
         if len(families) > MAX_SUM_FAMILIES:
-            fail(d.pos, f"coalgebra {d.name}: its summands hold {len(families)} line families, "
-                 f"over the limit of {MAX_SUM_FAMILIES}")
-            return None
+            raise InputError(f"its summands hold {len(families)} line families, "
+                             f"over the limit of {MAX_SUM_FAMILIES}")
         dimension = _summed_dimension(finite_parts, families)
         if dimension > MAX_FAMILY_DIMENSION:
-            fail(d.pos, f"coalgebra {d.name}: its summands have dimension {dimension} in all, "
-                 f"over the limit of {MAX_FAMILY_DIMENSION}")
-            return None
+            raise InputError(f"its summands have dimension {dimension} in all, "
+                             f"over the limit of {MAX_FAMILY_DIMENSION}")
         finite = direct_sum(finite_parts) if finite_parts else None
         # a sum is valid exactly when its summands are: a subpath or a
         # subinterval of a summand's renamed copy lies in that copy
-        if any(coalgebras[name].violations for name in e.items):
+        if any(p.violations for p in parts):
             return CoalgValue(finite, tuple(families), tuple(finite.validate()))
         return CoalgValue(finite, tuple(families))
     raise AssertionError(e.kind)
 
 
-def _resolve_hopf(d: dsl.HopfDecl, base) -> HopfValue:
-    e = d.expr
+def _resolve_hopf(e: dsl.HopfExpr, base) -> HopfValue:
     if e.group is None:
         raise InputError("hn(...) needs group")
     levels = max(e.s + 1, 1) if e.kind == "hn" else 1
@@ -756,10 +725,7 @@ def cmd_tensor(res: Resolved, flags) -> dict:
     names = flags.targets.split(",") if flags.targets else sorted(res.posets)
     if len(names) != 2:
         raise InputError("tensor needs exactly two posets (use --targets A,B)")
-    try:
-        x, y = res.posets[names[0]], res.posets[names[1]]
-    except KeyError as exc:
-        raise InputError(f"unknown poset {exc.args[0]!r}") from exc
+    x, y = (_lookup(res.posets, "poset", name) for name in names)
     product = f"the product of {names[0]} and {names[1]}"
     elements = len(x.elements) * len(y.elements)
     if elements > MAX_TENSOR_ELEMENTS:

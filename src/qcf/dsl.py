@@ -21,7 +21,8 @@ csv groups need explicit g=INDEX and chi=[...] entries. Scalars are integers,
 fractions p/q, or root(m, k) for the k-th power of a primitive m-th root.
 An integer is decimal digits with an optional leading '-', as int() reads
 them (so a superscript digit is no integer). A reach key of r={...} and an
-argument of hn(...) may not repeat.
+argument of hn(...) may not repeat. A group nests at most MAX_GROUP_DEPTH
+product(...)s.
 
 Diagnostics carry line and column. parse() never raises on bad input.
 """
@@ -31,6 +32,11 @@ from __future__ import annotations
 import re
 
 from ._record import record
+
+# The group parser, the resolver and the printer recurse once per product(...)
+# level; a product of more than nine nontrivial factors already has an order
+# over the Hopf dimension limit of 512, so 64 levels refuse no usable group.
+MAX_GROUP_DEPTH = 64
 
 
 @record(frozen=True)
@@ -407,12 +413,15 @@ class _Parser:
             return ScalarExpr("root", order=order, exponent=exponent)
         self.error(tok.pos, f"expected a scalar, found {tok.text!r}")
 
-    def group_expr(self) -> GroupExpr:
+    def group_expr(self, depth: int = 0) -> GroupExpr:
+        """A group inside `depth` product(...)s."""
         tok = self.expect_name()
         if tok.text in ("cyclic", "dihedral"):
             return GroupExpr(tok.text, n=self.inside(self.expect_int))
         if tok.text == "product":
-            return GroupExpr("product", parts=self.listed(self.group_expr))
+            if depth == MAX_GROUP_DEPTH:
+                self.error(tok.pos, f"product(...) nested more than {MAX_GROUP_DEPTH} deep")
+            return GroupExpr("product", parts=self.listed(lambda: self.group_expr(depth + 1)))
         if tok.text == "csv":
             return GroupExpr("csv", path=self.inside(lambda: self.expect("string")).text)
         self.error(tok.pos, f"unknown group constructor {tok.text!r}")

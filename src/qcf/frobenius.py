@@ -295,10 +295,10 @@ POINT = ("point",)
 
 @record
 class Classification:
-    """Multiset of canonical summand descriptors plus the vertex assignment."""
+    """Multiset of canonical summand descriptors."""
 
     summands: tuple  # descriptor tuples, sorted
-    assignment: dict  # vertex -> summand index (into summands)
+    assignment: dict  # always {}: nothing reads which summand holds a vertex
 
 
 @record
@@ -380,13 +380,7 @@ def classify_finite(coalg: PathSubcoalgebra) -> ClassificationResult:
             )
         descriptors.append((C_N, n, lengths[0]))
 
-    summands = tuple(sorted(descriptors))
-    ordered = sorted(range(len(order)), key=lambda i: descriptors[i])
-    assignment = {}
-    for new_idx, old_idx in enumerate(ordered):
-        for v in order[old_idx]:
-            assignment[v] = new_idx
-    return ClassificationResult(Classification(summands, assignment))
+    return ClassificationResult(Classification(tuple(sorted(descriptors)), {}))
 
 
 def family_descriptor(fam: WindowedFamily) -> tuple:

@@ -16,7 +16,7 @@ verified; nothing about an antipode is assumed.
 
 from __future__ import annotations
 
-from ._record import field, record
+from ._record import record
 from .lincomb import Accumulator, LinComb, expand_slot, linear, map_linear, pair_tensor
 from .scalars import MINUS_ONE, ONE_ROOT, Cyc, RootOfUnity, cached_mul, q_binomial, q_factorial
 
@@ -369,6 +369,7 @@ class LineProduct:
             product=_OnDemand(lambda key: self.product(*key)),
             coproduct=_OnDemand(self.coproduct),
             counit=_OnDemand(self.counit),
+            meta={},
         )
 
 
@@ -387,8 +388,8 @@ class HopfTable:
     product: dict  # (label, label) -> LinComb
     coproduct: dict  # label -> LinComb over label pairs
     counit: dict  # label -> Cyc
+    meta: dict
     antipode: dict | None = None  # label -> LinComb
-    meta: dict = field(default_factory=dict)
 
     @property
     def dimension(self) -> int:

@@ -143,21 +143,17 @@ class Quiver:
         return out
 
     def is_acyclic(self) -> bool:
-        state: dict[str, int] = {}
-
-        def visit(v: str) -> bool:
-            state[v] = 1
+        """Peels off vertices that no unpeeled arrow enters (Kahn's order),
+        without recursion: acyclic exactly when every vertex is peeled."""
+        entering = {v: len(self._in[v]) for v in self.vertices}
+        peeled = [v for v in self.vertices if not entering[v]]
+        for v in peeled:  # grows while it is walked
             for aid in self._out[v]:
                 w = self.target(aid)
-                s = state.get(w, 0)
-                if s == 1:
-                    return False
-                if s == 0 and not visit(w):
-                    return False
-            state[v] = 2
-            return True
-
-        return all(visit(v) for v in self.vertices if state.get(v, 0) == 0)
+                entering[w] -= 1
+                if not entering[w]:
+                    peeled.append(w)
+        return len(peeled) == len(self.vertices)
 
     def paths_from(self, v: str, maxlen: int) -> list[Path]:
         out = [self.vertex_path(v)]

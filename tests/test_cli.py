@@ -447,6 +447,15 @@ def test_bad_hopf_input_exits_2_without_traceback(hopf_decl, message, tmp_path):
 LONG_INT = "1" * 5000
 
 
+def long_quiver(closed: bool) -> str:
+    """A 1,200-vertex chain, or the cycle that closes it, as one line."""
+    n = 1200
+    ends = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+    vertices = " ".join(f"v{i}" for i in range(n))
+    arrows = " ".join(f"a{i}: v{i} -> v{j};" for i, j in ends)
+    return f"quiver Q {{ vertices: {vertices}; arrows: {arrows} }}"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -476,11 +485,19 @@ LONG_INT = "1" * 5000
         ("coalgebra W = family(Ainf, window=[0,1], r={0:0, 1:2})",
          "1:1: coalgebra W: reach must exceed the vertex: r(0) = 0"),
         ("hopf H = hn(s=1, q=root(2,1), alpha=1)", "1:1: hopf H: hn(...) needs group"),
+        # deeper than the recursion limit: the acyclicity check peels sources instead
+        (long_quiver(closed=False) + "\ncoalgebra C = paths(Q)",
+         "2:1: coalgebra C: paths(Q) has more basis paths than the limit of 20000"),
+        (long_quiver(closed=True) + "\ncoalgebra C = paths(Q)",
+         "2:1: coalgebra C: full path coalgebra of a cyclic quiver is infinite dimensional"),
+        ("hopf H = group_algebra(" + "product(" * 1000 + "cyclic(2)" + ")" * 1001,
+         "1:536: product(...) nested more than 64 deep"),
     ],
     ids=["superscript-digit", "long-n", "long-denominator", "repeated-reach-key",
          "repeated-hn-argument", "unknown-hn-argument", "reversed-window", "cyclic-covers",
          "duplicate-vertex", "unknown-quiver", "unknown-poset", "unknown-summand",
-         "bad-path-item", "reversed-segment", "reach-below-vertex", "hn-without-group"],
+         "bad-path-item", "reversed-segment", "reach-below-vertex", "hn-without-group",
+         "long-chain", "long-cycle", "deep-product"],
 )
 def test_malformed_input_exits_2_with_a_positioned_message(text, message, tmp_path, capsys):
     doc = tmp_path / "doc.qcf"

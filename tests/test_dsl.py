@@ -166,6 +166,24 @@ def test_repeated_keys_are_rejected_at_the_repeat(text, col, message):
     assert [(d.pos.line, d.pos.col, d.message) for d in diags] == [(1, col, message)]
 
 
+def nested_products(depth: int) -> str:
+    return "hopf H = group_algebra(" + "product(" * depth + "cyclic(2)" + ")" * (depth + 1) + "\n"
+
+
+def test_group_nesting_is_capped_at_the_product_that_passes_it():
+    deepest = nested_products(dsl.MAX_GROUP_DEPTH)
+    doc, diags = dsl.parse(deepest)
+    assert diags == [] and dsl.print_document(doc) == deepest
+    # `hopf H = group_algebra(` is 23 columns, each `product(` 8 more
+    col = 24 + 8 * dsl.MAX_GROUP_DEPTH
+    for depth in (dsl.MAX_GROUP_DEPTH + 1, 1000):
+        doc, diags = dsl.parse(nested_products(depth))
+        assert doc is None
+        assert [(d.pos.line, d.pos.col, d.message) for d in diags] == [
+            (1, col, f"product(...) nested more than {dsl.MAX_GROUP_DEPTH} deep")
+        ]
+
+
 def test_printer_writes_only_the_hn_arguments_given():
     # hn(...) without q or group parses (the resolver reports what is missing)
     for text in ("hopf H = hn(s=1, group=cyclic(4))\n", "hopf H = hn(s=0)\n"):

@@ -213,3 +213,18 @@ def test_line_and_cycle_quiver_shapes():
 def test_full_path_coalgebra_requires_acyclic():
     with pytest.raises(QuiverError):
         full_path_coalgebra(cycle_quiver(2))
+
+
+def test_is_acyclic_agrees_with_a_path_of_every_vertex_count():
+    # a quiver on n vertices is cyclic exactly when it has a path of length n
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        vertices = [f"v{i}" for i in range(n)]
+        arrows = [(f"a{k}", rng.choice(vertices), rng.choice(vertices))
+                  for k in range(rng.randint(0, 2 * n))]
+        quiver = Quiver(vertices, arrows)
+        longest = max(p.length for v in vertices for p in quiver.paths_from(v, n))
+        assert quiver.is_acyclic() == (longest < n)
+    chain = line_quiver(0, 4999)
+    assert chain.is_acyclic() and not cycle_quiver(5000).is_acyclic()

@@ -13,37 +13,29 @@ from pathlib import Path as FilePath
 import pytest
 
 import qcf
-from qcf._record import FrozenInstanceError, field, record
+from qcf._record import FrozenInstanceError, record
 from qcf.dsl import Pos, Token
 from qcf.quiver import Path
 
 
-def twins(annotations, defaults=None, factories=None, **options):
+def twins(annotations, defaults=None, **options):
     """The class `Shape` declared with dataclasses and with record, in that order."""
     out = []
-    for decorate, make_field in ((dataclasses.dataclass, dataclasses.field), (record, field)):
+    for decorate in (dataclasses.dataclass, record):
         body = {"__annotations__": dict(annotations), **(defaults or {})}
-        for name, factory in (factories or {}).items():
-            body[name] = make_field(default_factory=factory)
         out.append(decorate(**options)(type("Shape", (), body)))
     return out
 
 
 PLAIN = twins({"a": "int", "b": "str"})
 DEFAULTED = twins({"kind": "str", "n": "int", "parts": "tuple"}, defaults={"n": 0, "parts": ()})
-FACTORY = twins(
-    {"labels": "tuple", "antipode": "dict | None", "meta": "dict"},
-    defaults={"antipode": None},
-    factories={"meta": dict},
-)
 FROZEN = twins({"line": "int", "col": "int"}, frozen=True)
 ORDERED = twins({"source": "str", "target": "str", "arrows": "tuple"}, frozen=True, order=True)
-SHAPES = {"plain": PLAIN, "defaulted": DEFAULTED, "factory": FACTORY, "frozen": FROZEN, "ordered": ORDERED}
+SHAPES = {"plain": PLAIN, "defaulted": DEFAULTED, "frozen": FROZEN, "ordered": ORDERED}
 
 CALLS = {
     "plain": [((1, "x"), {}), ((), {"a": 2, "b": "y"}), ((3,), {"b": "z"})],
     "defaulted": [(("cyclic",), {}), (("csv", 4), {}), (("product",), {"parts": (1, 2), "n": 3})],
-    "factory": [(((0, 1),), {}), (((),), {"antipode": {1: 2}}), ((), {"labels": (), "meta": {"k": 1}})],
     "frozen": [((1, 2), {}), ((), {"col": 5, "line": 4})],
     "ordered": [(("u", "v", ("a",)), {}), (("u",), {"target": "u", "arrows": ()})],
 }
@@ -129,17 +121,6 @@ def test_unfrozen_fields_can_be_assigned():
         obj.a = 2
         del obj.b
         assert vars(obj) == {"a": 2}
-
-
-def test_default_factory_gives_each_instance_a_fresh_value():
-    oracle, mine = FACTORY
-    for cls in FACTORY:
-        one, two = cls(()), cls(())
-        assert one.meta == {} and one.meta is not two.meta
-        one.meta["k"] = 1
-        assert two.meta == {} and cls(()).meta == {}
-    assert hasattr(mine, "meta") == hasattr(oracle, "meta")
-    assert mine.antipode is None is oracle.antipode
 
 
 # pickle finds a class by its module and name, so these twins are declared here
