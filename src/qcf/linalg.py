@@ -1,20 +1,21 @@
 """Exact nullspace and rank computations on sparse rows.
 
-A matrix is a list of sparse rows {column: value}. Two eliminations reach
-an echelon form: a fraction-free one over the integers, which keeps the
-rows of the large bilinear-form systems small, and a division-based one
-over `Cyc`, for form radicals. Both then share one back-substitution over
-`Cyc` to the reduced form, which returns each nullspace vector as a sparse
-{column: value}, so a vector costs time in its nonzeros, not in the
-number of unknowns.
+A matrix is a list of sparse rows {column: value}. One division-based
+elimination over `Cyc` reaches an echelon form with leads 1, and one
+back-substitution takes it to the reduced form, from which each nullspace
+vector is read as a sparse {column: value}: a vector costs time in its
+nonzeros, not in the number of unknowns. An integer matrix is eliminated
+over the rationals, and its vectors are cleared to primitive integers.
 
-The integer elimination first resolves one-term rows, which say that a
-column is zero. Such a column is struck from every row that uses it, a row
-left with one term forces its own column in turn, and a row left with none
-is dropped. Each forced column becomes a unit pivot row {column: 1}; only
-the rows that are left go through the fraction-free loop. A struck row
-differs from its original by multiples of unit rows, so the row space, and
-with it the reduced form and the nullspace basis, is the same.
+An integer matrix first goes through a one-term pass. A one-term row says
+that a column is zero: the column is struck from every row that uses it, a
+row left with one term forces its own column in turn, and a row left with
+none is dropped. Only the rows that are left are eliminated. The pass stays
+because the bilinear-form systems are mostly one-term rows, and striking a
+column costs a dict deletion where eliminating it costs `Cyc` arithmetic.
+A struck row differs from its original by multiples of rows {column: 1},
+so the row space, and with it the reduced form and the nullspace basis, is
+the same.
 
 Pivoting is deterministic (first nonzero in row-major order) so nullspace
 bases are reproducible.
@@ -22,40 +23,34 @@ bases are reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import gcd, lcm
 
 from .scalars import Cyc
 
 _ZERO = Cyc.zero()
-
-def _row_gcd_normalize(row: dict[int, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        for k in row:
-            row[k] //= g
+_ONE = Cyc.one()
 
 
-def _force_zeros(rows: list[dict[int, int]]) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
-    """The one-term pass: {column: unit row} for every column forced to
-    zero, and copies of the other rows with those columns struck out."""
-    forced: dict[int, dict[int, int]] = {}
-    rest: list[dict[int, int]] = []
-    for raw in rows:
-        # rest gets copies; a one-term row is not copied: the form systems
-        # give one per forced unknown, and these are most of their rows
-        row = raw if len(raw) < 2 else {c: v for c, v in raw.items() if v}
+def _force_zeros(rows: list[dict[int, int]]) -> tuple[set[int], list[dict[int, Cyc]]]:
+    """The one-term pass: the columns forced to zero, and rational copies
+    of the other rows with those columns struck out."""
+    forced: set[int] = set()
+    rest: list[dict[int, Cyc]] = []
+    for row in rows:
         if len(row) > 1:
-            rest.append(row)
-        elif row:
-            ((col, v),) = row.items()
-            if v and col not in forced:
-                forced[col] = {col: 1}
-    zeros = forced.keys()
-    if all(zeros.isdisjoint(row) for row in rest):
+            # the form systems' rows hold only 1 and -1; every 1 is the one
+            # shared Cyc, not a new one
+            kept = {c: _ONE if v == 1 else Cyc(1, 1, (v,)) for c, v in row.items() if v}
+            if len(kept) > 1:
+                rest.append(kept)
+                continue
+        # a one-term row is not copied: the form systems give one per
+        # forced unknown, and these are most of their rows
+        for c, v in row.items():
+            if v:
+                forced.add(c)
+    if all(forced.isdisjoint(row) for row in rest):
         # nothing to strike; the index's many small lists would set off
         # collector passes over the caller's heap, which can be large
         return forced, rest
@@ -72,49 +67,39 @@ def _force_zeros(rows: list[dict[int, int]]) -> tuple[dict[int, dict[int, int]],
             if len(row) == 1:  # it forces its last column in turn
                 (last,) = row
                 if last not in forced:
-                    forced[last] = {last: 1}
+                    forced.add(last)
                     stack.append(last)
     return forced, [row for row in rest if row]
 
 
-def sparse_int_echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Fraction-free echelon form; returns {pivot column: row}. A column
-    that one-term rows force to zero has the unit row {column: 1}, and no
-    other row uses it."""
-    pivots, rest = _force_zeros(rows)
-    for row in rest:
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                _row_gcd_normalize(row)
-                if row[lead] < 0:
-                    row = {c: -v for c, v in row.items()}
-                pivots[lead] = row
-                break
-            a, b = piv[lead], row[lead]
-            new: dict[int, int] = {}
-            for c, v in row.items():
-                new[c] = a * v
-            for c, v in piv.items():
-                nv = new.get(c, 0) - b * v
-                if nv:
-                    new[c] = nv
-                else:
-                    new.pop(c, None)
-            row = new
-            _row_gcd_normalize(row)
-    return pivots
-
-
 def _subtract(row: dict[int, Cyc], factor: Cyc, other: dict[int, Cyc]) -> None:
     """row -= factor * other, in place, keeping no zero entries."""
+    unit = factor.is_one()
     for c, v in other.items():
-        nv = row.get(c, _ZERO) - factor * v
+        nv = row.get(c, _ZERO) - (v if unit else factor * v)
         if nv.is_zero():
             row.pop(c, None)
         else:
             row[c] = nv
+
+
+def _echelon(rows: Iterable[dict[int, Cyc]]) -> dict[int, dict[int, Cyc]]:
+    """Echelon form {pivot column: row with lead 1} of rows with no zero
+    entries, which it reduces in place."""
+    pivots: dict[int, dict[int, Cyc]] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                if not row[lead].is_one():
+                    inv = row[lead].inv()
+                    for c, v in row.items():
+                        row[c] = v * inv
+                pivots[lead] = row
+                break
+            _subtract(row, row[lead], piv)
+    return pivots
 
 
 def _back_substitute(pivots: dict[int, dict[int, Cyc]], free: list[int]) -> list[dict[int, Cyc]]:
@@ -124,42 +109,32 @@ def _back_substitute(pivots: dict[int, dict[int, Cyc]], free: list[int]) -> list
     The rows are reduced in place, from the last pivot up. There is one
     vector per free column, in the order of `free`: minus the free
     column's coefficient in each reduced row, then 1 at the free column.
-    A one-term row may be left out of `pivots`: it says only that its
-    column is zero, and subtracting it changes no free column.
     """
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         for c in [c for c in row if c != col and c in pivots]:
             _subtract(row, row[c], pivots[c])
-    # right of its pivot, a reduced row holds free columns and the columns
-    # of rows left out, which no vector reads
+    # right of its pivot, a reduced row holds only free columns
     column_view: dict[int, dict[int, Cyc]] = {}
     for col in sorted(pivots):
         for c, v in pivots[col].items():
             if c != col:
                 column_view.setdefault(c, {})[col] = -v
-    return [{**column_view.get(f, {}), f: Cyc.one()} for f in free]
+    return [{**column_view.get(f, {}), f: _ONE} for f in free]
 
 
 def sparse_int_nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     """Integer basis of the nullspace of a sparse integer matrix.
 
-    The echelon form is found fraction-free; its rows of two or more
-    terms become rational `Cyc` rows with lead 1 for the back-substitution.
     There is one vector per free column, in ascending column order. Each
     vector is a sparse {column: int} with its columns in ascending order,
     primitive (gcd 1) and with a positive leading (smallest-column) entry.
     """
-    pivots = sparse_int_echelon(rows)
-    # the lead is positive, so v / lead is normalized by Cyc._make
-    rational = {
-        col: {c: Cyc._make(1, row[col], [v]) for c, v in row.items()}
-        for col, row in pivots.items()
-        if len(row) > 1
-    }
-    free = [f for f in range(ncols) if f not in pivots]
+    forced, rest = _force_zeros(rows)
+    pivots = _echelon(rest)
+    free = [f for f in range(ncols) if f not in pivots and f not in forced]
     basis: list[dict[int, int]] = []
-    for vec in _back_substitute(rational, free):
+    for vec in _back_substitute(pivots, free):
         # rational values: numerator c[0] over denominator d
         den = lcm(*(x.d for x in vec.values()))
         ints = {c: x.c[0] * (den // x.d) for c, x in vec.items()}
@@ -171,22 +146,13 @@ def sparse_int_nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[in
 
 
 def sparse_int_rank(rows: list[dict[int, int]]) -> int:
-    return len(sparse_int_echelon(rows))
+    forced, rest = _force_zeros(rows)
+    return len(forced) + len(_echelon(rest))
 
 
 def field_nullspace(rows: list[dict[int, Cyc]], ncols: int) -> list[dict[int, Cyc]]:
     """Nullspace basis over the scalar field, one vector per free column,
     each a sparse {column: Cyc}; the same vectors the reduced row echelon
     form gives, whatever the order of the rows."""
-    pivots: dict[int, dict[int, Cyc]] = {}
-    for raw in rows:
-        row = {c: v for c, v in raw.items() if not v.is_zero()}
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = row[lead].inv()
-                pivots[lead] = {c: v * inv for c, v in row.items()}
-                break
-            _subtract(row, row[lead], piv)
+    pivots = _echelon({c: v for c, v in raw.items() if not v.is_zero()} for raw in rows)
     return _back_substitute(pivots, [f for f in range(ncols) if f not in pivots])

@@ -76,6 +76,9 @@ def test_nullspace_matches_sympy_rref(matrix):
     expected, free = sympy_basis(dense, ncols)
     check_invariants(dense, basis, free)
     assert basis == expected
+    # leads such as 2, 3, 6 and -4 are scaled to 1 by the elimination
+    rank = Matrix(dense).rank() if dense else 0
+    assert sparse_int_rank(sparse_rows(dense)) == rank
 
 
 def test_no_rows_leaves_every_column_free():
