@@ -194,8 +194,9 @@ def _group_value(expr: dsl.GroupExpr, base: FilePath | None, levels: int = 1):
 def resolve(doc: dsl.Document, base: FilePath | None = None) -> tuple[Resolved, list[dsl.Diagnostic]]:
     """The document's objects, and a diagnostic for every declaration that
     fails: its resolver raises, and the message is prefixed with the
-    declaration's keyword and name. QuiverError, PosetError and HopfError
-    are ValueErrors and ScalarError an ArithmeticError."""
+    declaration's keyword and name; its name maps to None. QuiverError,
+    PosetError and HopfError are ValueErrors and ScalarError an
+    ArithmeticError."""
     quivers: dict = {}
     posets: dict = {}
     coalgebras: dict = {}
@@ -218,14 +219,17 @@ def resolve(doc: dsl.Document, base: FilePath | None = None) -> tuple[Resolved, 
         except (InputError, ValueError, ArithmeticError) as exc:
             keyword = type(d).__name__.removesuffix("Decl").lower()  # QuiverDecl: quiver
             diags.append(dsl.Diagnostic(d.pos, f"{keyword} {d.name}: {exc}"))
+            # so that _lookup reports a reference to it as failed, not unknown
+            dict(quiver=quivers, poset=posets, coalgebra=coalgebras, hopf=hopfs)[keyword][d.name] = None
     return Resolved(quivers, posets, coalgebras, hopfs), diags
 
 
 def _lookup(declared: dict, kind: str, name: str):
-    try:
-        return declared[name]
-    except KeyError:
-        raise InputError(f"unknown {kind} {name!r}") from None
+    if name not in declared:
+        raise InputError(f"unknown {kind} {name!r}")
+    if declared[name] is None:
+        raise InputError(f"{kind} {name!r} did not resolve")
+    return declared[name]
 
 
 def _path_count(quiver: Quiver, maxlen: int | None) -> int:

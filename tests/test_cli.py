@@ -509,6 +509,23 @@ def test_malformed_input_exits_2_with_a_positioned_message(text, message, tmp_pa
     assert captured.out == ""
 
 
+def test_a_reference_to_a_failed_declaration_is_not_called_unknown(tmp_path, capsys):
+    # nested sums double a line family: S11 passes the limit of 1,024
+    # families, and S12 and S13, which are declared, fail because it did
+    lines = ["coalgebra S0 = family(Ainf, window=[0,0], r={0:1})"]
+    lines += [f"coalgebra S{k} = sum(S{k - 1}, S{k - 1})" for k in range(1, 14)]
+    doc = tmp_path / "doc.qcf"
+    doc.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"{doc}:12:1: coalgebra S11: its summands hold 2048 line families, over the limit of 1024\n"
+        f"{doc}:13:1: coalgebra S12: summand 'S11' did not resolve\n"
+        f"{doc}:14:1: coalgebra S13: summand 'S12' did not resolve\n"
+    )
+    assert captured.out == ""
+
+
 def test_negative_window_margin_exits_2_without_traceback():
     # a negative margin would list vertices outside W's window [-2,3] as interior
     src = str(Path(qcf.__file__).resolve().parent.parent)
