@@ -191,6 +191,17 @@ def test_antipode_independent_of_processing_order():
     assert all(first[k] == second[k] for k in table.labels)
 
 
+def test_compute_antipode_refuses_a_table_that_fails_the_convolution_identity():
+    # x times 1 made 2x: the recursion still solves for an antipode, which
+    # only the closing convolution check finds wrong
+    table = build_Hn(1, MINUS_ONE, cyclic_hopf_datum(4, 1, MINUS_ONE), Cyc.zero())
+    key = ((0, 1), (0, 0))
+    table.product[key] = table.product[key].scale(Cyc.rational(2))
+    with pytest.raises(HopfError) as info:
+        compute_antipode(table)
+    assert str(info.value) == "computed antipode fails the convolution identity at (3, 1)"
+
+
 def test_verify_detects_corruption():
     datum = cyclic_hopf_datum(2, 1, MINUS_ONE)
     table = with_antipode(build_Hn(1, MINUS_ONE, datum, Cyc.zero()))
