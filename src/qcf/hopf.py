@@ -74,7 +74,12 @@ class FiniteGroupData:
             if self.table[e][i] != i or self.table[i][e] != i:
                 raise HopfError(f"identity law fails at {self.names[i]}")
         t = self.table
-        gens = _greedy_generators(range(n_elems), e, lambda w, h: t[w][h])
+
+        def step(w, h):
+            return t[w][h]
+
+        order = sorted(range(n_elems), key=lambda h: -_orbit(e, step, h))
+        gens = _greedy_generators(order, e, step)
         # Light's test: by the identity law the b with (ab)c = a(bc) for all
         # a, c are closed under the product, so the generators decide; the
         # full loop runs only to name the first failing triple
@@ -134,6 +139,18 @@ def _greedy_generators(candidates, start, step) -> list:
                     reached.add(label)
                     queue.append(label)
     return gens
+
+
+def _orbit(start, step, cand) -> int:
+    """The number of labels reached from `start` by repeated w -> step(w,
+    cand), `start` included: the longer a candidate's orbit, the more of the
+    closure it reaches alone, so trying it first leaves fewer generators."""
+    seen = {start}
+    w = step(start, cand)
+    while w is not None and w not in seen:
+        seen.add(w)
+        w = step(w, cand)
+    return len(seen)
 
 
 def _nonassociative_triple(t, middle):
@@ -396,6 +413,10 @@ class HopfTable:
         return len(self.labels)
 
     def mul_lin_basis(self, x: LinComb, b) -> LinComb:
+        if len(x.terms) == 1:
+            # one term: the product row scaled, as no two labels can collide
+            ((l, c),) = x.terms.items()
+            return self.product[(l, b)].scale(c)
         acc = Accumulator()
         add = acc.add
         for l, c in x.items():
@@ -404,6 +425,9 @@ class HopfTable:
         return acc.result()
 
     def mul_basis_lin(self, a, y: LinComb) -> LinComb:
+        if len(y.terms) == 1:
+            ((l, c),) = y.terms.items()
+            return self.product[(a, l)].scale(c)
         acc = Accumulator()
         add = acc.add
         for l, c in y.items():
@@ -597,8 +621,12 @@ def with_antipode(table: HopfTable) -> HopfTable:
 def algebra_generators(table: HopfTable) -> list | None:
     """Labels that generate the algebra, certified by `_greedy_generators`:
     a label is reached when the product of a reached label and a generator
-    is a nonzero multiple of it. Candidates are taken in (degree, repr)
-    order.
+    is a nonzero multiple of it. Candidates are taken in (degree, -orbit,
+    repr) order, the orbit counted by `_orbit` through the same step: a
+    long orbit reaches much of the closure alone, so the set stays small
+    however the labels are numbered. Any certified set generates the
+    algebra, so the order changes how many generators there are, not what
+    they prove.
 
     None when the unit is not a label or the product or coproduct of labels
     leaves their span (a finite window of the line family): there the
@@ -623,8 +651,9 @@ def algebra_generators(table: HopfTable) -> list | None:
                 return label
         return None
 
-    order = sorted(labels, key=lambda b: (table.degree[b], repr(b)))
-    return _greedy_generators(order, table.unit, step)
+    unit = table.unit
+    order = sorted(labels, key=lambda b: (table.degree[b], -_orbit(unit, step, b), repr(b)))
+    return _greedy_generators(order, unit, step)
 
 
 @record
@@ -672,9 +701,12 @@ def verify_hopf(table: HopfTable, exhaustive: bool = False) -> HopfVerifyReport:
     generators, associativity runs with its middle factor over the
     generators only, and so do the multiplicativity of the coproduct and
     counit with their left factor once associativity holds (Light's test:
-    the elements passing each of these checks form a subalgebra). A
-    reduced check that fails runs again over all tuples, so the verdicts
-    and failure strings are always those of the exhaustive sweep.
+    the elements passing each of these checks form a subalgebra). The
+    generators are tried by degree, then longest orbit, then repr; any
+    certified set generates the algebra, so the order sets only the number
+    of tuples visited. A reduced check that fails runs again over all
+    tuples, so the verdicts and failure strings are always those of the
+    exhaustive sweep.
     """
     labels = table.labels
     unit = table.unit

@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcf.lincomb import LinComb, linear
+from qcf.lincomb import LinComb, linear, map_linear, pair_tensor
 from qcf.hopf import (
     FiniteGroupData,
     HopfError,
@@ -302,6 +303,33 @@ def assert_reduced_matches_oracle(table):
     return reduced
 
 
+def shuffled_hn_datum(moduli, s, seed):
+    """prod C_m with its indices permuted by the seed and read back through
+    `group_from_csv_rows`, as the hopf-verify benchmark documents are: g
+    generates the first factor and chi(i, ...) = q^i for q = zeta_(s+1).
+    Returns (q, datum)."""
+    elements = list(product(*(range(m) for m in moduli)))
+    perm = list(range(len(elements)))
+    random.Random(seed).shuffle(perm)
+    index = {e: perm[k] for k, e in enumerate(elements)}
+    rows = [[0] * len(elements) for _ in elements]
+    for a in elements:
+        for b in elements:
+            rows[index[a]][index[b]] = index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
+    table, names, identity = group_from_csv_rows(rows)
+    q = RootOfUnity(s + 1, 1)
+    chi = [None] * len(elements)
+    for a in elements:
+        chi[index[a]] = q.power(a[0])
+    g = index[(1,) + (0,) * (len(moduli) - 1)]
+    return q, FiniteGroupData(table, names, identity, g, tuple(chi))
+
+
+def shuffled_hn(moduli, s, seed):
+    q, datum = shuffled_hn_datum(moduli, s, seed)
+    return build_Hn(s, q, datum, Cyc.rational(1))
+
+
 SMALL_TABLES = {
     "H(C4), s=1": lambda: build_Hn(
         1, MINUS_ONE, cyclic_hopf_datum(4, 1, MINUS_ONE), Cyc.rational(1)
@@ -313,6 +341,9 @@ SMALL_TABLES = {
     "k[S3]": lambda: group_algebra(*dihedral_table(3)[:2], 0),
     "k[C4]": lambda: group_algebra(cyclic_table(4), ("e", "c", "c2", "c3"), 0),
     "cycle n=4, s=1": lambda: LineProduct(1, MINUS_ONE, Cyc.rational(1), 4).table(),
+    # (0, 0) is not the unit and has the shortest orbit: the labels' repr
+    # order would certify three generators
+    "H(C4), s=1, shuffled": lambda: shuffled_hn((4,), 1, 7),
 }
 DELTAS = [Cyc.one(), Cyc.rational(-1), Cyc.rational(2), ZETA3.scalar(), ZETA4.scalar()]
 
@@ -383,8 +414,50 @@ def test_generators_agree_with_exhaustive_sweep_on_criterion_7_grid(n, s, q):
 def test_algebra_generators_certify_the_sweedler_like_tables():
     table = build_Hn(1, MINUS_ONE, cyclic_hopf_datum(4, 1, MINUS_ONE), Cyc.rational(1))
     assert algebra_generators(table) == [(1, 0), (0, 1)]
-    # a generator of the group is found even when the labels do not start with one
-    assert algebra_generators(group_algebra(*dihedral_table(3)[:2], 0)) == [1, 2]
+    # a generator of the group is found even when the labels do not start
+    # with one; the rotation 2 comes before the reflection 1, its orbit
+    # (3 labels) being the longer
+    assert algebra_generators(group_algebra(*dihedral_table(3)[:2], 0)) == [2, 1]
+    assert algebra_generators(SMALL_TABLES["H(C4), s=1, shuffled"]()) == [(1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "moduli, s, count", [((8,), 7, 2), ((8, 2), 3, 3)], ids=["H(C8), s=7", "H(C8 x C2), s=3"]
+)
+def test_shuffled_benchmark_tables_get_the_fewest_generators(moduli, s, count):
+    # the minimum: x and a generating set of the group; in (degree, repr)
+    # order this labelling certified one generator more
+    table = with_antipode(shuffled_hn(moduli, s, 0))
+    gens = algebra_generators(table)
+    assert len(gens) == count
+    report = assert_reduced_matches_oracle(table)
+    assert report.ok
+    dim = table.dimension
+    assert report.checks["associativity"].checked == count * dim * dim
+
+
+def test_one_term_products_match_the_general_sum():
+    # g^2 = e in C2, so with s = 1 the two overflow terms of x * x cancel
+    table = build_Hn(1, MINUS_ONE, cyclic_hopf_datum(2, 1, MINUS_ONE), Cyc.rational(1))
+    x = (0, 1)
+    assert table.product[(x, x)].is_zero()
+    before = {key: dict(row.terms) for key, row in table.product.items()}
+
+    def general(left, right):
+        return map_linear(pair_tensor(left, right), table.product.__getitem__)
+
+    for c in (Cyc.one(), Cyc.rational(-3), ZETA4.scalar()):
+        for a in table.labels:
+            for b in table.labels:
+                assert table.mul_lin_basis(LinComb.basis(a, c), b) == general(
+                    LinComb.basis(a, c), LinComb.basis(b)
+                )
+                assert table.mul_basis_lin(a, LinComb.basis(b, c)) == general(
+                    LinComb.basis(a), LinComb.basis(b, c)
+                )
+        assert table.mul_lin_basis(LinComb.basis(x, c), x).is_zero()
+        assert table.mul_basis_lin(x, LinComb.basis(x, c)).is_zero()
+    assert {key: row.terms for key, row in table.product.items()} == before
 
 
 def test_window_tables_get_no_generators():
