@@ -778,6 +778,8 @@ def cmd_hopf(res: Resolved, flags, verify_only: bool = False) -> dict:
                 label(l): lincomb_json(table.antipode[l], label) for l in table.labels
             }
         results[name] = entry
+        # so that the next table is built in this one's memory, not beside it
+        del table
     if not results:
         raise InputError("no hopf declarations in the document")
     return results
