@@ -415,6 +415,7 @@ class HopfTable:
     def mul_lin_basis(self, x: LinComb, b) -> LinComb:
         if len(x.terms) == 1:
             # one term: the product row scaled, as no two labels can collide
+            # and no product of nonzero scalars is zero
             ((l, c),) = x.terms.items()
             return self.product[(l, b)].scale(c)
         acc = Accumulator()

@@ -303,11 +303,11 @@ def assert_reduced_matches_oracle(table):
     return reduced
 
 
-def shuffled_hn_datum(moduli, s, seed):
-    """prod C_m with its indices permuted by the seed and read back through
-    `group_from_csv_rows`, as the hopf-verify benchmark documents are: g
-    generates the first factor and chi(i, ...) = q^i for q = zeta_(s+1).
-    Returns (q, datum)."""
+def shuffled_hn(moduli, s, seed):
+    """H over prod C_m with alpha = 1, its group indices permuted by the
+    seed and read back through `group_from_csv_rows`, as the hopf-verify
+    benchmark documents are: g generates the first factor and
+    chi(i, ...) = q^i for q = zeta_(s+1)."""
     elements = list(product(*(range(m) for m in moduli)))
     perm = list(range(len(elements)))
     random.Random(seed).shuffle(perm)
@@ -322,12 +322,7 @@ def shuffled_hn_datum(moduli, s, seed):
     for a in elements:
         chi[index[a]] = q.power(a[0])
     g = index[(1,) + (0,) * (len(moduli) - 1)]
-    return q, FiniteGroupData(table, names, identity, g, tuple(chi))
-
-
-def shuffled_hn(moduli, s, seed):
-    q, datum = shuffled_hn_datum(moduli, s, seed)
-    return build_Hn(s, q, datum, Cyc.rational(1))
+    return build_Hn(s, q, FiniteGroupData(table, names, identity, g, tuple(chi)), Cyc.rational(1))
 
 
 SMALL_TABLES = {
@@ -341,8 +336,8 @@ SMALL_TABLES = {
     "k[S3]": lambda: group_algebra(*dihedral_table(3)[:2], 0),
     "k[C4]": lambda: group_algebra(cyclic_table(4), ("e", "c", "c2", "c3"), 0),
     "cycle n=4, s=1": lambda: LineProduct(1, MINUS_ONE, Cyc.rational(1), 4).table(),
-    # (0, 0) is not the unit and has the shortest orbit: the labels' repr
-    # order would certify three generators
+    # the unit is (3, 0) and (0, 0) has order 2: in the labels' repr order
+    # it would be certified, and three generators in all
     "H(C4), s=1, shuffled": lambda: shuffled_hn((4,), 1, 7),
 }
 DELTAS = [Cyc.one(), Cyc.rational(-1), Cyc.rational(2), ZETA3.scalar(), ZETA4.scalar()]
@@ -428,8 +423,7 @@ def test_shuffled_benchmark_tables_get_the_fewest_generators(moduli, s, count):
     # the minimum: x and a generating set of the group; in (degree, repr)
     # order this labelling certified one generator more
     table = with_antipode(shuffled_hn(moduli, s, 0))
-    gens = algebra_generators(table)
-    assert len(gens) == count
+    assert len(algebra_generators(table)) == count
     report = assert_reduced_matches_oracle(table)
     assert report.ok
     dim = table.dimension
