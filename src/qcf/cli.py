@@ -141,14 +141,14 @@ def _scalar_value(sc: dsl.ScalarExpr) -> Cyc:
     return Cyc.root(sc.order, sc.exponent)
 
 
-def _root_value(sc: dsl.ScalarExpr) -> RootOfUnity:
+def _root_value(sc: dsl.ScalarExpr, name: str) -> RootOfUnity:
     if sc.kind == "root":
         return RootOfUnity(sc.order, sc.exponent)
     if sc.kind == "rational" and sc.den == 1 and sc.num == -1:
         return RootOfUnity(2, 1)
     if sc.kind == "rational" and sc.den == 1 and sc.num == 1:
         return RootOfUnity(1, 0)
-    raise InputError("q must be root(m, k), 1, or -1")
+    raise InputError(f"{name} must be root(m, k), 1, or -1")
 
 
 def _group_value(expr: dsl.GroupExpr, base: FilePath | None, levels: int = 1):
@@ -350,11 +350,11 @@ def _resolve_hopf(e: dsl.HopfExpr, base) -> HopfValue:
             f"q, chi and alpha need roots of unity of order {conductor}, "
             f"over the limit of {MAX_CONDUCTOR}"
         )
-    q = _root_value(e.q)
+    q = _root_value(e.q, "q")
     s = e.s
     alpha = _scalar_value(e.alpha) if e.alpha is not None else Cyc.zero()
     if e.chi is not None:
-        chi = tuple(_root_value(c) for c in e.chi)
+        chi = tuple(_root_value(c, f"chi[{i}]") for i, c in enumerate(e.chi))
         if len(chi) != len(table):
             raise InputError("chi must list one value per group element")
     else:
@@ -367,14 +367,14 @@ def _resolve_hopf(e: dsl.HopfExpr, base) -> HopfValue:
             raise InputError("explicit g needs an explicit chi")
         datum = hopf.FiniteGroupData(table, names, identity, g, chi)
     else:
-        datum = _default_datum(e.group, s, q, table, names, identity, chi)
+        datum = _default_datum(e.group, s, q, chi)
     datum.validate(s, q, alpha)
     return HopfValue(
         lambda: hopf.build_Hn(s, q, datum, alpha), lambda l: f"{datum.names[l[0]]}|x^{l[1]}"
     )
 
 
-def _default_datum(gexpr, s, q, table, names, identity, chi):
+def _default_datum(gexpr, s, q, chi):
     if chi is not None:
         raise InputError("explicit chi needs an explicit g")
     if gexpr.kind == "cyclic":

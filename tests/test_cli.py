@@ -444,6 +444,36 @@ def test_bad_hopf_input_exits_2_without_traceback(hopf_decl, message, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "hopf_decl, message",
+    [
+        ("hn(s=1, q=1/2, group=cyclic(2))", "q must be root(m, k), 1, or -1"),
+        ("hn(s=1, q=root(2,1), group=cyclic(2), g=1, chi=[1, 1/2])",
+         "chi[1] must be root(m, k), 1, or -1"),
+        ("hn(s=1, q=root(2,1), group=dihedral(3))",
+         "dihedral(3) has no central element of order 3 with a matching character"),
+        ("hn(s=1, q=root(2,1), group=product(cyclic(2), cyclic(3)))",
+         "this group constructor needs explicit g and chi"),
+    ],
+    ids=["q-not-a-root", "chi-entry-not-a-root", "dihedral-without-datum", "product-without-datum"],
+)
+def test_hn_refusals_name_the_argument(hopf_decl, message, tmp_path, capsys):
+    doc = tmp_path / "doc.qcf"
+    doc.write_text(f"hopf H = {hopf_decl}\n")
+    assert main(["hopf-verify", "--input", str(doc)]) == 2
+    assert capsys.readouterr().err == f"{doc}:1:1: hopf H: {message}\n"
+
+
+def test_hn_default_dihedral_datum_verifies(tmp_path, capsys):
+    doc = tmp_path / "doc.qcf"
+    doc.write_text("hopf H = hn(s=1, q=root(2,1), group=dihedral(2), alpha=1)\n")
+    code, report = run_cli(capsys, "hopf-verify", "--input", doc)
+    assert code == 0
+    entry = report["results"]["H"]
+    assert entry["verified"] is True
+    assert entry["meta"]["group_order"] == 4
+
+
 LONG_INT = "1" * 5000
 
 

@@ -192,15 +192,45 @@ def test_antipode_independent_of_processing_order():
     assert all(first[k] == second[k] for k in table.labels)
 
 
-def test_compute_antipode_refuses_a_table_that_fails_the_convolution_identity():
-    # x times 1 made 2x: the recursion still solves for an antipode, which
-    # only the closing convolution check finds wrong
+def test_verify_hopf_reports_an_antipode_that_fails_the_convolution_identity():
+    # x times 1 made 2x: the recursion still solves for an antipode, and
+    # verify_hopf, the one check of the convolution identities, finds it wrong
     table = build_Hn(1, MINUS_ONE, cyclic_hopf_datum(4, 1, MINUS_ONE), Cyc.zero())
     key = ((0, 1), (0, 0))
     table.product[key] = table.product[key].scale(Cyc.rational(2))
+    table = with_antipode(table)
+    report = assert_reduced_matches_oracle(table)
+    assert not report.ok
+    assert report.checks["antipode_identities"].failure == "left convolution at (3, 1)"
+
+
+def test_compute_antipode_refuses_a_grouplike_without_inverse():
+    table = group_algebra(cyclic_table(3), ("e", "c", "c2"), 0)
+    table.product[(1, 2)] = LinComb.basis(1)
     with pytest.raises(HopfError) as info:
         compute_antipode(table)
-    assert str(info.value) == "computed antipode fails the convolution identity at (3, 1)"
+    assert str(info.value) == "grouplike 1 is not invertible"
+
+
+def test_compute_antipode_refuses_a_leading_term_without_grouplike_right_factor():
+    table = build_Hn(1, MINUS_ONE, cyclic_hopf_datum(2, 1, MINUS_ONE), Cyc.zero())
+    # x (x) g made x (x) gx
+    table.coproduct[(0, 1)] = linear(
+        ((((0, 1), (1, 1)), Cyc.one()), (((0, 0), (0, 1)), Cyc.one()))
+    )
+    with pytest.raises(HopfError) as info:
+        compute_antipode(table)
+    assert str(info.value) == (
+        "coproduct of (0, 1) lacks a unique leading term with grouplike right factor"
+    )
+
+
+def test_compute_antipode_refuses_a_broken_filtration_order():
+    table = build_Hn(1, MINUS_ONE, cyclic_hopf_datum(2, 1, MINUS_ONE), Cyc.zero())
+    order = sorted(table.labels, key=lambda b: -table.degree[b])
+    with pytest.raises(HopfError) as info:
+        compute_antipode(table, order)
+    assert str(info.value) == "filtration order broken: (0, 0) needed before (0, 1)"
 
 
 def test_verify_detects_corruption():
