@@ -543,8 +543,8 @@ def compute_antipode(table: HopfTable, order=None) -> dict:
 
     Grouplikes invert through the product table; any other basis element c
     must have a unique coproduct term of the shape c (x) grouplike, which is
-    solved for. This only solves: HopfError when the recursion cannot
-    proceed, and the convolution identities are left to `verify_hopf`.
+    solved for. It only solves: it raises HopfError when the recursion
+    cannot proceed, and leaves the convolution identities to `verify_hopf`.
     """
     if order is None:
         order = sorted(table.labels, key=lambda b: (table.degree[b], repr(b)))

@@ -427,8 +427,16 @@ def test_csv_group_table(tmp_path, capsys):
         ('hn(s=1, q=root(2,1), group=csv("bad.csv"), g=1, chi=[1, -1], alpha=0)',
          "cannot read group table"),
         ("hn(s=1, q=root(2,1), alpha=1)", "hn(...) needs group"),
+        ("hn(s=1, q=1/2, group=cyclic(2))", "hopf H: q must be root(m, k), 1, or -1\n"),
+        ("hn(s=1, q=root(2,1), group=cyclic(2), g=1, chi=[1, 1/2])",
+         "hopf H: chi[1] must be root(m, k), 1, or -1\n"),
+        ("hn(s=1, q=root(2,1), group=dihedral(3))",
+         "hopf H: dihedral(3) has no central element of order 3 with a matching character\n"),
+        ("hn(s=1, q=root(2,1), group=product(cyclic(2), cyclic(3)))",
+         "hopf H: this group constructor needs explicit g and chi\n"),
     ],
-    ids=["zero-denominator", "csv-cell-not-an-integer", "hn-without-group"],
+    ids=["zero-denominator", "csv-cell-not-an-integer", "hn-without-group", "q-not-a-root",
+         "chi-entry-not-a-root", "dihedral-without-datum", "product-without-datum"],
 )
 def test_bad_hopf_input_exits_2_without_traceback(hopf_decl, message, tmp_path):
     (tmp_path / "bad.csv").write_text("0,1\n1,x\n")
@@ -442,26 +450,6 @@ def test_bad_hopf_input_exits_2_without_traceback(hopf_decl, message, tmp_path):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize(
-    "hopf_decl, message",
-    [
-        ("hn(s=1, q=1/2, group=cyclic(2))", "q must be root(m, k), 1, or -1"),
-        ("hn(s=1, q=root(2,1), group=cyclic(2), g=1, chi=[1, 1/2])",
-         "chi[1] must be root(m, k), 1, or -1"),
-        ("hn(s=1, q=root(2,1), group=dihedral(3))",
-         "dihedral(3) has no central element of order 3 with a matching character"),
-        ("hn(s=1, q=root(2,1), group=product(cyclic(2), cyclic(3)))",
-         "this group constructor needs explicit g and chi"),
-    ],
-    ids=["q-not-a-root", "chi-entry-not-a-root", "dihedral-without-datum", "product-without-datum"],
-)
-def test_hn_refusals_name_the_argument(hopf_decl, message, tmp_path, capsys):
-    doc = tmp_path / "doc.qcf"
-    doc.write_text(f"hopf H = {hopf_decl}\n")
-    assert main(["hopf-verify", "--input", str(doc)]) == 2
-    assert capsys.readouterr().err == f"{doc}:1:1: hopf H: {message}\n"
 
 
 def test_hn_default_dihedral_datum_verifies(tmp_path, capsys):
