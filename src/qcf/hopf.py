@@ -19,7 +19,7 @@ is assumed.
 from __future__ import annotations
 
 from ._record import record
-from .lincomb import Accumulator, LinComb, expand_slot, linear, map_linear, pair_tensor
+from .lincomb import Accumulator, LinComb, _wrap, expand_slot, linear, map_linear, pair_tensor
 from .scalars import MINUS_ONE, ONE_ROOT, Cyc, RootOfUnity, cached_mul, q_binomial, q_factorial
 
 Label = tuple  # (group element index, x-degree) for the finite tables
@@ -456,7 +456,16 @@ class HopfTable:
 
 def build_Hn(s: int, q: RootOfUnity, G: FiniteGroupData, alpha: Cyc) -> HopfTable:
     """Table on {h x^u}: x h = chi(h) h x, x^(s+1) = alpha (g^(s+1) - 1),
-    grouplike group elements, and the skew-primitive generator pattern for x."""
+    grouplike group elements, and the skew-primitive generator pattern for x.
+
+    Each product's terms are written straight into its dict, in the order
+    `linear` would give them: (hk, u+v) with chi(k)^u, or on overflow
+    (hk g^(s+1), w) with chi(k)^u alpha and then (hk, w) with its negative.
+    No coefficient is zero, as the chi powers are roots of unity, and an
+    overflow product is zero exactly when alpha = 0 or g^(s+1) = e, where
+    its two labels coincide and cancel. The keys and output labels reuse
+    the tuples of `labels`.
+    """
     G.validate(s, q, alpha)
     order = G.order
     qs = q.scalar()
@@ -465,7 +474,6 @@ def build_Hn(s: int, q: RootOfUnity, G: FiniteGroupData, alpha: Cyc) -> HopfTabl
     for h in range(order):
         for _ in range(s):
             chi_pow[h].append(chi_pow[h][-1] * chi_s[h])
-    chi_alpha = [[c * alpha for c in row] for row in chi_pow]
     g_pows = [G.identity]
     for _ in range(s + 1):
         g_pows.append(G.mul(g_pows[-1], G.g))
@@ -475,19 +483,32 @@ def build_Hn(s: int, q: RootOfUnity, G: FiniteGroupData, alpha: Cyc) -> HopfTabl
             binom[(a, b)] = q_binomial(a, b, qs)
 
     labels = tuple((h, u) for h in range(order) for u in range(s + 1))
+    width = s + 1
+    table = G.table
+    gs1 = g_pows[s + 1]
+    overflow = not alpha.is_zero() and gs1 != G.identity
+    chi_alpha = [[(c * alpha, -(c * alpha)) for c in row] for row in chi_pow] if overflow else None
     product: dict = {}
-    for (h, u) in labels:
-        for (k, v) in labels:
-            hk = G.mul(h, k)
-            if u + v <= s:
-                product[((h, u), (k, v))] = LinComb.basis((hk, u + v), chi_pow[k][u])
-            else:
-                coef = chi_alpha[k][u]
-                w = u + v - s - 1
-                # when g^(s+1) = e both terms have one label and cancel
-                product[((h, u), (k, v))] = linear(
-                    (((G.mul(hk, g_pows[s + 1]), w), coef), ((hk, w), -coef))
-                )
+    for h in range(order):
+        row = table[h]
+        for u in range(width):
+            a = labels[h * width + u]
+            for k in range(order):
+                hk = row[k]
+                base = hk * width
+                coef = chi_pow[k][u]
+                for v in range(width):
+                    key = (a, labels[k * width + v])
+                    if u + v <= s:
+                        product[key] = _wrap({labels[base + u + v]: coef})
+                    elif overflow:
+                        w = u + v - width
+                        plus, minus = chi_alpha[k][u]
+                        product[key] = _wrap(
+                            {labels[table[hk][gs1] * width + w]: plus, labels[base + w]: minus}
+                        )
+                    else:
+                        product[key] = _wrap({})
     coproduct: dict = {}
     counit: dict = {}
     degree: dict = {}
@@ -544,10 +565,13 @@ def compute_antipode(table: HopfTable, order=None) -> dict:
     Grouplikes invert through the product table; any other basis element c
     must have a unique coproduct term of the shape c (x) grouplike, which is
     solved for. It only solves: it raises HopfError when the recursion
-    cannot proceed, and leaves the convolution identities to `verify_hopf`.
+    cannot proceed or `order` is not a permutation of the labels, and leaves
+    the convolution identities to `verify_hopf`.
     """
     if order is None:
         order = sorted(table.labels, key=lambda b: (table.degree[b], repr(b)))
+    elif len(order) != len(table.labels) or set(order) != set(table.labels):
+        raise HopfError("order is not a permutation of the table's labels")
     unit = table.unit
     one = LinComb.basis(unit)
     grouplikes = [b for b in table.labels
@@ -666,6 +690,43 @@ def _sweep(outcomes, method: str) -> CheckResult:
     return CheckResult(True, None, checked, method)
 
 
+def _associativity(table: HopfTable, middle):
+    """Per triple (a, b, c), b in `middle` and a, c over the labels: None
+    when (ab)c = a(bc), else the failure string.
+
+    When ab = c1 l and bc = c2 m are one-term products, (ab)c = a(bc) says
+    that row (l, c) scaled by c1 equals row (a, m) scaled by c2. No
+    coefficient is zero, so the scaled rows keep their labels, and they are
+    compared term by term without being built. Multi-term and zero products
+    go through `mul_lin_basis` and `mul_basis_lin`, which accumulate.
+    """
+    labels = table.labels
+    pair = table.product
+    mul_lin_basis = table.mul_lin_basis
+    mul_basis_lin = table.mul_basis_lin
+    for a in labels:
+        for b in middle:
+            ab = pair[(a, b)]
+            one = len(ab.terms) == 1
+            if one:
+                ((l, c1),) = ab.terms.items()
+            for c in labels:
+                bc = pair[(b, c)]
+                if one and len(bc.terms) == 1:
+                    ((m, c2),) = bc.terms.items()
+                    left = pair[(l, c)].terms
+                    right = pair[(a, m)].terms
+                    same = left.keys() == right.keys()
+                    if same:
+                        for k, v in left.items():
+                            if cached_mul(v, c1) != cached_mul(right[k], c2):
+                                same = False
+                                break
+                else:
+                    same = mul_lin_basis(ab, c) == mul_basis_lin(a, bc)
+                yield None if same else f"({a!r} {b!r} {c!r})"
+
+
 def verify_hopf(table: HopfTable, exhaustive: bool = False) -> HopfVerifyReport:
     """Check every Hopf axiom on the basis; failures are report content,
     never exceptions.
@@ -680,11 +741,14 @@ def verify_hopf(table: HopfTable, exhaustive: bool = False) -> HopfVerifyReport:
     certified set generates the algebra, so the order sets only the number
     of tuples visited. A reduced check that fails runs again over all
     tuples, so the verdicts and failure strings are always those of the
-    exhaustive sweep.
+    exhaustive sweep. Associativity (`_associativity`) compares the scaled
+    rows of two one-term products term by term, and builds both sides only
+    for other products.
 
     Only here are the antipode's convolution identities checked
-    (`compute_antipode` just solves), so an antipode failing them is an
-    `antipode_identities` failure, not an exception.
+    (`compute_antipode` just solves), so an antipode failing them, or
+    lacking a label its coproduct terms need, is an `antipode_identities`
+    failure, not an exception.
     """
     labels = table.labels
     unit = table.unit
@@ -722,20 +786,7 @@ def verify_hopf(table: HopfTable, exhaustive: bool = False) -> HopfVerifyReport:
         if gens is not None:
             method = "generators " + ", ".join(map(repr, gens))
 
-    def associativity(middle):
-        pair = table.product
-        mul_lin_basis = table.mul_lin_basis
-        mul_basis_lin = table.mul_basis_lin
-        for a in labels:
-            for b in middle:
-                ab = pair[(a, b)]
-                for c in labels:
-                    if mul_lin_basis(ab, c) == mul_basis_lin(a, pair[(b, c)]):
-                        yield None
-                    else:
-                        yield f"({a!r} {b!r} {c!r})"
-
-    run("associativity", associativity, reducible=True)
+    run("associativity", lambda middle: _associativity(table, middle), reducible=True)
     if not checks["associativity"].ok:
         gens = None
 
@@ -783,9 +834,14 @@ def verify_hopf(table: HopfTable, exhaustive: bool = False) -> HopfVerifyReport:
             # S * id ("left") and id * S ("right") against epsilon(b) 1
             antipode = table.antipode
             for b in over:
+                terms = table.coproduct[b].items()
+                missing = [l for (x, y), _ in terms for l in (x, y) if l not in antipode]
+                if missing:
+                    yield f"no antipode at {missing[0]!r}"
+                    continue
                 expect = LinComb.basis(unit, table.counit[b])
                 left, right = Accumulator(), Accumulator()
-                for (x, y), c in table.coproduct[b].items():
+                for (x, y), c in terms:
                     for l, d in table.mul_lin_basis(antipode[x], y).items():
                         left.add(l, cached_mul(d, c))
                     for l, d in table.mul_basis_lin(x, antipode[y]).items():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import qcf.frobenius
 from qcf.forms import incidence_form_params, path_form_params
 from qcf.frobenius import (
@@ -20,6 +22,7 @@ from qcf.quiver import (
     Path,
     PathSubcoalgebra,
     Quiver,
+    QuiverError,
     WindowedFamily,
     build_family,
     cycle_quiver,
@@ -198,6 +201,27 @@ def test_admits_hopf_families():
     assert adm.family == "I" and adm.s == 2 and adm.window_limited
     mixed = Classification((("Cn", 2, 1), ("point",)), {})
     assert admits_hopf(mixed).family == "none"
+
+
+def test_admits_hopf_refuses_the_empty_coalgebra():
+    adm = admits_hopf(Classification((), {}))
+    assert (adm.family, adm.summand_count, adm.reason) == ("none", 0, "empty coalgebra")
+
+
+def test_admits_hopf_names_the_failing_divisibility():
+    for n, s in [(3, 1), (5, 2), (2, 2)]:
+        adm = admits_hopf(Classification((("Cn", n, s),), {}))
+        assert (adm.family, adm.n, adm.s) == ("none", n, s)
+        assert adm.reason == f"{s + 1} does not divide {n}"
+
+
+def test_analyze_refuses_an_invalid_line_window():
+    # a reach table that is not strictly increasing: analyze validates the
+    # family itself rather than trusting its callers to
+    fam = WindowedFamily.line(A_INF, {0: 2, 1: 2})
+    with pytest.raises(QuiverError) as info:
+        analyze(fam)
+    assert str(info.value) == "reach must be strictly increasing at 1"
 
 
 def test_ladder_window_interior_elements_pass():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qcf.lincomb import LinComb, linear, map_linear, pair_tensor
 from qcf.hopf import (
     FiniteGroupData,
+    _associativity,
     HopfError,
     LineProduct,
     algebra_generators,
@@ -231,6 +232,31 @@ def test_compute_antipode_refuses_a_broken_filtration_order():
     with pytest.raises(HopfError) as info:
         compute_antipode(table, order)
     assert str(info.value) == "filtration order broken: (0, 0) needed before (0, 1)"
+
+
+def test_compute_antipode_refuses_an_order_that_is_not_a_permutation():
+    # H over C2, s = 1: the degree-sorted labels without the last gave a
+    # partial antipode, on which verify_hopf raised KeyError (1, 1)
+    table = build_Hn(1, MINUS_ONE, cyclic_hopf_datum(2, 1, MINUS_ONE), Cyc.zero())
+    order = sorted(table.labels, key=lambda b: (table.degree[b], repr(b)))
+    for bad in (order[:-1], order[:-1] + order[:1], order + order[-1:]):
+        with pytest.raises(HopfError) as info:
+            compute_antipode(table, bad)
+        assert str(info.value) == "order is not a permutation of the table's labels"
+    # any other order along the filtration is taken
+    other = sorted(order, key=lambda b: (table.degree[b], -b[0]))
+    assert other != order and compute_antipode(table, other) == compute_antipode(table)
+
+
+def test_verify_hopf_reports_a_missing_antipode_entry():
+    table = with_antipode(
+        build_Hn(1, MINUS_ONE, cyclic_hopf_datum(2, 1, MINUS_ONE), Cyc.zero())
+    )
+    del table.antipode[(1, 1)]
+    report = assert_reduced_matches_oracle(table)
+    assert [name for name, res in report.checks.items() if not res.ok] == ["antipode_identities"]
+    check = report.checks["antipode_identities"]
+    assert (check.failure, check.checked) == ("no antipode at (1, 1)", table.dimension)
 
 
 def test_verify_detects_corruption():
@@ -482,6 +508,81 @@ def test_one_term_products_match_the_general_sum():
         assert table.mul_lin_basis(LinComb.basis(x, c), x).is_zero()
         assert table.mul_basis_lin(x, LinComb.basis(x, c)).is_zero()
     assert {key: row.terms for key, row in table.product.items()} == before
+
+
+def row_building_associativity(table):
+    """Per triple, the verdict of building (ab)c and a(bc) in full."""
+    pair = table.product
+    return [
+        table.mul_lin_basis(pair[(a, b)], c) == table.mul_basis_lin(a, pair[(b, c)])
+        for a in table.labels
+        for b in table.labels
+        for c in table.labels
+    ]
+
+
+def assert_associativity_matches_row_building(table):
+    outcomes = list(_associativity(table, table.labels))
+    assert [o is None for o in outcomes] == row_building_associativity(table)
+    triples = product(table.labels, repeat=3)
+    for outcome, (a, b, c) in zip(outcomes, triples):
+        assert outcome in (None, f"({a!r} {b!r} {c!r})")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutants())
+def test_associativity_matches_row_building_on_mutants(mutant):
+    name, kind, table = mutant
+    assert_associativity_matches_row_building(table)
+
+
+@pytest.mark.parametrize("s, q", [(1, MINUS_ONE), (2, ZETA3)])
+def test_associativity_matches_row_building_on_a_line_window(s, q):
+    # products leave the window, and overflow products have two terms
+    window = [(i, u) for i in range(-2, 3) for u in range(s + 1)]
+    table = LineProduct(s, q, Cyc.rational(1)).table(window)
+    assert_associativity_matches_row_building(table)
+    table.product[((0, 1), (0, 1))] = LinComb.basis((0, 0))
+    assert_associativity_matches_row_building(table)
+    assert not all(row_building_associativity(table))
+
+
+def summed_products(s, q, G, alpha):
+    """The products of H over G, each summed by `linear` from its formula."""
+    width = s + 1
+    chi = [r.scalar() for r in G.chi]
+    g_top = G.identity
+    for _ in range(width):
+        g_top = G.mul(g_top, G.g)
+    out = {}
+    for h, u, k, v in product(range(G.order), range(width), range(G.order), range(width)):
+        hk, coef = G.mul(h, k), chi[k] ** u
+        if u + v <= s:
+            terms = [((hk, u + v), coef)]
+        else:
+            w, c = u + v - width, coef * alpha
+            terms = [((G.mul(hk, g_top), w), c), ((hk, w), -c)]
+        out[((h, u), (k, v))] = linear(terms)
+    return out
+
+
+@pytest.mark.parametrize(
+    "s, q, datum, alpha, lengths",
+    [
+        # g^(s+1) = e: the two overflow terms cancel
+        (2, ZETA3, cyclic_hopf_datum(3, 2, ZETA3), 1, {0, 1}),
+        (3, ZETA4, cyclic_x_c2_hopf_datum(8, 3, ZETA4), 0, {0, 1}),
+        (3, ZETA4, cyclic_x_c2_hopf_datum(8, 3, ZETA4), 1, {1, 2}),
+    ],
+    ids=["C3, s=2, g^3 = e", "C8 x C2, s=3, alpha=0", "C8 x C2, s=3, alpha=1"],
+)
+def test_build_hn_products_match_the_summed_formula(s, q, datum, alpha, lengths):
+    table = build_Hn(s, q, datum, Cyc.rational(alpha))
+    expected = summed_products(s, q, datum, Cyc.rational(alpha))
+    assert list(table.product) == list(expected)
+    for key, row in table.product.items():
+        assert list(row.items()) == list(expected[key].items()), key
+    assert {row.support_size() for row in table.product.values()} == lengths
 
 
 def test_window_tables_get_no_generators():
