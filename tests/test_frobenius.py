@@ -146,7 +146,33 @@ def test_classify_rejects_uneven_cycle_lengths():
     assert coalg.validate() == []
     result = classify(coalg)
     assert not result.ok
-    assert result.violation[0] == "maximal path lengths differ around a cycle"
+    assert result.violation == (
+        "maximal path lengths differ around a cycle",
+        (("0", 2), ("1", 1), ("2", 1)),
+    )
+
+
+def test_classify_witnesses_an_uneven_second_cycle_by_its_sorted_vertices():
+    # cycle 0 -> 2 -> 0 is even; cycle 1 -> 4 -> 3 -> 1 is walked out of
+    # vertex order and only <d> reaches length 2: its vertices come sorted
+    arrows = [("a", "0", "2"), ("b", "2", "0"), ("c", "1", "4"), ("d", "4", "3"), ("f", "3", "1")]
+    quiver = Quiver(["0", "1", "2", "3", "4"], arrows)
+    basis = [quiver.vertex_path(v) for v in quiver.vertices]
+    basis += [quiver.arrow_path(aid) for aid, _, _ in arrows]
+    basis.append(quiver.make_path(("c", "d")))
+    coalg = PathSubcoalgebra(quiver, basis)
+    assert coalg.validate() == []
+    result = classify(coalg)
+    assert not result.ok
+    assert result.violation == (
+        "maximal path lengths differ around a cycle",
+        (("1", 2), ("3", 1), ("4", 1)),
+    )
+    basis.pop()
+    assert classify(PathSubcoalgebra(quiver, basis)).classification.summands == (
+        ("Cn", 2, 1),
+        ("Cn", 3, 1),
+    )
 
 
 def test_classify_rejects_acyclic_with_arrows():
