@@ -338,6 +338,8 @@ def _resolve_hopf(e: dsl.HopfExpr, base) -> HopfValue:
     levels = max(e.s + 1, 1) if e.kind == "hn" else 1
     table, names, identity = _group_value(e.group, base, levels)
     if e.kind == "group_algebra":
+        if _reads_csv(e.group):  # the built-in groups are groups by construction
+            hopf.check_group_table(table, names, identity)
         return HopfValue(lambda: hopf.group_algebra(table, names, identity), lambda l: names[l])
     if e.q is None:
         raise InputError("hn(...) needs q")
@@ -372,6 +374,10 @@ def _resolve_hopf(e: dsl.HopfExpr, base) -> HopfValue:
     return HopfValue(
         lambda: hopf.build_Hn(s, q, datum, alpha), lambda l: f"{datum.names[l[0]]}|x^{l[1]}"
     )
+
+
+def _reads_csv(gexpr) -> bool:
+    return gexpr.kind == "csv" or any(_reads_csv(p) for p in gexpr.parts)
 
 
 def _default_datum(gexpr, s, q, chi):

@@ -180,7 +180,9 @@ def _analyze_window(fam: WindowedFamily, margin: int | None = None) -> Frobenius
     """A line window's maps, read from its reach table without building it:
     the longest basis path from k ends at min(r(k), hi), and since r is
     strictly increasing, the longest one into v starts at the least k with
-    r(k) >= v."""
+    r(k) >= v. No interior vertex can fail the left side: `validate`
+    refuses every reach table that is not strictly increasing, and on a
+    strictly increasing one l(r(v)) = v at every interior vertex."""
     errs = fam.validate()
     if errs:
         raise QuiverError("; ".join(errs))
@@ -196,18 +198,11 @@ def _analyze_window(fam: WindowedFamily, margin: int | None = None) -> Frobenius
     base = _assemble("path", sorted(r_of), r_of, l_of, *_REASONS["path"])
     offsets = [rv - v for v, rv in fam.r]
     m = max(offsets) if margin is None else margin
-    interior = tuple(
-        str(v) for v in range(fam.lo + m, fam.hi - m + 1)
-    )
+    interior = tuple(str(v) for v in range(fam.lo + m, fam.hi - m + 1))
     notes = [
         "per-vertex results are exact for interior vertices; the global verdict "
         "follows from the declared family invariants"
     ]
-    if margin is None:
-        # with the automatic margin, truncation cannot disturb interior vertices
-        for v in interior:
-            if not base.per_vertex[v].left_ok:
-                raise QuiverError(f"family invariants violated at interior vertex {v}")
     if fam.tag == A_0INF:
         # half line: the bottom vertex certifies the right-side failure exactly
         right_verdict, right_witness, wl = (
@@ -312,10 +307,12 @@ class ClassificationResult:
 
 
 def classify_finite(coalg: PathSubcoalgebra) -> ClassificationResult:
-    """Decompose into connected components and match each against the
-    canonical shapes; any mismatch is returned as a violation witness."""
+    """Match each connected component against the canonical shapes; any
+    mismatch is returned as a violation witness. Once no vertex has two
+    basis arrows in or out, or an arrow one way and none the other, every
+    component with an arrow is a directed cycle: it is walked along its one
+    out-arrow from its least vertex."""
     vertices = coalg.vertices()
-    vset = set(vertices)
     basis_arrows = [p for p in coalg.basis_list if p.length == 1]
     out_of: dict[str, list[Path]] = {v: [] for v in vertices}
     into: dict[str, list[Path]] = {v: [] for v in vertices}
@@ -337,48 +334,33 @@ def classify_finite(coalg: PathSubcoalgebra) -> ClassificationResult:
                 None, ("vertex with an outgoing arrow but no incoming arrow", v)
             )
 
-    # components of the arrow graph restricted to the basis
-    comp: dict[str, int] = {}
-    order: list[list[str]] = []
-    for v in vertices:
-        if v in comp:
-            continue
-        idx = len(order)
-        stack = [v]
-        members = []
-        comp[v] = idx
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for a in out_of[u] + into[u]:
-                for w in (a.source, a.target):
-                    if w in vset and w not in comp:
-                        comp[w] = idx
-                        stack.append(w)
-        order.append(sorted(members))
-
     max_out: dict[str, int] = {v: 0 for v in vertices}
     for p in coalg.basis_list:
         if p.source in max_out:
             max_out[p.source] = max(max_out[p.source], p.length)
 
     descriptors = []
-    for members in order:
-        arrows_here = sum(len(out_of[v]) for v in members)
-        if arrows_here == 0:
+    seen: set[str] = set()
+    for v in vertices:
+        if v in seen:
+            continue
+        if not out_of[v]:
             descriptors.append(POINT)
             continue
-        n = len(members)
-        lengths = sorted({max_out[v] for v in members})
-        if len(lengths) != 1:
+        members, w = [], v
+        while w not in seen:
+            seen.add(w)
+            members.append(w)
+            w = out_of[w][0].target
+        if len({max_out[u] for u in members}) != 1:
             return ClassificationResult(
                 None,
                 (
                     "maximal path lengths differ around a cycle",
-                    tuple((v, max_out[v]) for v in members),
+                    tuple((u, max_out[u]) for u in sorted(members)),
                 ),
             )
-        descriptors.append((C_N, n, lengths[0]))
+        descriptors.append((C_N, len(members), max_out[v]))
 
     return ClassificationResult(Classification(tuple(sorted(descriptors)), {}))
 

@@ -54,12 +54,6 @@ class FiniteGroupData:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inverse(self, a: int) -> int:
-        for b in range(self.order):
-            if self.table[a][b] == self.identity:
-                return b
-        raise HopfError(f"element {self.names[a]} has no inverse")
-
     def validate(self, s: int, q: RootOfUnity, alpha: Cyc) -> None:
         n_elems = self.order
         if s < 1:
@@ -68,30 +62,8 @@ class FiniteGroupData:
             raise HopfError(
                 f"q must be a primitive root of order s+1 = {s + 1}, got order {q.order}"
             )
-        for i, row in enumerate(self.table):
-            if len(row) != n_elems or any(not 0 <= x < n_elems for x in row):
-                raise HopfError(f"malformed multiplication table row {i}")
-        e = self.identity
-        for i in range(n_elems):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                raise HopfError(f"identity law fails at {self.names[i]}")
-        t = self.table
-
-        def step(w, h):
-            return t[w][h]
-
-        order = sorted(range(n_elems), key=lambda h: -_orbit(e, step, h))
-        gens = _greedy_generators(order, e, step)
-        # Light's test: by the identity law the b with (ab)c = a(bc) for all
-        # a, c are closed under the product, so the generators decide; the
-        # full loop runs only to name the first failing triple
-        if _nonassociative_triple(t, gens) is not None:
-            a, b, c = _nonassociative_triple(t, range(n_elems))
-            raise HopfError(
-                f"associativity fails at ({self.names[a]}, {self.names[b]}, {self.names[c]})"
-            )
-        for a in range(n_elems):
-            self.inverse(a)
+        t, e = self.table, self.identity
+        gens = check_group_table(t, self.names, e)
         for h in range(n_elems):
             if self.table[self.g][h] != self.table[h][self.g]:
                 raise HopfError(f"distinguished element is not central: fails at {self.names[h]}")
@@ -114,6 +86,35 @@ class FiniteGroupData:
                         "alpha may be nonzero only when the character has order dividing s+1; "
                         f"fails at {self.names[a]}"
                     )
+
+
+def check_group_table(t, names, e) -> list:
+    """Raise HopfError unless the table t is a group with identity e: every
+    entry an index, the identity law, associativity and inverses. Returns
+    the generators that decided associativity."""
+    n = len(t)
+    for i, row in enumerate(t):
+        if len(row) != n or any(not 0 <= x < n for x in row):
+            raise HopfError(f"malformed multiplication table row {i}")
+    for i in range(n):
+        if t[e][i] != i or t[i][e] != i:
+            raise HopfError(f"identity law fails at {names[i]}")
+
+    def step(w, h):
+        return t[w][h]
+
+    order = sorted(range(n), key=lambda h: -_orbit(e, step, h))
+    gens = _greedy_generators(order, e, step)
+    # Light's test: by the identity law the b with (ab)c = a(bc) for all
+    # a, c are closed under the product, so the generators decide; the
+    # full loop runs only to name the first failing triple
+    if _nonassociative_triple(t, gens) is not None:
+        a, b, c = _nonassociative_triple(t, range(n))
+        raise HopfError(f"associativity fails at ({names[a]}, {names[b]}, {names[c]})")
+    for a in range(n):
+        if e not in t[a]:
+            raise HopfError(f"element {names[a]} has no inverse")
+    return gens
 
 
 def _greedy_generators(candidates, start, step) -> list:

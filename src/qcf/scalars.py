@@ -193,9 +193,6 @@ class Cyc:
     def __sub__(self, other) -> "Cyc":
         return self + (-Cyc._coerce(other))
 
-    def __rsub__(self, other) -> "Cyc":
-        return Cyc._coerce(other) + (-self)
-
     def __mul__(self, other) -> "Cyc":
         other = Cyc._coerce(other)
         if self.m == other.m:
@@ -230,9 +227,6 @@ class Cyc:
 
     def __truediv__(self, other) -> "Cyc":
         return self * Cyc._coerce(other).inv()
-
-    def __rtruediv__(self, other) -> "Cyc":
-        return Cyc._coerce(other) * self.inv()
 
     def __pow__(self, n: int) -> "Cyc":
         if n < 0:

@@ -617,6 +617,33 @@ def test_non_associative_csv_table_names_the_first_failing_triple(tmp_path, caps
     assert "associativity fails at (g1, g1, g2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0,1,2", "1,2,0", "2,0,7"], "malformed multiplication table row 2"),
+        (["0,1,2", "1,0,0", "2,1,0"], "associativity fails at (g1, g1, g2)"),
+        (["0,1,2", "1,2,0", "2,1,0"], "associativity fails at (g1, g1, g1)"),
+        (["0,1", "1,1"], "element g1 has no inverse"),
+    ],
+    ids=["entry-out-of-range", "not-associative", "not-associative-latin", "no-inverse"],
+)
+def test_csv_group_algebra_that_is_no_group_exits_2(rows, message, tmp_path, capsys):
+    # as hn(...) does: the CSV table is checked before any product is built
+    (tmp_path / "t.csv").write_text("\n".join(rows) + "\n")
+    doc = tmp_path / "doc.qcf"
+    doc.write_text('hopf K = group_algebra(csv("t.csv"))\n')
+    assert main(["hopf-verify", "--input", str(doc)]) == 2
+    assert capsys.readouterr().err == f"{doc}:1:1: hopf K: {message}\n"
+
+
+def test_csv_factor_of_a_group_algebra_product_is_checked(tmp_path, capsys):
+    (tmp_path / "t.csv").write_text("0,1\n1,1\n")
+    doc = tmp_path / "doc.qcf"
+    doc.write_text('hopf K = group_algebra(product(cyclic(2), csv("t.csv")))\n')
+    assert main(["hopf-verify", "--input", str(doc)]) == 2
+    assert capsys.readouterr().err == f"{doc}:1:1: hopf K: element e*g1 has no inverse\n"
+
+
 TWO_LOOPS = "quiver Q { vertices: v; arrows: a: v -> v; b: v -> v; }\n"
 
 
