@@ -198,7 +198,9 @@ def _analyze_window(fam: WindowedFamily, margin: int | None = None) -> Frobenius
     base = _assemble("path", sorted(r_of), r_of, l_of, *_REASONS["path"])
     offsets = [rv - v for v, rv in fam.r]
     m = max(offsets) if margin is None else margin
-    interior = tuple(str(v) for v in range(fam.lo + m, fam.hi - m + 1))
+    interior = tuple(
+        str(v) for v in range(fam.lo + m, fam.hi - m + 1)
+    )
     notes = [
         "per-vertex results are exact for interior vertices; the global verdict "
         "follows from the declared family invariants"
@@ -336,8 +338,7 @@ def classify_finite(coalg: PathSubcoalgebra) -> ClassificationResult:
 
     max_out: dict[str, int] = {v: 0 for v in vertices}
     for p in coalg.basis_list:
-        if p.source in max_out:
-            max_out[p.source] = max(max_out[p.source], p.length)
+        max_out[p.source] = max(max_out[p.source], p.length)
 
     descriptors = []
     seen: set[str] = set()
