@@ -39,7 +39,7 @@ from ._record import record
 MAX_GROUP_DEPTH = 64
 
 
-@record
+@record(frozen=True)
 class Pos:
     line: int
     col: int
@@ -57,7 +57,7 @@ class Diagnostic:
         return f"{self.pos}: {self.message}"
 
 
-@record
+@record(frozen=True)
 class Token:
     kind: str  # name | int | string | punct | eof
     text: str
