@@ -625,7 +625,7 @@ def test_non_associative_csv_table_names_the_first_failing_triple(tmp_path, caps
         (["0,1,2", "1,2,0", "2,1,0"], "associativity fails at (g1, g1, g1)"),
         (["0,1", "1,1"], "element g1 has no inverse"),
     ],
-    ids=["entry-out-of-range", "not-associative", "not-associative-latin", "no-inverse"],
+    ids=["entry-out-of-range", "not-associative", "not-associative-no-inverse", "no-inverse"],
 )
 def test_csv_group_algebra_that_is_no_group_exits_2(rows, message, tmp_path, capsys):
     # as hn(...) does: the CSV table is checked before any product is built
