@@ -1,9 +1,12 @@
 import random
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
+from qcf import dsl
 from qcf import forms as forms_module
+from qcf.cli import resolve
 from qcf.forms import (
     BalancedCheck,
     BilinearForm,
@@ -27,7 +30,9 @@ from qcf.quiver import (
     WindowedFamily,
     bounded_path_coalgebra,
     build_family,
+    direct_sum,
     full_path_coalgebra,
+    path_sort_key,
 )
 from qcf.rand import random_incidence_subcoalgebra, random_path_subcoalgebra
 from qcf.scalars import Cyc
@@ -434,3 +439,66 @@ def test_is_balanced_matches_the_per_pair_check_on_random_forms():
             assert check == balanced_by_pairs(candidate)
             verdicts.add(check.ok)
     assert verdicts == {False, True}
+
+
+def reference_path_form_params(coalg) -> tuple:
+    """The parameter paths as `path_form_params` first found them: two
+    `Path`s per split of each candidate, hashed against the basis."""
+    quiver = coalg.quiver
+    basis = coalg.basis
+    candidates = {
+        quiver.concat(q, p)
+        for q in coalg.basis_list
+        for p in coalg.basis_list
+        if q.target == p.source
+    }
+
+    def admissible(d) -> bool:
+        for i in range(d.length + 1):
+            qq, pp = quiver.split(d, i)
+            if qq not in basis or pp not in basis:
+                continue
+            for aid in quiver.in_arrows(pp.source):
+                extended = quiver.concat(quiver.arrow_path(aid), pp)
+                if extended in basis and (not qq.arrows or qq.arrows[-1] != aid):
+                    return False
+            for bid in quiver.out_arrows(qq.target):
+                extended = quiver.concat(qq, quiver.arrow_path(bid))
+                if extended in basis and (not pp.arrows or pp.arrows[0] != bid):
+                    return False
+        return True
+
+    return tuple(sorted((d for d in candidates if admissible(d)), key=path_sort_key))
+
+
+def pinned_path_coalgebras():
+    for seed in range(3):
+        rng = random.Random(f"params/{seed}")
+        for _ in range(100):
+            yield random_path_subcoalgebra(rng)
+        for _ in range(20):
+            yield random_path_subcoalgebra(rng, max_vertices=8, max_arrows=12, max_basis=60)
+    yield build_family(WindowedFamily.cycle(7, 3))
+    # the forms benchmark's 3-cycle with a loop at u
+    looped = Quiver(
+        ["u", "v", "w"],
+        [("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u"), ("l", "u", "u")],
+    )
+    for maxlen in range(4):
+        yield bounded_path_coalgebra(looped, maxlen)
+    # the windows golden's families but Big, whose 19,900 paths are too many
+    # for the reference's pass over all basis pairs
+    text = (Path(__file__).parent / "golden" / "windows.qcf").read_text()
+    values = resolve(dsl.parse(text)[0])[0].coalgebras
+    for name in ("Grow", "Half", "Pair"):
+        parts = [build_family(f) for f in values[name].families]
+        yield direct_sum(parts) if len(parts) > 1 else parts[0]
+
+
+def test_path_form_params_match_the_path_based_reference():
+    sizes = set()
+    for coalg in pinned_path_coalgebras():
+        params = path_form_params(coalg)
+        assert params.paths == reference_path_form_params(coalg)
+        sizes.add(params.size)
+    assert len(sizes) > 10
