@@ -4,18 +4,22 @@ A matrix is a list of sparse rows {column: value}. One division-based
 elimination over `Cyc` reaches an echelon form with leads 1, and one
 back-substitution takes it to the reduced form, from which each nullspace
 vector is read as a sparse {column: value}: a vector costs time in its
-nonzeros, not in the number of unknowns. An integer matrix is eliminated
-over the rationals, and its vectors are cleared to primitive integers.
+nonzeros, not in the number of unknowns.
 
-An integer matrix first goes through a one-term pass. A one-term row says
-that a column is zero: the column is struck from every row that uses it, a
-row left with one term forces its own column in turn, and a row left with
-none is dropped. Only the rows that are left are eliminated. The pass stays
-because the bilinear-form systems are mostly one-term rows, and striking a
-column costs a dict deletion where eliminating it costs `Cyc` arithmetic.
-A struck row differs from its original by multiples of rows {column: 1},
-so the row space, and with it the reduced form and the nullspace basis, is
-the same.
+An integer system for `sparse_int_nullspace` is an equality graph: its rows
+say only x_u = 0 or x_u = x_v, so its nullspace is read off the connected
+components of the graph whose edges are the rows x_u = x_v, with no
+elimination at all.
+
+`sparse_int_rank` eliminates general integer rows over the rationals, after
+a one-term pass. A one-term row says that a column is zero: the column is
+struck from every row that uses it, a row left with one term forces its own
+column in turn, and a row left with none is dropped. Only the rows that are
+left are eliminated. Striking a column costs a dict deletion where
+eliminating it costs `Cyc` arithmetic, and `embed`'s rows hold one one-term
+row per segment with a single Hasse path. A struck row differs from its
+original by multiples of rows {column: 1}, so the row space, and with it
+the rank, is the same.
 
 Pivoting is deterministic (first nonzero in row-major order) so nullspace
 bases are reproducible.
@@ -24,7 +28,6 @@ bases are reproducible.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import gcd, lcm
 
 from .scalars import Cyc
 
@@ -39,14 +42,14 @@ def _force_zeros(rows: list[dict[int, int]]) -> tuple[set[int], list[dict[int, C
     rest: list[dict[int, Cyc]] = []
     for row in rows:
         if len(row) > 1:
-            # the form systems' rows hold only 1 and -1; every 1 is the one
-            # shared Cyc, not a new one
+            # embed's rows hold only 1s; every 1 is the one shared Cyc, not
+            # a new one
             kept = {c: _ONE if v == 1 else Cyc(1, 1, (v,)) for c, v in row.items() if v}
             if len(kept) > 1:
                 rest.append(kept)
                 continue
-        # a one-term row is not copied: the form systems give one per
-        # forced unknown, and these are most of their rows
+        # a one-term row is not copied: embed gives one per segment with a
+        # single Hasse path
         for c, v in row.items():
             if v:
                 forced.add(c)
@@ -124,24 +127,61 @@ def _back_substitute(pivots: dict[int, dict[int, Cyc]], free: list[int]) -> list
 
 
 def sparse_int_nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
-    """Integer basis of the nullspace of a sparse integer matrix.
+    """Integer basis of the nullspace of an equality system.
 
-    There is one vector per free column, in ascending column order. Each
-    vector is a sparse {column: int} with its columns in ascending order,
-    primitive (gcd 1) and with a positive leading (smallest-column) entry.
+    Each row is empty, {u: c}, which says x_u = 0, or {u: c, v: -c}, which
+    says x_u = x_v, for a nonzero integer c; any other row raises
+    ValueError. The rows x_u = x_v join the columns into the components of
+    a graph, and x lies in the nullspace exactly when it is constant on
+    each component and zero on each component with a forced column. So
+    there is one basis vector per component with no forced column: 1 on
+    each of its columns. These are the vectors of the reduced row echelon
+    form: a component's largest column is its one free column, and the
+    vectors come in ascending order of it, each with its columns in
+    ascending order.
     """
-    forced, rest = _force_zeros(rows)
-    pivots = _echelon(rest)
-    free = [f for f in range(ncols) if f not in pivots and f not in forced]
+    parent: dict[int, int] = {}  # a joined column -> a larger column of its component
+    forced: list[int] = []
+
+    def root(u: int) -> int:
+        # the component's largest column, halving the path to it
+        while u in parent:
+            up = parent[u]
+            if up not in parent:
+                return up
+            parent[u] = u = parent[up]
+        return u
+
+    for row in rows:
+        size = len(row)
+        if size == 1:
+            ((u, a),) = row.items()
+            if a:
+                forced.append(u)
+                continue
+        elif size == 2:
+            (u, a), (v, b) = row.items()
+            if a and a + b == 0:
+                ru, rv = root(u), root(v)
+                if ru != rv:
+                    parent[min(ru, rv)] = max(ru, rv)
+                continue
+        elif not size:
+            continue
+        raise ValueError(f"not an equality row: {row!r}")
+    dead = {root(u) if u in parent else u for u in forced}
+    open_parts: dict[int, list[int]] = {}  # root -> the columns walked so far
     basis: list[dict[int, int]] = []
-    for vec in _back_substitute(pivots, free):
-        # rational values: numerator c[0] over denominator d
-        den = lcm(*(x.d for x in vec.values()))
-        ints = {c: x.c[0] * (den // x.d) for c, x in vec.items()}
-        g = gcd(*ints.values())
-        if next(iter(ints.values())) < 0:
-            g = -g
-        basis.append({c: v // g for c, v in ints.items()})
+    for c in range(ncols):
+        r = root(c) if c in parent else c
+        if r in dead:
+            continue
+        if r != c:
+            open_parts.setdefault(r, []).append(c)
+        else:
+            part = open_parts.pop(c, [])
+            part.append(c)
+            basis.append(dict.fromkeys(part, 1))
     return basis
 
 

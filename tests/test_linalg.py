@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Matrix, Poly, cyclotomic_poly, symbols
@@ -68,11 +69,32 @@ def check_invariants(dense, basis, free):
             assert sum(row[c] * v for c, v in vec.items()) == 0
 
 
+def cleared(vectors):
+    """Rational vectors as primitive integer ones with a positive leading
+    (smallest-column) entry."""
+    out = []
+    for vec in vectors:
+        # rational values: numerator c[0] over denominator d
+        den = lcm(*(x.d for x in vec.values()))
+        ints = {c: x.c[0] * (den // x.d) for c, x in vec.items()}
+        g = gcd(*ints.values())
+        if next(iter(ints.values())) < 0:
+            g = -g
+        out.append({c: v // g for c, v in ints.items()})
+    return out
+
+
+def rational_nullspace(dense, ncols):
+    """`field_nullspace` of an integer matrix over the rationals, cleared."""
+    rows = [{c: Cyc.rational(v) for c, v in enumerate(row) if v} for row in dense]
+    return cleared(field_nullspace(rows, ncols))
+
+
 @PROPERTY_SETTINGS
 @given(sparse_matrices())
 def test_nullspace_matches_sympy_rref(matrix):
     dense, ncols = matrix
-    basis = sparse_int_nullspace(sparse_rows(dense), ncols)
+    basis = rational_nullspace(dense, ncols)
     expected, free = sympy_basis(dense, ncols)
     check_invariants(dense, basis, free)
     assert basis == expected
@@ -87,37 +109,44 @@ def test_no_rows_leaves_every_column_free():
 
 def test_full_column_rank_has_empty_basis():
     dense = [[2, 1, 0], [0, 3, -1], [1, 0, 1]]
-    assert sparse_int_nullspace(sparse_rows(dense), 3) == []
+    assert rational_nullspace(dense, 3) == []
+    assert sparse_int_rank(sparse_rows(dense)) == 3
 
 
 def test_duplicate_rows_change_nothing():
     dense = [[2, 0, 1, 3], [0, 3, 0, -1]]
-    once = sparse_int_nullspace(sparse_rows(dense), 4)
-    twice = sparse_int_nullspace(sparse_rows(dense + dense[::-1]), 4)
+    once = rational_nullspace(dense, 4)
+    twice = rational_nullspace(dense + dense[::-1], 4)
     assert once == twice == [{0: 1, 2: -2}, {0: 9, 1: -2, 3: -6}]
     check_invariants(dense, once, [2, 3])
+    assert sparse_int_rank(sparse_rows(dense)) == sparse_int_rank(sparse_rows(dense * 2)) == 2
 
 
 def test_rational_reduced_form_is_cleared_to_integers():
     # the RREF of [[2, 1, 0], [0, 3, 2]] is [[1, 0, -1/3], [0, 1, 2/3]]
     dense = [[2, 1, 0], [0, 3, 2]]
-    assert sparse_int_nullspace(sparse_rows(dense), 3) == [{0: 1, 1: -2, 2: 3}]
+    rows = [{c: Cyc.rational(v) for c, v in enumerate(row) if v} for row in dense]
+    third = Cyc.rational(Fraction(1, 3))
+    assert field_nullspace(rows, 3) == [{0: third, 1: -(third + third), 2: Cyc.one()}]
+    assert rational_nullspace(dense, 3) == [{0: 1, 1: -2, 2: 3}]
 
 
 @st.composite
 def one_term_systems(draw):
-    """Rows shaped like the balanced-form systems: mostly one-term rows and
+    """Rows shaped like the balanced-form systems, mostly one-term rows and
     x - y rows, with equality chains x0 = x1 = ... that one one-term row
-    closes, so that zeros spread over several rounds."""
+    closes, so that zeros spread over several rounds; and apart from them
+    a few general rows, for the rank alone."""
     ncols = draw(st.integers(2, 10))
     column = st.integers(0, ncols - 1)
     dense = []
+    general = []
 
-    def add(entries):
+    def add(entries, rows=dense):
         row = [0] * ncols
         for c, v in entries:
             row[c] += v
-        dense.append(row)
+        rows.append(row)
 
     for _ in range(draw(st.integers(0, 3))):
         chain = draw(st.lists(column, min_size=2, max_size=5, unique=True))
@@ -131,23 +160,35 @@ def one_term_systems(draw):
         elif kind == "equal":
             add([(draw(column), 1), (draw(column), -1)])  # a zero row when x = y
         else:
-            add([(draw(column), draw(CELLS)) for _ in range(3)])
-    return draw(st.permutations(dense)), ncols
+            add([(draw(column), draw(CELLS)) for _ in range(3)], general)
+    return draw(st.permutations(dense)), general, ncols
 
 
 @PROPERTY_SETTINGS
 @given(one_term_systems())
 def test_one_term_rows_match_sympy_rref(matrix):
-    dense, ncols = matrix
+    dense, general, ncols = matrix
     rows = sparse_rows(dense)
     before = [dict(row) for row in rows]
     basis = sparse_int_nullspace(rows, ncols)
     expected, free = sympy_basis(dense, ncols)
     check_invariants(dense, basis, free)
     assert basis == expected
-    rank = Matrix(dense).rank() if dense else 0
-    assert sparse_int_rank(rows) == rank == ncols - len(free)
+    assert sparse_int_rank(rows) == ncols - len(free)
+    everything = dense + general
+    rank = Matrix(everything).rank() if everything else 0
+    assert sparse_int_rank(sparse_rows(everything)) == rank
     assert rows == before  # the rows passed in are left as they were
+
+
+@pytest.mark.parametrize(
+    "row",
+    [{0: 1, 1: -1, 2: 1}, {0: 1, 1: 1}, {0: 2, 1: -1}, {0: 0}],
+    ids=["three-terms", "sum", "unequal-coefficients", "zero-coefficient"],
+)
+def test_rows_that_say_no_equality_are_refused(row):
+    with pytest.raises(ValueError, match="not an equality row"):
+        sparse_int_nullspace([{0: 1}, row], 3)
 
 
 def test_chain_closed_by_one_term_row_forces_every_column_to_zero():
