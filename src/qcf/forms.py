@@ -188,33 +188,44 @@ class PathFormParams:
 
 
 def path_form_params(coalg: PathSubcoalgebra) -> PathFormParams:
+    """The parameter paths, found on arrow tuples: a basis path is keyed by
+    its arrows, a vertex path by its vertex, a candidate qp is keyed by
+    q's arrows then p's, and its splits are slices of them. Only the
+    admitted candidates are built as `Path`s."""
     quiver = coalg.quiver
-    basis = coalg.basis
+    target, in_arrows, out_arrows = quiver.target, quiver.in_arrows, quiver.out_arrows
+    keys = {p.arrows or p.source for p in coalg.basis}
+    by_source: dict[str, list[tuple[str, ...]]] = {}
+    for p in coalg.basis:
+        by_source.setdefault(p.source, []).append(p.arrows)
+    # candidate key -> its source vertex
     candidates = {
-        quiver.concat(q, p)
-        for q in coalg.basis_list
-        for p in coalg.basis_list
-        if q.target == p.source
+        q.arrows + arrows or q.source: q.source
+        for q in coalg.basis
+        for arrows in by_source.get(q.target, ())
     }
 
-    def admissible(d: Path) -> bool:
-        for i in range(d.length + 1):
-            qq, pp = quiver.split(d, i)
-            if qq not in basis or pp not in basis:
+    def admissible(arrows: tuple[str, ...], mid: str) -> bool:
+        for i in range(len(arrows) + 1):
+            if i:
+                mid = target(arrows[i - 1])
+            left, right = arrows[:i], arrows[i:]
+            if (left or mid) not in keys or (right or mid) not in keys:
                 continue
-            for aid in quiver.in_arrows(pp.source):
-                extended = quiver.concat(quiver.arrow_path(aid), pp)
-                if extended in basis and (not qq.arrows or qq.arrows[-1] != aid):
+            for aid in in_arrows(mid):
+                if (aid,) + right in keys and (not left or left[-1] != aid):
                     return False
-            for bid in quiver.out_arrows(qq.target):
-                extended = quiver.concat(qq, quiver.arrow_path(bid))
-                if extended in basis and (not pp.arrows or pp.arrows[0] != bid):
+            for bid in out_arrows(mid):
+                if left + (bid,) in keys and (not right or right[0] != bid):
                     return False
         return True
 
-    return PathFormParams(
-        paths=tuple(sorted((d for d in candidates if admissible(d)), key=path_sort_key))
-    )
+    paths = []
+    for d, source in candidates.items():
+        arrows = () if d == source else d
+        if admissible(arrows, source):
+            paths.append(Path(source, target(arrows[-1]) if arrows else source, arrows))
+    return PathFormParams(paths=tuple(sorted(paths, key=path_sort_key)))
 
 
 def form_from_path_params(
