@@ -627,20 +627,24 @@ def algebra_generators(table: HopfTable) -> list | None:
     algebra, so the order changes how many generators there are, not what
     they prove.
 
-    None when the unit is not a label or the product or coproduct of labels
-    leaves their span (a finite window of the line family): there the
-    labels span no subalgebra, and generators prove nothing.
+    None when the unit is not a label, when a product or coproduct of
+    labels is missing from the table, or when one leaves their span (a
+    finite window of the line family): there the labels span no
+    subalgebra, and generators prove nothing.
     """
     labels = table.labels
     inside = set(labels)
     if table.unit not in inside:
         return None
-    for a in labels:
-        for b in labels:
-            if not inside.issuperset(table.product[(a, b)].labels()):
+    try:
+        for a in labels:
+            for b in labels:
+                if not inside.issuperset(table.product[(a, b)].labels()):
+                    return None
+            if not all(x in inside and y in inside for x, y in table.coproduct[a].labels()):
                 return None
-        if not all(x in inside and y in inside for x, y in table.coproduct[a].labels()):
-            return None
+    except KeyError:
+        return None
 
     def step(w, g):
         terms = table.product[(w, g)].terms
@@ -682,12 +686,16 @@ class HopfVerifyReport:
 
 def _sweep(outcomes, method: str) -> CheckResult:
     """CheckResult of an iterable giving, per tuple visited, None or a
-    failure string; it stops at the first failure."""
+    failure string; it stops at the first failure. A table entry missing
+    for the tuple being visited (a KeyError) is that tuple's failure."""
     checked = 0
-    for failure in outcomes:
-        checked += 1
-        if failure is not None:
-            return CheckResult(False, failure, checked, method)
+    try:
+        for failure in outcomes:
+            checked += 1
+            if failure is not None:
+                return CheckResult(False, failure, checked, method)
+    except KeyError as missing:
+        return CheckResult(False, f"no table entry at {missing.args[0]!r}", checked + 1, method)
     return CheckResult(True, None, checked, method)
 
 

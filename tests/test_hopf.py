@@ -259,6 +259,28 @@ def test_verify_hopf_reports_a_missing_antipode_entry():
     assert (check.failure, check.checked) == ("no antipode at (1, 1)", table.dimension)
 
 
+@pytest.mark.parametrize(
+    "structure, key, failing",
+    [
+        ("product", ((0, 0), (1, 1)),
+         ["unit_laws", "associativity", "coproduct_multiplicative", "counit_multiplicative"]),
+        ("coproduct", (1, 1),
+         ["coassociativity", "counit_laws", "coproduct_multiplicative", "antipode_identities"]),
+        ("counit", (1, 1), ["counit_laws", "counit_multiplicative", "antipode_identities"]),
+    ],
+    ids=["product", "coproduct", "counit"],
+)
+def test_verify_hopf_reports_a_missing_table_entry(structure, key, failing):
+    table = with_antipode(build_Hn(3, ZETA4, cyclic_hopf_datum(4, 3, ZETA4), Cyc.zero()))
+    del getattr(table, structure)[key]
+    # the counit is no input of the generators; a missing product or
+    # coproduct leaves the labels spanning no subalgebra that they prove
+    assert (algebra_generators(table) is None) == (structure != "counit")
+    report = assert_reduced_matches_oracle(table)
+    assert [name for name, res in report.checks.items() if not res.ok] == failing
+    assert {report.checks[name].failure for name in failing} == {f"no table entry at {key!r}"}
+
+
 def test_verify_detects_corruption():
     datum = cyclic_hopf_datum(2, 1, MINUS_ONE)
     table = with_antipode(build_Hn(1, MINUS_ONE, datum, Cyc.zero()))
