@@ -16,8 +16,8 @@ a one-term pass. A one-term row says that a column is zero: the column is
 struck from every row that uses it, a row left with one term forces its own
 column in turn, and a row left with none is dropped. Only the rows that are
 left are eliminated. Striking a column costs a dict deletion where
-eliminating it costs `Cyc` arithmetic, and `embed`'s rows hold one one-term
-row per segment with a single Hasse path. A struck row differs from its
+eliminating it costs `Cyc` arithmetic, and `embed` gives a one-term row for
+every segment with a single Hasse path. A struck row differs from its
 original by multiples of rows {column: 1}, so the row space, and with it
 the rank, is the same.
 
