@@ -113,7 +113,14 @@ def balanced_space_bruteforce(coalg, bound: int = BRUTEFORCE_BOUND) -> list[Bili
     the two-term rows. The equations of every pair and coordinate differ
     from these only by a sign on each one-term row and by repeats of it, so
     both systems have one row space, and with it one reduced row echelon
-    form, from which `sparse_int_nullspace` reads the same vectors.
+    form, whose vectors `sparse_int_nullspace` reads.
+
+    Every row says x_u = 0 or x_u = x_v, so the unknowns fall into the
+    components of the graph whose edges are the two-term rows, and beta is
+    balanced exactly when it is constant on each component and zero on
+    each one that holds a forced unknown. The nullspace therefore has one
+    basis vector per component with no forced unknown, 1 on each of its
+    unknowns, and `sparse_int_nullspace` lists these without elimination.
     """
     basis = coalg.basis_list
     n = len(basis)
