@@ -403,19 +403,12 @@ def _default_datum(gexpr, s, q, chi):
 # JSON serialization helpers
 
 
-def _path_text(arrows, source: str, target: str, pad: str) -> str:
-    """A path's dict form as json.dumps(..., indent=2, sort_keys=True) writes
-    it at the indent `pad`: {"vertex": source} for a vertex, else {"arrows":
-    [...], "source": source, "target": target}. `source` and `target` come
-    already JSON-encoded."""
-    inner = pad + "  "
-    if not arrows:
-        return f'{{\n{inner}"vertex": {source}\n{pad}}}'
-    body = f",\n{inner}  ".join(map(encode_basestring_ascii, arrows))
-    return (
-        f'{{\n{inner}"arrows": [\n{inner}  {body}\n{inner}],\n'
-        f'{inner}"source": {source},\n{inner}"target": {target}\n{pad}}}'
-    )
+class _Encoded(dict):
+    """Each name's JSON text, encoded on first use: `encoded[name]`."""
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = encode_basestring_ascii(name)
+        return text
 
 
 def _write_report(report, write, batch: int = 512) -> None:
@@ -425,13 +418,27 @@ def _write_report(report, write, batch: int = 512) -> None:
     lists, strings, ints, booleans, None, `Path`s and `PathRun`s; a float is
     a TypeError.
 
-    A `Path` is written as its dict form (see `_path_text`) and a `PathRun`,
-    as `embed` reports a segment's image, as the list of its paths' dict
-    forms, its source and target encoded once for the run; a run is flushed
-    every `batch` pieces as a list is. So a report of paths needs no dict
-    per path, and embed's none per image path either. Neither may be a dict
+    A `Path` is written as its dict form, {"vertex": source} for a vertex,
+    else {"arrows": [...], "source": source, "target": target}, and a
+    `PathRun`, as `embed` reports a segment's image, as the list of its
+    paths' dict forms. A run's paths are written in batched joins: its
+    source and target are encoded once, each path is one join of its arrows
+    between a head and an end text made once per batch, and at most
+    `batch` // 2 paths are joined before each flush, as many as a flush of
+    `batch` pieces holds when every path comes with its separator. Arrow
+    names are encoded once per call. So a report of paths needs no dict per
+    path, and embed's none per image path either. Neither may be a dict
     key."""
     pieces: list[str] = []
+    held = 0  # paths joined into `pieces` since the last flush
+    room = max(batch // 2, 1)
+    encoded = _Encoded().__getitem__
+
+    def flush() -> None:
+        nonlocal held
+        write("".join(pieces))
+        pieces.clear()
+        held = 0
 
     def scalar(o) -> str:
         if o is None or o is True or o is False:
@@ -440,27 +447,42 @@ def _write_report(report, write, batch: int = 512) -> None:
             return int.__repr__(o)
         raise TypeError(f"a report cannot hold {type(o).__name__} {o!r}")
 
+    def paths_text(seqs, source: str, target: str, pad: str) -> str:
+        # the dict forms at the indent `pad` of the paths from source to
+        # target with these arrow tuples, joined as items of a list;
+        # `source` and `target` come already encoded
+        inner = pad + "  "
+        head = f'{{\n{inner}"arrows": [\n{inner}  '
+        end = f'\n{inner}],\n{inner}"source": {source},\n{inner}"target": {target}\n{pad}}}'
+        vertex = f'{{\n{inner}"vertex": {source}\n{pad}}}'
+        sep = f",\n{inner}  "
+        return (",\n" + pad).join(
+            [head + sep.join(map(encoded, seq)) + end if seq else vertex for seq in seqs]
+        )
+
     def emit(o, pad: str) -> None:
+        nonlocal held
         if isinstance(o, str):
             pieces.append(encode_basestring_ascii(o))
         elif isinstance(o, Path):
-            ends = encode_basestring_ascii(o.source), encode_basestring_ascii(o.target)
-            pieces.append(_path_text(o.arrows, *ends, pad))
+            pieces.append(paths_text([o.arrows], encoded(o.source), encoded(o.target), pad))
         elif isinstance(o, PathRun):
-            if not o.seqs:
+            seqs = o.seqs
+            if not seqs:
                 pieces.append("[]")
             else:
                 inner = pad + "  "
-                sep = ",\n" + inner
-                ends = encode_basestring_ascii(o.source), encode_basestring_ascii(o.target)
+                ends = encoded(o.source), encoded(o.target)
                 pieces.append("[\n" + inner)
-                for i, seq in enumerate(o.seqs):
-                    if i:
-                        pieces.append(sep)
-                    pieces.append(_path_text(seq, *ends, inner))
-                    if len(pieces) >= batch:
-                        write("".join(pieces))
-                        pieces.clear()
+                start = 0
+                while start < len(seqs):  # held < room, so each batch takes a path
+                    if start:  # the batch before filled the room
+                        flush()
+                        pieces.append(",\n" + inner)
+                    stop = start + room - held
+                    pieces.append(paths_text(seqs[start:stop], *ends, inner))
+                    held += min(stop, len(seqs)) - start
+                    start = stop
                 pieces.append("\n" + pad + "]")
         elif not isinstance(o, (list, dict)):
             pieces.append(scalar(o))
@@ -483,9 +505,8 @@ def _write_report(report, write, batch: int = 512) -> None:
                     pieces.append(("{\n" + inner if i == 0 else sep) + key + ": ")
                     emit(o[k], inner)
                 pieces.append("\n" + pad + "}")
-        if len(pieces) >= batch:
-            write("".join(pieces))
-            pieces.clear()
+        if len(pieces) >= batch or held >= room:
+            flush()
 
     emit(report, "")
     write("".join(pieces))

@@ -627,7 +627,8 @@ def algebra_generators(table: HopfTable) -> list | None:
     algebra, so the order changes how many generators there are, not what
     they prove.
 
-    None when the unit is not a label, when a product or coproduct of
+    None when the unit is not a label, or when a label has no degree to
+    order the candidates by. None too when a product or coproduct of
     labels is missing from the table, or when one leaves their span (a
     finite window of the line family): there the labels span no
     subalgebra, and generators prove nothing.
@@ -637,6 +638,7 @@ def algebra_generators(table: HopfTable) -> list | None:
     if table.unit not in inside:
         return None
     try:
+        degree = {b: table.degree[b] for b in labels}
         for a in labels:
             for b in labels:
                 if not inside.issuperset(table.product[(a, b)].labels()):
@@ -655,7 +657,7 @@ def algebra_generators(table: HopfTable) -> list | None:
         return None
 
     unit = table.unit
-    order = sorted(labels, key=lambda b: (table.degree[b], -_orbit(unit, step, b), repr(b)))
+    order = sorted(labels, key=lambda b: (degree[b], -_orbit(unit, step, b), repr(b)))
     return _greedy_generators(order, unit, step)
 
 

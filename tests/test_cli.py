@@ -1024,15 +1024,23 @@ def test_report_writer_flushes_paths_in_bounded_strings():
 
 def test_report_writer_flushes_inside_a_run():
     # one run of 20,000 seven-arrow paths, as embed reports one segment's
-    # image, is flushed as the list of those paths is: about 59 KB at a time
-    run = PathRun("v", "w", [tuple(f"a{i}_{j}" for j in range(7)) for i in range(20_000)])
-    sizes: list[int] = []
-    _write_report({"images": {"(v, w)": run}}, lambda text: sizes.append(len(text)))
-    assert sum(sizes) > 4_000_000
-    assert max(sizes) < 100_000
-    assert written({"images": {"(v, w)": run}}) == json.dumps(
-        {"images": {"(v, w)": paths_as_dicts(run)}}, indent=2, sort_keys=True
-    )
+    # image, is flushed as the list of those paths is: about 59 KB at a
+    # time, at most 256 paths, half the 512 pieces, in each string; and so
+    # are 2,000 runs of ten paths
+    seqs = [tuple(f"a{i}_{j}" for j in range(7)) for i in range(20_000)]
+    for images in (
+        {"(v, w)": PathRun("v", "w", seqs)},
+        {f"(v, w{k})": PathRun("v", f"w{k}", seqs[10 * k:10 * k + 10]) for k in range(2_000)},
+    ):
+        texts: list[str] = []
+        _write_report({"images": images}, texts.append)
+        assert sum(map(len, texts)) > 4_000_000
+        assert max(map(len, texts)) < 100_000
+        assert max(text.count('"arrows"') for text in texts) == 256
+        assert "".join(texts) == json.dumps(
+            {"images": {seg: paths_as_dicts(run) for seg, run in images.items()}},
+            indent=2, sort_keys=True,
+        )
 
 
 @pytest.mark.parametrize(

@@ -282,6 +282,18 @@ def test_verify_hopf_reports_a_missing_table_entry(structure, key, failing):
     assert {report.checks[name].failure for name in failing} == {f"no table entry at {key!r}"}
 
 
+def test_missing_degree_takes_the_exhaustive_sweep():
+    # the degree orders the generator candidates and is no axiom's input:
+    # without it no generators are certified, and the reduced call gives
+    # the exhaustive sweep's report in place of a KeyError
+    table = with_antipode(build_Hn(3, ZETA4, cyclic_hopf_datum(4, 3, ZETA4), Cyc.zero()))
+    del table.degree[(1, 1)]
+    assert algebra_generators(table) is None
+    report = verify_hopf(table)
+    assert report == verify_hopf(table, exhaustive=True)
+    assert report.ok
+
+
 def test_verify_detects_corruption():
     datum = cyclic_hopf_datum(2, 1, MINUS_ONE)
     table = with_antipode(build_Hn(1, MINUS_ONE, datum, Cyc.zero()))

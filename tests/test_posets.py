@@ -526,6 +526,21 @@ def test_morphism_check_fails_at_a_prefix_that_is_no_image_path():
     )
 
 
+def test_morphism_check_fails_at_a_path_that_is_not_composable(diamond):
+    # the image of (b, t) is b<m1 m1<t and the arrow tuple b<m1 m2<t, which
+    # is no path: its prefix, suffix and ends lie in the right rows and the
+    # term count agrees, so only the split between its arrows, where m1 is
+    # not m2, tells it from b<m2 m2<t. Of the tests that clear a path whole,
+    # only tail(init) = init(tail) fails it
+    coalg = full_incidence_coalgebra(diamond)
+    quiver, names = _hasse_with_names(diamond)
+    index, rows = _walk_images(coalg, quiver, names)[1]
+    index[("b<m1", "m2<t")] = index.pop(("b<m2", "m2<t"))
+    assert _morphism_failure(coalg, quiver, (index, rows)) == (
+        "comultiplication does not commute at segment ('b', 't')"
+    )
+
+
 def test_path_numbering_keeps_its_ids():
     # the ids of a numbering keyed by (source, arrows), handed out in order
     # of first appearance: the walk's numbering of embed's images and
@@ -683,3 +698,224 @@ def test_embed_builds_no_lincomb_and_numbers_no_phi():
             sys.setprofile(None)
         assert calls["lincomb"] >= len(coalg.basis_list)
         assert calls["Path"] == sum(len(run.seqs) for run in result.runs.values())
+
+
+def _per_split_morphism_failure(coalg, quiver, numbering):
+    # the check as it was before whole paths were cleared: _commutes walks
+    # every split of every segment's row. The reference for the new route
+    index, rows = numbering
+    number, source, target, n = index.get, quiver.source, quiver.target, len(index)
+    init = [-1] * n
+    tail = [-1] * n
+    for key, a in index.items():
+        if isinstance(key, tuple):
+            init[a] = number(key[:-1] or source(key[0]), -2)
+            tail[a] = number(key[1:] or target(key[-1]), -2)
+    home = [None] * n
+    for seg, row in rows.items():
+        for a in row:
+            if home[a] is not None:
+                raise ValueError(f"the images of {home[a]!r} and {seg!r} share a path")
+            home[a] = seg
+    interval = coalg.poset.interval
+    for seg in coalg.basis_list:
+        lo, hi = seg
+        try:
+            count = sum(len(rows[lo, w]) * len(rows[w, hi]) for w in interval(lo, hi))
+        except KeyError as err:
+            raise PosetError(f"segment {err.args[0]!r} lies inside {seg!r} but is missing") from None
+        row = rows[seg]
+        if not qcf.posets._commutes(seg, row, count, init, tail, home):
+            return f"comultiplication does not commute at segment {seg!r}"
+        if coalg.counit(seg) != Cyc.rational(sum(init[a] == -1 for a in row)):
+            return f"counit does not commute at segment {seg!r}"
+    return None
+
+
+def _outcome(check, coalg, quiver, numbering):
+    # the verdict, or the type and message of what was raised: a path in no
+    # row makes _commutes unpack its home None, a TypeError
+    try:
+        return check(coalg, quiver, numbering)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+
+
+SCRAMBLES = (
+    "foreign", "drop", "unrow", "move", "share", "swap_vertices", "vertex_moved", "no_row"
+)
+
+
+def _scrambled(numbering, quiver, rng):
+    """(kinds, a numbering changed one to three times, its ids then
+    relabelled at random): "foreign" keys an arbitrary arrow tuple, of
+    random arrows or a keyed path with one arrow changed, often not
+    composable, and puts it in no row, in a random row, or in the row
+    that spans the homes of its first and last arrow, there half the time
+    in place of a path of that row, which is left in no row: only its
+    composability can fail it there; "drop" takes a key out of the index
+    and its id out of its row, so the links to it are -2; "unrow" leaves a
+    keyed id in no row; "move" puts an id in another row, and "share" in a
+    second one; "swap_vertices" exchanges the rows of two vertices;
+    "vertex_moved" makes a vertex the image of a segment with that end, and
+    a new vertex key, of no quiver vertex, the image of the vertex's own
+    segment; "no_row" deletes a segment's row."""
+    index, rows = numbering
+    key = {a: k for k, a in index.items()}
+    rows = {seg: list(row) for seg, row in rows.items()}
+    kinds = []
+    for _ in range(rng.randint(1, 3)):
+        segments = list(rows)
+        if not segments:
+            break
+        kind = rng.choice(SCRAMBLES)
+        kinds.append(kind)
+        home = {a: seg for seg, row in rows.items() for a in row}
+        ids = {k: a for a, k in key.items()}
+        vertices = [a for a, k in key.items() if not isinstance(k, tuple) and a in home]
+        if kind == "foreign":
+            if not quiver.arrow_ids:
+                continue
+            paths = [k for k in ids if isinstance(k, tuple)]
+            if paths and rng.random() < 0.5:
+                new = list(rng.choice(paths))
+                new[rng.randrange(len(new))] = rng.choice(quiver.arrow_ids)
+                new = tuple(new)
+            else:
+                new = tuple(rng.choice(quiver.arrow_ids) for _ in range(rng.randint(1, 4)))
+            if new in ids:
+                continue
+            a = max(key) + 1
+            key[a] = new
+            first, last = home.get(ids.get(new[:1])), home.get(ids.get(new[-1:]))
+            spanned = first and last and (first[0], last[1])
+            where = rng.choice([None, rng.choice(segments), spanned, spanned])
+            if where in rows:
+                if where == spanned and rows[where] and rng.random() < 0.5:
+                    rows[where].remove(rng.choice(rows[where]))
+                rows[where].append(a)
+        elif kind == "drop" and len(key) > 1:
+            a = rng.choice(sorted(key))
+            del key[a]
+            rows = {seg: [b for b in row if b != a] for seg, row in rows.items()}
+        elif kind in ("unrow", "move", "share"):
+            seg = rng.choice([s for s in segments if rows[s]] or [None])
+            if seg is None:
+                continue
+            a = rng.choice(rows[seg])
+            if kind != "share":
+                rows[seg].remove(a)
+            if kind != "unrow":
+                rows[rng.choice(segments)].append(a)
+        elif kind == "swap_vertices" and len(vertices) > 1:
+            a, b = rng.sample(vertices, 2)
+            rows[home[a]][rows[home[a]].index(a)] = b
+            rows[home[b]][rows[home[b]].index(b)] = a
+        elif kind == "vertex_moved":
+            moves = [
+                (home[a], seg) for a in vertices
+                for seg in segments if seg[0] != seg[1] and home[a][0] in seg
+            ]
+            if moves:
+                end, seg = rng.choice(moves)
+                a = max(key) + 1
+                key[a] = f"spare{a}"
+                rows[seg], rows[end] = rows[end], [a]
+        elif kind == "no_row":
+            rows.pop(rng.choice(segments))
+    relabel = list(key)
+    rng.shuffle(relabel)
+    new_id = {a: i for i, a in enumerate(relabel)}
+    index = {key[a]: new_id[a] for a in sorted(key)}
+    return kinds, (index, {seg: {new_id[a]: 1 for a in row} for seg, row in rows.items()})
+
+
+def test_morphism_check_agrees_with_the_per_split_check_on_scrambled_numberings():
+    # embed's numbering of each case changed at random, beyond what
+    # _corruptions does to images: the per-path route must give the
+    # per-split check's verdict, or raise what it raises, every time
+    rng = random.Random(53)
+    outcomes = Counter()
+    scrambles = Counter()
+    for coalg in _walk_cases(rng, 25):
+        quiver, names = _hasse_with_names(coalg.poset)
+        numbering = _walk_images(coalg, quiver, names)[1]
+        for _ in range(40):
+            kinds, scrambled = _scrambled(numbering, quiver, rng)
+            expected = _outcome(_per_split_morphism_failure, coalg, quiver, scrambled)
+            assert _outcome(_morphism_failure, coalg, quiver, scrambled) == expected, kinds
+            if isinstance(expected, str):
+                expected = expected.split(" does")[0]
+            elif expected is not None:
+                expected = expected[0].__name__
+            outcomes[expected] += 1
+            scrambles.update(kinds)
+    assert set(scrambles) == set(SCRAMBLES)
+    assert {None, "comultiplication", "counit", "ValueError", "TypeError", "PosetError"} <= set(
+        outcomes
+    ), outcomes
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def _sound_keys(numbering, quiver):
+    """The keys of the ids that the per-path route clears, by its
+    definition on keys: a vertex in the row of (e, e); or a path in a row
+    whose keys without the last and without the first arrow are sound, the
+    first in a row with its lower end, the second in one with its upper
+    end, and, for two arrows, the target of the first is the source of the
+    second. Longer paths inherit composability from those two keys."""
+    index, rows = numbering
+    home = {a: seg for seg, row in rows.items() for a in row}
+    sound = {}
+
+    def check(key):
+        if key not in sound:
+            seg = home.get(index.get(key))
+            if seg is None:
+                sound[key] = False
+            elif not isinstance(key, tuple):
+                sound[key] = seg[0] == seg[1]
+            else:
+                first = key[:-1] or quiver.source(key[0])
+                last = key[1:] or quiver.target(key[-1])
+                sound[key] = (
+                    check(first) and check(last)
+                    and home[index[first]][0] == seg[0] and home[index[last]][1] == seg[1]
+                    and (len(key) != 2 or quiver.target(key[0]) == quiver.source(key[1]))
+                )
+        return sound[key]
+
+    return {key for key in index if check(key)}
+
+
+def test_morphism_check_splits_only_rows_with_an_unsound_path(monkeypatch):
+    # embed's own numbering clears every path whole; on a corrupted one,
+    # _commutes runs only at a segment whose row holds an unsound id
+    calls = []
+    commutes = qcf.posets._commutes
+
+    def counted(seg, row, *args):
+        calls.append((seg, row))
+        return commutes(seg, row, *args)
+
+    monkeypatch.setattr(qcf.posets, "_commutes", counted)
+    rng = random.Random(59)
+    split_rows = mixed = 0
+    for coalg in _walk_cases(rng, 30):
+        result = embed(coalg)
+        assert result.morphism_ok, result.failure
+        assert calls == []
+        for kind, bad in _corruptions(result.phi, rng, result.quiver):
+            if kind in SHARED:
+                continue
+            index, rows = numbering = _numbering(bad)
+            sound = {index[key] for key in _sound_keys(numbering, result.quiver)}
+            _morphism_failure(coalg, result.quiver, numbering)
+            for seg, row in calls:
+                assert not sound.issuperset(row), (kind, seg)
+            split_rows += len(calls)
+            # some rows split, others cleared whole
+            mixed += 0 < len(calls) < len(coalg.basis_list)
+            calls.clear()
+    assert split_rows > 50
+    assert mixed > 50
