@@ -373,11 +373,7 @@ def _morphism_failure(coalg: IncidenceSubcoalgebra, quiver: Quiver, numbering) -
             k = len(key)
         else:
             k = 0
-        bucket = by_length.get(k)
-        if bucket is None:
-            by_length[k] = [a]
-        else:
-            bucket.append(a)
+        by_length.setdefault(k, []).append(a)
     home = [None] * n
     for seg, row in rows.items():
         for a in row:
