@@ -109,11 +109,10 @@ def balanced_space_bruteforce(coalg, bound: int = BRUTEFORCE_BOUND) -> list[Bili
     left[i][r] = k for some i is no key of right[j], and x(i, k) exactly
     when some r with right[j][r] = k for some j is no key of left[i].
 
-    The rows are one {u: 1} per forced unknown u, in ascending order, then
-    the two-term rows. The equations of every pair and coordinate differ
-    from these only by a sign on each one-term row and by repeats of it, so
-    both systems have one row space, and with it one reduced row echelon
-    form, whose vectors `sparse_int_nullspace` reads.
+    The rows are one {u: 1} per forced unknown u, then the two-term rows.
+    The equations of every pair and coordinate differ from these only by a
+    sign on each one-term row and by repeats of it, so both systems have
+    one row space, and with it one nullspace.
 
     Every row says x_u = 0 or x_u = x_v, so the unknowns fall into the
     components of the graph whose edges are the two-term rows, and beta is
@@ -162,7 +161,7 @@ def balanced_space_bruteforce(coalg, bound: int = BRUTEFORCE_BOUND) -> list[Bili
         if to_right[k]:
             kept = set.intersection(*(in_left.get(r, empty) for r in to_right[k]))
             forced.update(i * n + k for i in everyone - kept)
-    rows: list[dict[int, int]] = [{u: 1} for u in sorted(forced)]
+    rows: list[dict[int, int]] = [{u: 1} for u in forced]
     for i in range(n):
         for r, k in left[i].items():
             for j in in_right.get(r, ()):

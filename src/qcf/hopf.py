@@ -560,19 +560,15 @@ def group_algebra(table, names, identity) -> HopfTable:
     )
 
 
-def compute_antipode(table: HopfTable, order=None) -> dict:
+def compute_antipode(table: HopfTable) -> dict:
     """Recursive antipode along increasing filtration degree.
 
     Grouplikes invert through the product table; any other basis element c
     must have a unique coproduct term of the shape c (x) grouplike, which is
     solved for. It only solves: it raises HopfError when the recursion
-    cannot proceed or `order` is not a permutation of the labels, and leaves
-    the convolution identities to `verify_hopf`.
+    cannot proceed, and leaves the convolution identities to `verify_hopf`.
     """
-    if order is None:
-        order = sorted(table.labels, key=lambda b: (table.degree[b], repr(b)))
-    elif len(order) != len(table.labels) or set(order) != set(table.labels):
-        raise HopfError("order is not a permutation of the table's labels")
+    order = sorted(table.labels, key=lambda b: (table.degree[b], repr(b)))
     unit = table.unit
     one = LinComb.basis(unit)
     grouplikes = [b for b in table.labels

@@ -9,20 +9,10 @@ nonzeros, not in the number of unknowns.
 An integer system for `sparse_int_nullspace` is an equality graph: its rows
 say only x_u = 0 or x_u = x_v, so its nullspace is read off the connected
 components of the graph whose edges are the rows x_u = x_v, with no
-elimination at all.
-
-`sparse_int_rank` eliminates general integer rows over the rationals, after
-a one-term pass. A one-term row says that a column is zero: the column is
-struck from every row that uses it, a row left with one term forces its own
-column in turn, and a row left with none is dropped. Only the rows that are
-left are eliminated. Striking a column costs a dict deletion where
-eliminating it costs `Cyc` arithmetic, and `embed` gives a one-term row for
-every segment with a single Hasse path. A struck row differs from its
-original by multiples of rows {column: 1}, so the row space, and with it
-the rank, is the same.
-
-Pivoting is deterministic (first nonzero in row-major order) so nullspace
-bases are reproducible.
+elimination at all. Every general system, the integer rows of
+`sparse_int_rank` over the rationals and the `Cyc` rows of
+`field_nullspace`, goes through the one division echelon, which pivots on
+a row's smallest column, so nullspace bases are reproducible.
 """
 
 from __future__ import annotations
@@ -33,46 +23,6 @@ from .scalars import Cyc
 
 _ZERO = Cyc.zero()
 _ONE = Cyc.one()
-
-
-def _force_zeros(rows: list[dict[int, int]]) -> tuple[set[int], list[dict[int, Cyc]]]:
-    """The one-term pass: the columns forced to zero, and rational copies
-    of the other rows with those columns struck out."""
-    forced: set[int] = set()
-    rest: list[dict[int, Cyc]] = []
-    for row in rows:
-        if len(row) > 1:
-            # embed's rows hold only 1s; every 1 is the one shared Cyc, not
-            # a new one
-            kept = {c: _ONE if v == 1 else Cyc(1, 1, (v,)) for c, v in row.items() if v}
-            if len(kept) > 1:
-                rest.append(kept)
-                continue
-        # a one-term row is not copied: embed gives one per segment with a
-        # single Hasse path
-        for c, v in row.items():
-            if v:
-                forced.add(c)
-    if all(forced.isdisjoint(row) for row in rest):
-        # nothing to strike; the index's many small lists would set off
-        # collector passes over the caller's heap, which can be large
-        return forced, rest
-    uses: dict[int, list[int]] = {}  # column -> indices of the rows in rest using it
-    for i, row in enumerate(rest):
-        for c in row:
-            uses.setdefault(c, []).append(i)
-    stack = list(forced)
-    while stack:
-        col = stack.pop()
-        for i in uses.get(col, ()):
-            row = rest[i]
-            del row[col]
-            if len(row) == 1:  # it forces its last column in turn
-                (last,) = row
-                if last not in forced:
-                    forced.add(last)
-                    stack.append(last)
-    return forced, [row for row in rest if row]
 
 
 def _subtract(row: dict[int, Cyc], factor: Cyc, other: dict[int, Cyc]) -> None:
@@ -186,8 +136,10 @@ def sparse_int_nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[in
 
 
 def sparse_int_rank(rows: list[dict[int, int]]) -> int:
-    forced, rest = _force_zeros(rows)
-    return len(forced) + len(_echelon(rest))
+    # embed's rows hold only 1s; every 1 is the one shared Cyc, not a new one
+    return len(_echelon(
+        {c: _ONE if v == 1 else Cyc(1, 1, (v,)) for c, v in row.items() if v} for row in rows
+    ))
 
 
 def field_nullspace(rows: list[dict[int, Cyc]], ncols: int) -> list[dict[int, Cyc]]:

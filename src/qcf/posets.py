@@ -457,10 +457,11 @@ def embed(coalg: IncidenceSubcoalgebra) -> EmbeddingResult:
     """Map every basis segment to the sum of all Hasse-quiver paths between
     its endpoints, then verify the map is a coalgebra morphism and injective."""
     quiver, names = _hasse_with_names(coalg.poset)
-    found, numbering = _walk_images(coalg, quiver, names)
+    found, (index, rows) = _walk_images(coalg, quiver, names)
     runs = {seg: found[seg] for seg in coalg.basis_list}
-    failure = _morphism_failure(coalg, quiver, numbering)
-    rank = sparse_int_rank([numbering[1][seg] for seg in coalg.basis_list])
+    failure = _morphism_failure(coalg, quiver, (index, rows))
+    del index  # the rank's copies of the rows take the path index's place
+    rank = sparse_int_rank([rows[seg] for seg in coalg.basis_list])
     return EmbeddingResult(
         quiver=quiver,
         runs=runs,

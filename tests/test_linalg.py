@@ -136,7 +136,9 @@ def one_term_systems(draw):
     """Rows shaped like the balanced-form systems, mostly one-term rows and
     x - y rows, with equality chains x0 = x1 = ... that one one-term row
     closes, so that zeros spread over several rounds; and, for the rank
-    alone, the same rows with a few general ones among them."""
+    alone, the same rows with a few general ones among them. Or the rows
+    of embed's rank: pairwise-disjoint blocks of 1s, the one-term blocks
+    among them also an equality system."""
     ncols = draw(st.integers(2, 10))
     column = st.integers(0, ncols - 1)
     dense = []
@@ -148,6 +150,13 @@ def one_term_systems(draw):
             row[c] += v
         rows.append(row)
 
+    if draw(st.booleans()):
+        columns = draw(st.permutations(range(ncols)))[:draw(st.integers(0, ncols))]
+        while columns:
+            size = draw(st.integers(1, min(3, len(columns))))
+            block, columns = columns[:size], columns[size:]
+            add([(c, 1) for c in block], dense if size == 1 else general)
+        return draw(st.permutations(dense)), draw(st.permutations(dense + general)), ncols
     for _ in range(draw(st.integers(0, 3))):
         chain = draw(st.lists(column, min_size=2, max_size=5, unique=True))
         for x, y in zip(chain, chain[1:]):
