@@ -212,7 +212,7 @@ def _hasse_with_names(poset: Poset) -> tuple[Quiver, dict]:
 @record
 class EmbeddingResult:
     """The sum-over-paths map into the Hasse path coalgebra, with its
-    verification. `runs` holds each segment's Hasse paths as the walk found
+    verification. `runs` holds each segment's Hasse paths as the walk built
     them, their arrow tuples in report order; `images` and `phi` build
     `Path`s from them on demand."""
 
@@ -236,21 +236,6 @@ class EmbeddingResult:
         return {seg: linear((p, one) for p in paths) for seg, paths in self.images.items()}
 
 
-def _source_regions(coalg: IncidenceSubcoalgebra) -> dict[int, tuple[int, int]]:
-    """Per lower end i of a basis segment: the mask of its upper ends, and
-    the union of the intervals from i to them, which holds every Hasse path
-    from i to an upper end."""
-    poset = coalg.poset
-    regions = {}
-    for i, tops in enumerate(coalg._member_masks()):
-        if tops:
-            below = 0
-            for j in _bits(tops):
-                below |= poset._down[j]
-            regions[i] = (tops, poset._up[i] & below)
-    return regions
-
-
 def hasse_path_count(coalg: IncidenceSubcoalgebra) -> int:
     """How many Hasse-quiver paths `embed` maps the basis to: the saturated
     chains between the ends of every basis segment, counted by a dynamic
@@ -262,7 +247,13 @@ def hasse_path_count(coalg: IncidenceSubcoalgebra) -> int:
             lower[j] |= 1 << i
     height = [row.bit_count() for row in poset._down]  # increases along the order
     total = 0
-    for i, (tops, region) in _source_regions(coalg).items():
+    for i, tops in enumerate(coalg._member_masks()):
+        # the union of the intervals from i to its upper ends holds every
+        # Hasse path from i to one of them
+        below = 0
+        for j in _bits(tops):
+            below |= poset._down[j]
+        region = poset._up[i] & below
         chains: dict[int, int] = {}
         for v in sorted(_bits(region), key=height.__getitem__):
             chains[v] = 1 if v == i else sum(chains[u] for u in _bits(lower[v] & region))
@@ -272,195 +263,218 @@ def hasse_path_count(coalg: IncidenceSubcoalgebra) -> int:
 
 def _walk_images(
     coalg: IncidenceSubcoalgebra, quiver: Quiver, names: dict
-) -> tuple[dict[Segment, PathRun], tuple[dict, dict]]:
-    """Every Hasse path between the ends of each basis segment, numbered as
-    it is found: one depth-first walk per lower end, kept inside its region
-    of `_source_regions`, that takes each vertex's out-arrows in name order
-    and so meets the paths to one upper end in the order of their arrow
-    tuples. A stable sort by length puts them in report order, (length,
-    source, arrows), with one source per segment.
+) -> tuple[dict[Segment, PathRun], tuple]:
+    """Every Hasse path between the ends of each basis segment, built from
+    the segments above it. The lower ends are taken by decreasing height,
+    and the upper ends of each by increasing height. The paths of (i, j)
+    are, for each out-arrow a: i -> c in name order with (c, j) a basis
+    segment, the block (a,) + q for each path q of (c, j), in that
+    segment's order; so they come in the order of their arrow tuples, and a
+    stable sort by length puts them in report order, (length, source,
+    arrows), with one source per segment. A block whose (c, j) is no basis
+    segment, or has no paths, is skipped: the basis is then not closed
+    under subintervals, which the morphism check reports.
 
-    Returns per segment its paths in that order as a `PathRun`, whose arrow
-    tuples are the index's keys themselves (no `Path` is built), and the
-    numbering `_morphism_failure` reads: ({key: id}, per segment its row
-    {id: 1}), the ids handed out in report order. A path's key is its arrow
-    tuple, or its source for a vertex: a path of one quiver is fixed by its
-    arrows, and a vertex name, a str, never equals a tuple."""
-    elements = coalg.poset.elements
+    Returns per segment its paths in report order as a `PathRun` (no `Path`
+    is built), and the numbering `_morphism_failure` reads: (per segment
+    its row {id: 1} in report order, init, tail, length), every id one int
+    object shared by the rows and the links. The ids of one lower end are
+    consecutive, and so are those of one segment, in arrow-tuple order. The
+    links cost no lookup of a path: tail[(a,) + q] is the id of q, and
+    init[(a,) + q] is the id of (a,) + init[q], which lies in a segment
+    (i, w) with w below j, built before (i, j), and is read from the table
+    of arrow a that maps the ids of c's paths to the ids of their blocks."""
+    poset = coalg.poset
+    elements = poset.elements
     vertex = [names[e] for e in elements]
     at = {v: i for i, v in enumerate(vertex)}
-    # reversed, so that popping the stack takes the arrows in name order
-    steps = [
-        [(at[quiver.target(a)], a) for a in sorted(quiver.out_arrows(v), reverse=True)]
-        for v in vertex
-    ]
+    height = [row.bit_count() for row in poset._down]  # increases along the order
+    tops = coalg._member_masks()
     runs: dict[Segment, PathRun] = {}
-    index: dict = {}
     rows: dict[Segment, dict[int, int]] = {}
-    for i, (tops, region) in _source_regions(coalg).items():
-        start = vertex[i]
-        found: dict[int, list[tuple]] = {j: [] for j in _bits(tops)}
-        stack = [(i, ())]
-        while stack:
-            v, seq = stack.pop()
-            if tops >> v & 1:
-                found[v].append(seq)
-            for w, a in steps[v]:
-                if region >> w & 1:
-                    stack.append((w, seq + (a,)))
-        for j, seqs in found.items():
-            seqs.sort(key=len)
-            seg = (elements[i], elements[j])
-            runs[seg] = PathRun(start, vertex[j], seqs)
-            # a list, so that the index and the row share one int per id
-            ids = list(range(len(index), len(index) + len(seqs)))
-            if j == i:  # the vertex path alone, keyed by its source
-                index[start] = ids[0]
+    init: list[int] = []
+    tail: list[int] = []
+    length: list[int] = []
+    # per lower end c: its first id, its end and per upper end j the ids and
+    # arrow tuples of (c, j) in arrow-tuple order
+    built: dict[int, tuple[int, int, dict]] = {}
+    for i in sorted((i for i, m in enumerate(tops) if m), key=height.__getitem__, reverse=True):
+        first = len(init)
+        blocks = []  # per out-arrow a: i -> c: (a,), c's paths, c's first id, a's table
+        for a in sorted(quiver.out_arrows(vertex[i])):
+            c = at[quiver.target(a)]
+            if c in built:
+                start, end, below = built[c]
+                blocks.append(((a,), below, start, [-2] * (end - start)))
+        paths: dict[int, tuple[list, list]] = {}
+        for j in sorted(_bits(tops[i]), key=height.__getitem__):
+            begin = len(init)
+            if j == i:
+                ids, seqs = [begin], [()]
+                init.append(-1)
+                tail.append(-1)
+                length.append(0)
             else:
-                index.update(zip(seqs, ids))
+                ids, seqs = [], []
+                for head, below, start, table in blocks:
+                    found = below.get(j)
+                    if found is None:
+                        continue
+                    qids, qseqs = found
+                    q0, n = qids[0], len(qids)
+                    new = list(range(len(init), len(init) + n))
+                    if qseqs[0]:
+                        init += [table[r - start] if r >= 0 else -2 for r in init[q0:q0 + n]]
+                    else:  # the arrow itself: its prefix is the vertex i
+                        init.append(paths[i][0][0] if i in paths else -2)
+                    tail += qids
+                    length += map((1).__add__, length[q0:q0 + n])
+                    table[q0 - start:q0 - start + n] = new
+                    ids += new
+                    seqs += map(head.__add__, qseqs)
+            if ids:
+                paths[j] = ids, seqs
+            lengths = length[begin:]
+            if lengths and min(lengths) < max(lengths):
+                order = sorted(range(len(ids)), key=lengths.__getitem__)
+                ids = [ids[k] for k in order]
+                seqs = [seqs[k] for k in order]
+            seg = (elements[i], elements[j])
+            runs[seg] = PathRun(vertex[i], vertex[j], seqs)
             rows[seg] = dict.fromkeys(ids, 1)
-    return runs, (index, rows)
+        built[i] = first, len(init), paths
+    return runs, (rows, init, tail, length)
 
 
-def _morphism_failure(coalg: IncidenceSubcoalgebra, quiver: Quiver, numbering) -> str | None:
+def _morphism_failure(coalg: IncidenceSubcoalgebra, numbering) -> str | None:
     """Check that the map sending each segment to the sum of its image paths
     commutes with the comultiplications and the counits, segment by segment
     in basis order; the failure message for the first segment where it does
     not, else None. A missing subinterval raises PosetError before a failure
     at its segment is returned, and images that share a path raise
     ValueError: `embed`'s never do, since distinct segments have distinct
-    endpoints.
+    endpoints. Nothing else is raised.
 
-    The map is given by path ids alone: `numbering` is ({key: id}, per
-    segment its row of ids), keyed as `_walk_images` keys it, the ids 0 to
-    n - 1, every id one Hasse path with coefficient 1; it is neither copied
-    nor changed. Two links per id a, `init[a]` and `tail[a]`, give the ids
-    of a without its last and without its first arrow, or -2 when that part
-    is no image path; a vertex's id has -1 in both, so walking them lists
-    every prefix and every suffix of a and stops at -1. Each id a lies in
-    one row, of the segment home[a].
+    The map is given by path ids alone: `numbering` is (per basis segment
+    its row of ids, init, tail, length), as `_walk_images` hands it over,
+    and is neither copied nor changed. The ids 0 to n - 1 stand for
+    distinct paths, each with coefficient 1; per id a, length[a] is its
+    number of arrows, and init[a] and tail[a] are the ids of a without its
+    last and without its first arrow, -2 when that part is no id, and -1 for
+    a vertex. Each id lies in one row at most, of the segment home[a].
 
-    Most rows are cleared whole, not split by split. One pass over the
-    ids, shortest keys first, calls an id a whose key has k arrows sound,
-    and sets splits[a] = k + 1, its number of splits (else 0), when
+    One pass over the ids of the rows, shortest first, calls an id a of k
+    arrows sound, and sets splits[a] = k + 1, its number of splits (else
+    0), when
     - k = 0 and home[a] is some (e, e); or
-    - k >= 1, a lies in a row, init[a] and tail[a] are sound, home[init[a]]
-      has a's lower end and home[tail[a]] its upper end, and tail[init[a]]
-      = init[tail[a]], the middle, then sound as a tail of a sound id. For
-      k = 1 both are -1, and for k >= 3 both are the id of the key without
-      its end arrows, so this asks only that two arrows compose.
-    This is exact. By induction on k, dropping the last m and the first j
-    arrows of a sound a, m + j <= k, gives one sound id init^m tail^j a =
-    tail^j init^m a: for m, j >= 1 both are tail^(j-1) init^(m-1) of the
-    middle, by the induction on tail[a] and on init[a]. The prefixes
-    init^m a keep a's lower end and the suffixes tail^j a its upper end,
-    and the split into init^m a and tail^(k-m) a meets at the vertex
-    init^m tail^(k-m) a, whose home (e, e) couples the upper end of the
-    prefix to the lower end of the suffix. So every split of a sound id in
-    its own row passes `_commutes`' test, and a row of sound ids commutes
-    exactly when its count equals the sum of their splits. A row that
-    holds an unsound id goes through `_commutes`, so every numbering gets
-    the verdict, or the exception, that splitting every row gives."""
-    index, rows = numbering
-    number, source, target, n = index.get, quiver.source, quiver.target, len(index)
-    init = [-1] * n
-    tail = [-1] * n
-    by_length: dict[int, list[int]] = {}  # the ids, bucketed by key length
-    for key, a in index.items():
-        if isinstance(key, tuple):  # a vertex's key is its name; its links stay -1
-            init[a] = number(key[:-1] or source(key[0]), -2)
-            tail[a] = number(key[1:] or target(key[-1]), -2)
-            k = len(key)
-        else:
-            k = 0
-        by_length.setdefault(k, []).append(a)
-    home = [None] * n
+    - k >= 1, init[a] and tail[a] are sound, home[init[a]] has a's lower end
+      and home[tail[a]] its upper end, and tail[init[a]] = init[tail[a]],
+      the middle, then sound as a tail of a sound id. For k = 1 both are
+      -1, and for k >= 3 both are the id of a without its end arrows, so
+      this asks only that two arrows compose.
+    By induction on k, dropping the last m and the first j arrows of a
+    sound a, m + j <= k, gives one sound id init^m tail^j a = tail^j init^m
+    a: for m, j >= 1 both are tail^(j-1) init^(m-1) of the middle, by the
+    induction on tail[a] and on init[a]. The prefixes init^m a keep a's
+    lower end and the suffixes tail^j a its upper end, and the split into
+    init^m a and tail^(k-m) a meets at the vertex init^m tail^(k-m) a, whose
+    home (e, e) couples the upper end of the prefix to the lower end of the
+    suffix. So each split (x, y) of a sound id of the row of (lo, hi) has
+    home[x] = (lo, w) and home[y] = (w, hi) for one w.
+
+    A row of sound ids then commutes exactly when its count N, the sum over
+    w in [lo, hi] of |row(lo, w)| |row(w, hi)|, equals the sum of their
+    splits, and its counit is the number of its vertices, the 1s among
+    them. Delta phi(lo, hi) is the sum of those splits as terms x (x) y,
+    distinct, since a prefix and its suffix give back the path.
+    (phi (x) phi) Delta(lo, hi) is a sum of N distinct terms, each with
+    coefficient 1, since an id lies in row(lo, w) for w = the upper end of
+    its home alone; a split (x, y) is one of them exactly when home[x] =
+    (lo, w) and home[y] = (w, hi).
+
+    A row that holds an unsound id fails at once. Checking every split of
+    every path of every row, in basis order, fails first at the same
+    segment, since every id of a row it passes, after passing each row
+    before, is sound; by induction over the basis order and then the
+    arrow count k of an id p of the row of (lo, hi). For k = 0, the split
+    (p, p) needs home[p] = (lo, w) = (w, hi). For k >= 1, the splits at
+    one arrow from either end put init p in a row (lo, w) and tail p in a
+    row (w', hi) with w, w' in [lo, hi]: the segment itself, where the ids
+    are shorter, or a strict subinterval, which is smaller and so comes
+    first in the basis. For k = 2 the middles are vertices of the row
+    (w, w), w = w' by the split (init p, tail p), which comes first or is
+    the segment, and that row passes only if it holds one vertex at most:
+    its N = |row|^2 terms would include the pair (u, v) of two of its
+    vertices, which is no split. Where splitting meets a part that lies in
+    no row, which it cannot check, the path is unsound, since every part
+    of a sound id is a sound id in a row: the check fails that segment."""
+    rows, init, tail, length = numbering
+    home = [None] * len(init)
+    by_length = [[] for _ in range(min(max(length, default=0), 65534) + 1)]
     for seg, row in rows.items():
         for a in row:
             if home[a] is not None:
                 raise ValueError(f"the images of {home[a]!r} and {seg!r} share a path")
             home[a] = seg
-    splits = memoryview(bytearray(2 * n)).cast("H")
-    for a in by_length.pop(0, ()):
-        seg = home[a]
-        if seg is not None and seg[0] == seg[1]:
+            k = length[a]
+            if k <= 65534:  # k + 1 must fit in splits: longer ids stay unsound
+                by_length[k].append(a)
+    splits = memoryview(bytearray(2 * len(init))).cast("H")
+    for a in by_length[0]:
+        lo, hi = home[a]
+        if lo == hi:
             splits[a] = 1
-    for k in sorted(by_length):
-        if k > 65534:  # k + 1 would not fit in splits: these ids stay unsound
-            break
+    for k in range(1, len(by_length)):
         for a in by_length[k]:
             i, t, seg = init[a], tail[a], home[a]
             if (
-                i >= 0 and t >= 0 and splits[i] and splits[t] and seg is not None
-                and tail[i] == init[t] and home[i][0] == seg[0] and home[t][1] == seg[1]
+                i >= 0 and t >= 0 and splits[i] and splits[t] and tail[i] == init[t]
+                and home[i][0] == seg[0] and home[t][1] == seg[1]
             ):
                 splits[a] = k + 1
-    interval = coalg.poset.interval
+    poset = coalg.poset
+    elements, index, up, down = poset.elements, poset._index, poset._up, poset._down
+    n = len(elements)
+    sizes: list[dict[int, int]] = [{} for _ in range(n)]  # per lower end x: {y: |row(x, y)|}
+    starts, stops = [0] * n, [0] * n  # per element, the masks of the other ends of its rows
+    for (lo, hi), row in rows.items():
+        x, y = index[lo], index[hi]
+        sizes[x][y] = len(row)
+        starts[x] |= 1 << y
+        stops[y] |= 1 << x
+    terms = []  # per row (x, y), the sum over the rows (x, w) and (w, y) of their length products
+    for left in sizes:
+        count = dict.fromkeys(left, 0)
+        for w, k in left.items():
+            for y, m in sizes[w].items():
+                if y in count:
+                    count[y] += k * m
+        terms.append(count)
     for seg in coalg.basis_list:
         lo, hi = seg
-        try:
-            count = sum(len(rows[lo, w]) * len(rows[w, hi]) for w in interval(lo, hi))
-        except KeyError as err:  # the basis is not closed under subintervals
-            raise PosetError(f"segment {err.args[0]!r} lies inside {seg!r} but is missing") from None
-        row = rows[seg]
-        parts = list(map(splits.__getitem__, row))
-        if 0 in parts:
-            commutes = _commutes(seg, row, count, init, tail, home)
-            vertices = sum(init[a] == -1 for a in row)
-        else:
-            commutes = count == sum(parts)
-            vertices = parts.count(1)  # a sound id has one split exactly when it is a vertex
-        if not commutes:
+        x, y = index[lo], index[hi]
+        gaps = up[x] & down[y] & ~(starts[x] & stops[y])
+        if gaps:  # the basis is not closed under subintervals: name the first gap
+            w = (gaps & -gaps).bit_length() - 1
+            missing = (lo, elements[w]) if not starts[x] >> w & 1 else (elements[w], hi)
+            raise PosetError(f"segment {missing!r} lies inside {seg!r} but is missing")
+        parts = list(map(splits.__getitem__, rows[seg]))
+        if 0 in parts or terms[x][y] != sum(parts):
             return f"comultiplication does not commute at segment {seg!r}"
-        if coalg.counit(seg) != Cyc.rational(vertices):
+        if parts.count(1) != (lo == hi):  # the counit of (lo, hi) is 1 or 0
             return f"counit does not commute at segment {seg!r}"
     return None
-
-
-def _commutes(seg: Segment, row, count: int, init, tail, home) -> bool:
-    """Whether Delta phi and (phi (x) phi) Delta agree at seg = (lo, hi),
-    whose image is the sum of the paths of `row`; `count` is N = sum over w
-    in [lo, hi] of |row(lo, w)| |row(w, hi)|.
-
-    Delta phi(seg) is the sum, over the paths p of `row` and over the splits
-    (a, b) of p, of a (x) b; the splits of distinct paths are distinct
-    pairs, since a prefix and its suffix give back the path. An id a lies in
-    row(lo, w) for w = the upper end of home[a] alone, so a term a (x) b of
-    (phi (x) phi) Delta(seg) comes from that one w: that side is a sum of
-    exactly N distinct terms, each with coefficient 1. A split (a, b) is one
-    of them exactly when home[a] = (lo, w) and home[b] = (w, hi) for one w (a
-    key of the rows is a segment, so w lies in [lo, hi]); a split with a
-    part that is no image path matches none. So the two sides are equal
-    exactly when every split passes that test and there are N of them."""
-    lo, hi = seg
-    for p in row:
-        suffixes = [p]
-        b = tail[p]
-        while b >= 0:
-            suffixes.append(b)
-            b = tail[b]
-        if b == -2:
-            return False
-        count -= len(suffixes)
-        a = p  # the prefixes, longest first, pair with the suffixes, shortest first
-        for b in reversed(suffixes):
-            if a < 0:  # -2: this prefix is no image path
-                return False
-            (x, w), (v, y) = home[a], home[b]
-            if x != lo or w != v or y != hi:
-                return False
-            a = init[a]
-    return count == 0
 
 
 def embed(coalg: IncidenceSubcoalgebra) -> EmbeddingResult:
     """Map every basis segment to the sum of all Hasse-quiver paths between
     its endpoints, then verify the map is a coalgebra morphism and injective."""
     quiver, names = _hasse_with_names(coalg.poset)
-    found, (index, rows) = _walk_images(coalg, quiver, names)
+    found, numbering = _walk_images(coalg, quiver, names)
     runs = {seg: found[seg] for seg in coalg.basis_list}
-    failure = _morphism_failure(coalg, quiver, (index, rows))
-    del index  # the rank's copies of the rows take the path index's place
+    failure = _morphism_failure(coalg, numbering)
+    rows = numbering[0]
+    del numbering  # the rank's copies of the rows take the links' place
     rank = sparse_int_rank([rows[seg] for seg in coalg.basis_list])
     return EmbeddingResult(
         quiver=quiver,

@@ -208,6 +208,19 @@ def test_report_matches_golden(document, command, tmp_path, capsys):
     assert capsys.readouterr().out.encode() == golden
 
 
+def test_python_m_qcf_writes_the_golden_report():
+    # the package runs as `python -m qcf`, with no installed script, in a
+    # fresh interpreter: the pentagon embed report comes out byte for byte
+    src = str(Path(qcf.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcf", "embed", "--input", str(GOLDEN / "pentagon.qcf")],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / "pentagon-embed.json").read_bytes()
+
+
 def test_parse_errors_exit_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.qcf"
     bad.write_text("quiver Q { vertices u; }")

@@ -2,9 +2,12 @@ import copy
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import qcf.cli
+import qcf.dsl
 import qcf.lincomb
 import qcf.posets
 import qcf.quiver
@@ -24,6 +27,8 @@ from qcf.posets import (
 from qcf.lincomb import LinComb, expand_slot, linear, map_linear, pair_tensor
 from qcf.rand import random_incidence_subcoalgebra, random_poset
 from qcf.scalars import Cyc
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -217,6 +222,36 @@ def test_embed_rejects_basis_not_closed_under_subintervals():
         embed(coalg)
 
 
+def test_embed_names_the_first_missing_subinterval():
+    # on a basis not closed under subintervals, embed raises the PosetError
+    # of the first segment in basis order with a missing subinterval, naming
+    # the first missing one, and fails no segment before it
+    rng = random.Random(67)
+    refused = 0
+    for _ in range(300):
+        poset = random_poset(rng, max_elements=8)
+        segments = poset.all_segments()
+        coalg = IncidenceSubcoalgebra(poset, rng.sample(segments, rng.randint(1, len(segments))))
+        expected = next(
+            (
+                f"segment {missing!r} lies inside {seg!r} but is missing"
+                for seg in coalg.basis_list
+                for w in poset.interval(*seg)
+                for missing in ((seg[0], w), (w, seg[1]))
+                if missing not in coalg.basis
+            ),
+            None,
+        )
+        if expected is None:
+            assert embed(coalg).morphism_ok
+            continue
+        with pytest.raises(PosetError) as err:
+            embed(coalg)
+        assert str(err.value) == expected
+        refused += 1
+    assert refused > 100
+
+
 def _saturated_chain_count(poset, x, y):
     # chains x = z0 < z1 < ... < y where each step is a covering pair
     if x == y:
@@ -348,15 +383,43 @@ def _lincomb_morphism_failure(coalg, quiver, phi):
 
 
 def _numbering(phi):
-    # hand-built images numbered as the walk keys its paths, by arrow tuple
-    # or, for a vertex, by source, the ids handed out in order of first
-    # appearance: what the morphism check reads, every path with coefficient 1
+    # hand-built images numbered by key, a path's arrow tuple or, for a
+    # vertex, its source, the ids handed out in order of first appearance,
+    # every path with coefficient 1: ({key: id}, per segment its row)
     index = {}
     rows = {}
     for seg, image in phi.items():
         assert all(c.is_one() for _, c in image.items())
         rows[seg] = {index.setdefault(p.arrows or p.source, len(index)): 1 for p in image.labels()}
     return index, rows
+
+
+def _key_links(index, rows, quiver):
+    # the numbering the morphism check reads, (rows, init, tail, length),
+    # with each id's links derived from its key by slicing: the ids of the
+    # key without its last and without its first arrow, -2 when that is no
+    # key, and -1 for a vertex; a vertex's key is its name, never a tuple
+    n = len(index)
+    init, tail, length = [-1] * n, [-1] * n, [0] * n
+    for key, a in index.items():
+        if isinstance(key, tuple):
+            init[a] = index.get(key[:-1] or quiver.source(key[0]), -2)
+            tail[a] = index.get(key[1:] or quiver.target(key[-1]), -2)
+            length[a] = len(key)
+    return rows, init, tail, length
+
+
+def _linked(phi, quiver):
+    return _key_links(*_numbering(phi), quiver)
+
+
+def _walk_index(runs, rows):
+    # the walk's ids keyed as _numbering keys them, read off its runs
+    return {
+        seq or run.source: a
+        for seg, run in runs.items()
+        for a, seq in zip(rows[seg], run.seqs)
+    }
 
 
 def _corruptions(phi, rng, quiver):
@@ -443,15 +506,15 @@ def test_morphism_check_agrees_with_the_lincomb_oracle(diamond):
     for coalg in cases:
         result = embed(coalg)
         quiver, phi = result.quiver, result.phi
-        assert _morphism_failure(coalg, quiver, _numbering(phi)) is None
+        assert _morphism_failure(coalg, _linked(phi, quiver)) is None
         assert _lincomb_morphism_failure(coalg, quiver, phi) is None
         for kind, bad in _corruptions(phi, rng, quiver):
             if kind in SHARED:
                 with pytest.raises(ValueError, match="share a path"):
-                    _morphism_failure(coalg, quiver, _numbering(bad))
+                    _morphism_failure(coalg, _linked(bad, quiver))
                 refused[kind] += 1
                 continue
-            failure = _morphism_failure(coalg, quiver, _numbering(bad))
+            failure = _morphism_failure(coalg, _linked(bad, quiver))
             assert failure == _lincomb_morphism_failure(coalg, quiver, bad)
             verdicts[failure.split(" does")[0] if failure else None] += 1
             if failure is not None:
@@ -482,30 +545,30 @@ def test_morphism_check_leaves_the_numbering_unchanged():
         quiver, names = _hasse_with_names(coalg.poset)
         numbering = _walk_images(coalg, quiver, names)[1]
         before = copy.deepcopy(numbering)
-        assert _morphism_failure(coalg, quiver, numbering) is None
+        assert _morphism_failure(coalg, numbering) is None
         assert numbering == before
         phi = embed(coalg).phi
         for kind, bad in _corruptions(phi, rng, quiver):
-            numbering = _numbering(bad)
+            numbering = _linked(bad, quiver)
             before = copy.deepcopy(numbering)
             if kind in SHARED:
                 with pytest.raises(ValueError):
-                    _morphism_failure(coalg, quiver, numbering)
+                    _morphism_failure(coalg, numbering)
             else:
-                failure = _morphism_failure(coalg, quiver, numbering)
+                failure = _morphism_failure(coalg, numbering)
                 assert failure == _lincomb_morphism_failure(coalg, quiver, bad)
             assert numbering == before
 
 
 def test_morphism_check_fails_at_a_suffix_that_is_no_image_path():
     # the image of (0, 0) is the arrow a: u -> v, whose suffix v is no image
-    # path, so the split (a, v) matches no term of (phi (x) phi) Delta.
-    # Walking on past the -2 would pair a with itself, which passes, and
-    # leave the failure to the counit
+    # path, so its tail link is -2 and the split (a, v) matches no term of
+    # (phi (x) phi) Delta
     point = full_incidence_coalgebra(Poset.from_covers(["0"], []))
     quiver = qcf.quiver.Quiver(["u", "v"], [("a", "u", "v")])
-    numbering = ({("a",): 0}, {("0", "0"): {0: 1}})
-    assert _morphism_failure(point, quiver, numbering) == (
+    numbering = _key_links({("a",): 0}, {("0", "0"): {0: 1}}, quiver)
+    assert numbering[1:] == ([-2], [-2], [1])
+    assert _morphism_failure(point, numbering) == (
         "comultiplication does not commute at segment ('0', '0')"
     )
 
@@ -513,15 +576,17 @@ def test_morphism_check_fails_at_a_suffix_that_is_no_image_path():
 def test_morphism_check_fails_at_a_prefix_that_is_no_image_path():
     # on the chain 0 < 1, (0, 1) maps to the arrow a: u -> v and (0, 0),
     # (1, 1) to the vertices w, v. The prefix u of a is no image path, so
-    # its link is -2; read as an index, -2 is the id of w, whose home (0, 0)
-    # is just what the split (u, a) needs: only the early return fails it
+    # its init link is -2; read as an index, -2 would be the id of w, whose
+    # home (0, 0) is just what the split (u, a) needs
     chain = full_incidence_coalgebra(Poset.from_covers(["0", "1"], [("0", "1")]))
     quiver = qcf.quiver.Quiver(["u", "w", "v"], [("a", "u", "v")])
-    numbering = (
+    numbering = _key_links(
         {("a",): 0, "w": 1, "v": 2},
         {("0", "0"): {1: 1}, ("0", "1"): {0: 1}, ("1", "1"): {2: 1}},
+        quiver,
     )
-    assert _morphism_failure(chain, quiver, numbering) == (
+    assert numbering[1][0] == -2
+    assert _morphism_failure(chain, numbering) == (
         "comultiplication does not commute at segment ('0', '1')"
     )
 
@@ -530,21 +595,40 @@ def test_morphism_check_fails_at_a_path_that_is_not_composable(diamond):
     # the image of (b, t) is b<m1 m1<t and the arrow tuple b<m1 m2<t, which
     # is no path: its prefix, suffix and ends lie in the right rows and the
     # term count agrees, so only the split between its arrows, where m1 is
-    # not m2, tells it from b<m2 m2<t. Of the tests that clear a path whole,
-    # only tail(init) = init(tail) fails it
+    # not m2, tells it from b<m2 m2<t. Of the soundness tests, only
+    # tail(init) = init(tail) fails it
     coalg = full_incidence_coalgebra(diamond)
     quiver, names = _hasse_with_names(diamond)
-    index, rows = _walk_images(coalg, quiver, names)[1]
+    runs, (rows, *_) = _walk_images(coalg, quiver, names)
+    index = _walk_index(runs, rows)
     index[("b<m1", "m2<t")] = index.pop(("b<m2", "m2<t"))
-    assert _morphism_failure(coalg, quiver, (index, rows)) == (
+    assert _morphism_failure(coalg, _key_links(index, rows, quiver)) == (
         "comultiplication does not commute at segment ('b', 't')"
     )
 
 
+def test_morphism_check_fails_where_a_prefix_lies_in_no_row():
+    # on full of the chain a < b < c, with the id of (a<b,) taken out of its
+    # row, the prefix of a<b b<c has no home: splitting that path fails to
+    # unpack it, a TypeError, while the check calls a<b b<c unsound and
+    # fails its row. The empty row of (a, b) itself passes, as both sides
+    # at it are 0
+    coalg = full_incidence_coalgebra(Poset.from_covers("abc", [("a", "b"), ("b", "c")]))
+    quiver, names = _hasse_with_names(coalg.poset)
+    rows, init, tail, length = _walk_images(coalg, quiver, names)[1]
+    rows = {**rows, ("a", "b"): {}}
+    with pytest.raises(TypeError):
+        _per_split_morphism_failure(coalg, (rows, init, tail, length))
+    assert _morphism_failure(coalg, (rows, init, tail, length)) == (
+        "comultiplication does not commute at segment ('a', 'c')"
+    )
+
+
 def test_path_numbering_keeps_its_ids():
-    # the ids of a numbering keyed by (source, arrows), handed out in order
-    # of first appearance: the walk's numbering of embed's images and
-    # _numbering of each corruption give these rows, one id per distinct path
+    # the walk hands out the ids of each lower end consecutively, and of
+    # each segment too, in the order of its arrow tuples, every id in one
+    # row; _numbering of each corruption gives one id per distinct path, in
+    # order of first appearance
     def reference(phi):
         index = {}
         return {
@@ -555,17 +639,27 @@ def test_path_numbering_keeps_its_ids():
             for seg, image in phi.items()
         }
 
+    def consecutive(ids):
+        ids = sorted(ids)
+        return ids == list(range(ids[0], ids[0] + len(ids)))
+
     rng = random.Random(29)
     for coalg in _morphism_cases(rng, 6):
         quiver, names = _hasse_with_names(coalg.poset)
-        runs, numbering = _walk_images(coalg, quiver, names)
+        runs, (rows, init, tail, length) = _walk_images(coalg, quiver, names)
+        assert sorted(a for row in rows.values() for a in row) == list(range(len(init)))
+        by_lower = {}
+        for seg, row in rows.items():
+            assert consecutive(row)
+            seq = dict(zip(row, runs[seg].seqs))
+            assert [seq[a] for a in sorted(row)] == sorted(runs[seg].seqs)
+            by_lower.setdefault(seg[0], []).extend(row)
+        assert all(consecutive(ids) for ids in by_lower.values())
         phi = embed(coalg).phi
-        phi = {seg: phi[seg] for seg in runs}  # in the walk's order
-        cases = [(phi, numbering)]
-        cases.extend((bad, _numbering(bad)) for _, bad in _corruptions(phi, rng, quiver))
-        for images, (index, rows) in cases:
-            assert rows == reference(images)
-            assert len(index) == len({p for image in images.values() for p in image.labels()})
+        for _, bad in _corruptions(phi, rng, quiver):
+            index, rows = _numbering(bad)
+            assert rows == reference(bad)
+            assert len(index) == len({p for image in bad.values() for p in image.labels()})
 
 
 def test_morphism_check_makes_no_comultiplication(monkeypatch):
@@ -582,7 +676,8 @@ def test_morphism_check_makes_no_comultiplication(monkeypatch):
         assert result.morphism_ok, result.failure
         for kind, bad in _corruptions(result.phi, rng, result.quiver):
             if kind not in SHARED:
-                verdicts[_morphism_failure(coalg, result.quiver, _numbering(bad)) is None] += 1
+                failure = _morphism_failure(coalg, _linked(bad, result.quiver))
+                verdicts[failure is None] += 1
     assert verdicts[False] > 50
 
 
@@ -637,29 +732,62 @@ def test_pentagon_images_put_the_shorter_chain_first():
 
 
 def test_walk_numbers_the_paths_as_number_paths_keys_them():
-    # the walk's numbering names the same paths per segment as numbering
-    # phi with _numbering does, and the morphism check passes on either
+    # the walk's numbering, keyed by its runs' arrow tuples, names the same
+    # paths per segment as numbering phi with _numbering does, and the
+    # morphism check passes on either
     rng = random.Random(41)
     for coalg in _walk_cases(rng, 30):
         quiver, names = _hasse_with_names(coalg.poset)
-        runs, (index, rows) = _walk_images(coalg, quiver, names)
+        runs, numbering = _walk_images(coalg, quiver, names)
+        rows, init, tail, length = numbering
+        index = _walk_index(runs, rows)
         phi = embed(coalg).phi
         ref_index, ref_rows = _numbering(phi)
+        assert len(index) == len(init) == len(tail) == len(length)
         assert sorted(index.values()) == list(range(len(index)))
         assert index.keys() == ref_index.keys()
         key = {a: k for k, a in index.items()}
         ref_key = {a: k for k, a in ref_index.items()}
         assert rows.keys() == ref_rows.keys() == runs.keys()
         for seg, row in rows.items():
-            # ids in report order, one per image path, all with coefficient 1;
-            # a run's arrow tuples are the index's keys themselves
-            seqs = runs[seg].seqs
-            assert [key[a] for a in row] == [seq or runs[seg].source for seq in seqs]
-            assert all(key[a] is seq for a, seq in zip(row, seqs) if seq)
+            # one id per image path, all with coefficient 1
+            assert len(row) == len(runs[seg].seqs)
             assert set(row.values()) == {1}
             assert {key[a] for a in row} == {ref_key[a] for a in ref_rows[seg]}
-        assert _morphism_failure(coalg, quiver, (index, rows)) is None
-        assert _morphism_failure(coalg, quiver, (ref_index, ref_rows)) is None
+        assert _morphism_failure(coalg, numbering) is None
+        assert _morphism_failure(coalg, _key_links(ref_index, ref_rows, quiver)) is None
+
+
+def _pentagon_golden_coalgebras():
+    # Pentagon, Kite and Lower: saturated chains of lengths 2 and 3
+    doc = qcf.dsl.parse((GOLDEN / "pentagon.qcf").read_text())[0]
+    return [value.finite for value in qcf.cli.resolve(doc, GOLDEN)[0].coalgebras.values()]
+
+
+def test_walk_hands_over_the_links_of_its_keys():
+    # the walk's init, tail and length are what slicing its own arrow
+    # tuples gives, every link the very int object of its id, and each run
+    # comes in (length, arrows) order
+    rng = random.Random(61)
+    b4 = Poset.from_covers(
+        range(16), [(i, i | 1 << b) for i in range(16) for b in range(4) if not i >> b & 1]
+    )
+    cases = [*_walk_cases(rng, 10), full_incidence_coalgebra(b4), *_pentagon_golden_coalgebras()]
+    cases += [full_incidence_coalgebra(random_poset(rng, max_elements=12)) for _ in range(300)]
+    mixed = ids_checked = 0
+    for coalg in cases:
+        quiver, names = _hasse_with_names(coalg.poset)
+        runs, numbering = _walk_images(coalg, quiver, names)
+        rows, init, tail, _ = numbering
+        assert numbering == _key_links(_walk_index(runs, rows), rows, quiver)
+        ids = {a: a for row in rows.values() for a in row}
+        assert all(a is ids[a] for a in init + tail if a >= 0)
+        ids_checked += len(ids)
+        for run in runs.values():
+            assert run.seqs == sorted(run.seqs, key=lambda seq: (len(seq), seq))
+            mixed += len({len(seq) for seq in run.seqs}) > 1
+    assert mixed > 20
+    assert ids_checked > 5000
 
 
 def test_embed_builds_no_lincomb_and_numbers_no_phi():
@@ -700,18 +828,40 @@ def test_embed_builds_no_lincomb_and_numbers_no_phi():
         assert calls["Path"] == sum(len(run.seqs) for run in result.runs.values())
 
 
-def _per_split_morphism_failure(coalg, quiver, numbering):
-    # the check as it was before whole paths were cleared: _commutes walks
-    # every split of every segment's row. The reference for the new route
-    index, rows = numbering
-    number, source, target, n = index.get, quiver.source, quiver.target, len(index)
-    init = [-1] * n
-    tail = [-1] * n
-    for key, a in index.items():
-        if isinstance(key, tuple):
-            init[a] = number(key[:-1] or source(key[0]), -2)
-            tail[a] = number(key[1:] or target(key[-1]), -2)
-    home = [None] * n
+def _commutes(seg, row, count, init, tail, home):
+    # whether Delta phi and (phi (x) phi) Delta agree at seg = (lo, hi),
+    # whose image is the sum of the paths of row, by walking every split of
+    # every path; count is N = sum over w in [lo, hi] of |row(lo, w)|
+    # |row(w, hi)|. A split part in no row has home None, which it fails to
+    # unpack, a TypeError
+    lo, hi = seg
+    for p in row:
+        suffixes = [p]
+        b = tail[p]
+        while b >= 0:
+            suffixes.append(b)
+            b = tail[b]
+        if b == -2:
+            return False
+        count -= len(suffixes)
+        a = p  # the prefixes, longest first, pair with the suffixes, shortest first
+        for b in reversed(suffixes):
+            if a < 0:  # -2: this prefix is no image path
+                return False
+            (x, w), (v, y) = home[a], home[b]
+            if x != lo or w != v or y != hi:
+                return False
+            a = init[a]
+    return count == 0
+
+
+def _per_split_morphism_failure(coalg, numbering):
+    # the check as it was before whole paths were cleared: every split of
+    # every segment's row is walked, vertices are counted by init == -1, and
+    # the TypeError of a split part in no row names its segment. The
+    # reference for the per-path check
+    rows, init, tail, _ = numbering
+    home = [None] * len(init)
     for seg, row in rows.items():
         for a in row:
             if home[a] is not None:
@@ -725,18 +875,21 @@ def _per_split_morphism_failure(coalg, quiver, numbering):
         except KeyError as err:
             raise PosetError(f"segment {err.args[0]!r} lies inside {seg!r} but is missing") from None
         row = rows[seg]
-        if not qcf.posets._commutes(seg, row, count, init, tail, home):
+        try:
+            commutes = _commutes(seg, row, count, init, tail, home)
+        except TypeError:
+            raise TypeError(f"a split part lies in no row at segment {seg!r}") from None
+        if not commutes:
             return f"comultiplication does not commute at segment {seg!r}"
         if coalg.counit(seg) != Cyc.rational(sum(init[a] == -1 for a in row)):
             return f"counit does not commute at segment {seg!r}"
     return None
 
 
-def _outcome(check, coalg, quiver, numbering):
-    # the verdict, or the type and message of what was raised: a path in no
-    # row makes _commutes unpack its home None, a TypeError
+def _outcome(check, coalg, numbering):
+    # the verdict, or the type and message of what was raised
     try:
-        return check(coalg, quiver, numbering)
+        return check(coalg, numbering)
     except (ValueError, TypeError) as err:
         return type(err), str(err)
 
@@ -832,18 +985,27 @@ def _scrambled(numbering, quiver, rng):
 
 def test_morphism_check_agrees_with_the_per_split_check_on_scrambled_numberings():
     # embed's numbering of each case changed at random, beyond what
-    # _corruptions does to images: the per-path route must give the
-    # per-split check's verdict, or raise what it raises, every time
+    # _corruptions does to images: the per-path check must give the
+    # per-split check's verdict, or raise what it raises, every time; where
+    # splitting meets a split part in no row, a TypeError, the per-path
+    # check fails the comultiplication at that segment
     rng = random.Random(53)
     outcomes = Counter()
     scrambles = Counter()
     for coalg in _walk_cases(rng, 25):
         quiver, names = _hasse_with_names(coalg.poset)
-        numbering = _walk_images(coalg, quiver, names)[1]
-        for _ in range(40):
-            kinds, scrambled = _scrambled(numbering, quiver, rng)
-            expected = _outcome(_per_split_morphism_failure, coalg, quiver, scrambled)
-            assert _outcome(_morphism_failure, coalg, quiver, scrambled) == expected, kinds
+        runs, (rows, *_) = _walk_images(coalg, quiver, names)
+        keyed = _walk_index(runs, rows), rows
+        for _ in range(80):
+            kinds, scrambled = _scrambled(keyed, quiver, rng)
+            scrambled = _key_links(*scrambled, quiver)
+            expected = _outcome(_per_split_morphism_failure, coalg, scrambled)
+            outcome = _outcome(_morphism_failure, coalg, scrambled)
+            if isinstance(expected, tuple) and expected[0] is TypeError:
+                seg = expected[1].split(" at segment ")[1]
+                assert outcome == f"comultiplication does not commute at segment {seg}", kinds
+            else:
+                assert outcome == expected, kinds
             if isinstance(expected, str):
                 expected = expected.split(" does")[0]
             elif expected is not None:
@@ -888,34 +1050,39 @@ def _sound_keys(numbering, quiver):
     return {key for key in index if check(key)}
 
 
-def test_morphism_check_splits_only_rows_with_an_unsound_path(monkeypatch):
-    # embed's own numbering clears every path whole; on a corrupted one,
-    # _commutes runs only at a segment whose row holds an unsound id
-    calls = []
-    commutes = qcf.posets._commutes
-
-    def counted(seg, row, *args):
-        calls.append((seg, row))
-        return commutes(seg, row, *args)
-
-    monkeypatch.setattr(qcf.posets, "_commutes", counted)
+def test_morphism_check_fails_at_the_first_row_with_an_unsound_path():
+    # embed's own numbering has only sound ids; on a corrupted one, the
+    # check fails at the first segment, in basis order, whose row holds an
+    # unsound id, and fails its comultiplication there, unless a row of
+    # sound ids before it fails by its term count or its counit
     rng = random.Random(59)
-    split_rows = mixed = 0
+    at_unsound = at_sound = 0
     for coalg in _walk_cases(rng, 30):
         result = embed(coalg)
         assert result.morphism_ok, result.failure
-        assert calls == []
-        for kind, bad in _corruptions(result.phi, rng, result.quiver):
+        quiver, names = _hasse_with_names(coalg.poset)
+        runs, (rows, *_) = _walk_images(coalg, quiver, names)
+        index = _walk_index(runs, rows)
+        assert _sound_keys((index, rows), quiver) == index.keys()
+        position = {repr(seg): k for k, seg in enumerate(coalg.basis_list)}
+        for kind, bad in _corruptions(result.phi, rng, quiver):
             if kind in SHARED:
                 continue
             index, rows = numbering = _numbering(bad)
-            sound = {index[key] for key in _sound_keys(numbering, result.quiver)}
-            _morphism_failure(coalg, result.quiver, numbering)
-            for seg, row in calls:
-                assert not sound.issuperset(row), (kind, seg)
-            split_rows += len(calls)
-            # some rows split, others cleared whole
-            mixed += 0 < len(calls) < len(coalg.basis_list)
-            calls.clear()
-    assert split_rows > 50
-    assert mixed > 50
+            sound = {index[key] for key in _sound_keys(numbering, quiver)}
+            unsound = [
+                k for k, seg in enumerate(coalg.basis_list) if not sound.issuperset(rows[seg])
+            ]
+            failure = _morphism_failure(coalg, _key_links(index, rows, quiver))
+            if failure is None:
+                assert unsound == [], kind
+                continue
+            k = position[failure.split(" at segment ")[1]]
+            if unsound and k == unsound[0]:
+                assert failure.startswith("comultiplication"), kind
+                at_unsound += 1
+            else:
+                assert not unsound or k < unsound[0], kind
+                at_sound += 1
+    assert at_unsound > 50
+    assert at_sound > 50
