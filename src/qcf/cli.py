@@ -12,7 +12,6 @@ import argparse
 import csv
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm, prod
 from pathlib import Path as FilePath
@@ -137,7 +136,7 @@ class Resolved:
 
 def _scalar_value(sc: dsl.ScalarExpr) -> Cyc:
     if sc.kind == "rational":
-        return Cyc.rational(Fraction(sc.num, sc.den))
+        return Cyc.ratio(sc.num, sc.den)  # the DSL admits 1/-2
     return Cyc.root(sc.order, sc.exponent)
 
 

@@ -179,9 +179,6 @@ class HopfDecl:
 class Document:
     declarations: tuple  # QuiverDecl | PosetDecl | CoalgebraDecl | HopfDecl, in order
 
-    def by_name(self) -> dict:
-        return {d.name: d for d in self.declarations}
-
 
 class _Parser:
     def __init__(self, tokens: list[Token]):

@@ -36,9 +36,6 @@ class LinComb:
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + other.scale(Cyc.rational(-1))
 
-    def __neg__(self) -> "LinComb":
-        return self.scale(Cyc.rational(-1))
-
     def scale(self, c: Cyc) -> "LinComb":
         if c.is_zero():
             return LinComb()

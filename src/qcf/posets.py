@@ -83,9 +83,6 @@ class Poset:
     def leq(self, a, b) -> bool:
         return bool(self._up[self._idx(a)] >> self._idx(b) & 1)
 
-    def lt(self, a, b) -> bool:
-        return a != b and self.leq(a, b)
-
     def _interval_mask(self, x, y) -> int:
         return self._up[self._idx(x)] & self._down[self._idx(y)]
 

@@ -4,12 +4,13 @@ Every computation in the library runs over Q(zeta_m) for some conductor m.
 An element is stored as phi(m) integer numerators over one positive common
 denominator, in lowest terms and reduced modulo the m-th cyclotomic
 polynomial, so equality is decidable by comparing integer vectors over a
-common conductor. Fractions appear only where values enter and leave.
+common conductor. Rationals enter and leave as integer pairs. `fractions`,
+which imports `decimal`, is imported only on the rare call that meets a value
+that is neither an int nor a Cyc, and by `rational_value`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -129,8 +130,18 @@ class Cyc:
 
     @staticmethod
     def rational(x) -> "Cyc":
-        x = Fraction(x)
+        if not isinstance(x, int):
+            from fractions import Fraction
+
+            x = Fraction(x)
         return Cyc(1, x.denominator, (x.numerator,))
+
+    @staticmethod
+    def ratio(n: int, d: int) -> "Cyc":
+        """n/d for ints n and d != 0, in lowest terms with the sign on n."""
+        if d < 0:
+            n, d = -n, -d
+        return Cyc._make(1, d, [n])
 
     @staticmethod
     def zero() -> "Cyc":
@@ -169,7 +180,11 @@ class Cyc:
     def _coerce(x) -> "Cyc":
         if isinstance(x, Cyc):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
+            return Cyc.rational(x)
+        from fractions import Fraction
+
+        if isinstance(x, Fraction):
             return Cyc.rational(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to Cyc")
 
@@ -217,13 +232,16 @@ class Cyc:
             raise ScalarError("division by zero")
         m = self.m
         if m == 1:
-            return Cyc.rational(Fraction(self.d, self.c[0]))
+            return Cyc.ratio(self.d, self.c[0])
         # x times its other Galois conjugates is the norm of x, a nonzero rational
         others = Cyc.one()
         for k in range(2, m):
             if gcd(k, m) == 1:
                 others = others * Cyc._make(m, self.d, self._subst(m, k))
-        return others * Cyc.rational(1 / (self * others).rational_value())
+        norm = self * others
+        if norm.m != 1:
+            raise ScalarError("not a rational scalar")
+        return others * Cyc.ratio(norm.d, norm.c[0])
 
     def __truediv__(self, other) -> "Cyc":
         return self * Cyc._coerce(other).inv()
@@ -242,8 +260,11 @@ class Cyc:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cyc):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
+            if not isinstance(other, int):
+                from fractions import Fraction
+
+                if not isinstance(other, Fraction):
+                    return NotImplemented
             other = Cyc.rational(other)
         if self.m == other.m:
             return self.d == other.d and self.c == other.c
@@ -259,9 +280,12 @@ class Cyc:
     def is_one(self) -> bool:
         return self.m == 1 and self.d == 1 and self.c[0] == 1
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self):
+        """The value as a `fractions.Fraction`, for a rational scalar."""
         if self.m != 1:
             raise ScalarError("not a rational scalar")
+        from fractions import Fraction
+
         return Fraction(self.c[0], self.d)
 
     def __repr__(self) -> str:
@@ -309,9 +333,6 @@ class RootOfUnity:
         e = (self.exponent * t) % self.order
         d = gcd(e, self.order)
         return RootOfUnity(self.order // d, e // d)
-
-    def inverse(self) -> "RootOfUnity":
-        return self.power(-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootOfUnity):

@@ -150,6 +150,18 @@ def test_hopf_commands(doc_file, capsys):
     assert "product" in entry and "antipode" in entry
 
 
+def test_rational_alpha_reports_are_byte_identical_in_every_spelling(tmp_path, capsys):
+    # alpha enters the product table, so its value shows in the hopf report
+    reports = {}
+    for alpha in ("-1/2", "1/-2", "2/-4", "-2/4", "1/2"):
+        path = tmp_path / "alpha.qcf"
+        path.write_text(f"hopf H = hn(s=1, q=root(2,1), group=cyclic(4), alpha={alpha})\n")
+        assert main(["hopf", "--input", str(path)]) == 0
+        reports[alpha] = capsys.readouterr().out
+    assert '"-1/2"' in reports["-1/2"] and reports["-1/2"] != reports["1/2"]
+    assert reports["1/-2"] == reports["2/-4"] == reports["-2/4"] == reports["-1/2"]
+
+
 def test_product_groups_list_i_j_at_index_i_times_order_plus_j(tmp_path, capsys):
     doc = tmp_path / "doc.qcf"
     doc.write_text(

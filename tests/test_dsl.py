@@ -37,7 +37,7 @@ def test_parse_good_document():
     doc, diags = dsl.parse(GOOD)
     assert diags == []
     assert doc is not None
-    names = doc.by_name()
+    names = {d.name: d for d in doc.declarations}
     assert set(names) == {
         "Q", "P", "Full", "Short", "Hand", "Segs", "All", "K", "W", "H0",
         "Both", "HA", "HB", "HC",

@@ -16,7 +16,7 @@ def test_operations_leave_their_operands_unchanged():
     before_x, before_y = list(x.items()), list(y.items())
     assert x + y == LinComb({"b": Cyc.root(4, 1), "c": Cyc.one()})
     assert x - y == LinComb({"a": Cyc.rational(4), "b": Cyc.root(4, 1), "c": Cyc.rational(-1)})
-    assert -x == LinComb({"a": Cyc.rational(-2), "b": Cyc.root(4, 3)})
+    assert x.scale(Cyc.rational(-1)) == LinComb({"a": Cyc.rational(-2), "b": Cyc.root(4, 3)})
     assert x.scale(Cyc.rational(3)) == LinComb({"a": Cyc.rational(6), "b": Cyc.root(4, 1) * 3})
     assert x.scale(Cyc.zero()).is_zero()
     assert list(x.items()) == before_x and list(y.items()) == before_y

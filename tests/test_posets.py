@@ -259,9 +259,10 @@ def _saturated_chain_count(poset, x, y):
     total = 0
     for z in poset.elements:
         if (
-            poset.lt(x, z)
+            x != z
+            and poset.leq(x, z)
             and poset.leq(z, y)
-            and not any(poset.lt(x, w) and poset.lt(w, z) for w in poset.elements)
+            and not any(x != w != z and poset.leq(x, w) and poset.leq(w, z) for w in poset.elements)
         ):
             total += _saturated_chain_count(poset, z, y)
     return total

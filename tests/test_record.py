@@ -1,5 +1,7 @@
 """`qcf._record.record` against `dataclasses.dataclass` as the oracle: each
-shape is declared both ways, and the two classes must agree."""
+shape is declared both ways, and the two classes must agree. A record's
+methods are compiled on their first call, so the first call of each one is
+tested on twins declared for that call alone."""
 
 import copy
 import dataclasses
@@ -13,7 +15,7 @@ from pathlib import Path as FilePath
 import pytest
 
 import qcf
-from qcf._record import FrozenInstanceError, record
+from qcf._record import FrozenInstanceError, _stand_in, record
 from qcf.dsl import Pos, Token
 from qcf.quiver import Path
 
@@ -27,11 +29,15 @@ def twins(annotations, defaults=None, **options):
     return out
 
 
-PLAIN = twins({"a": "int", "b": "str"})
-DEFAULTED = twins({"kind": "str", "n": "int", "parts": "tuple"}, defaults={"n": 0, "parts": ()})
-FROZEN = twins({"line": "int", "col": "int"}, frozen=True)
-ORDERED = twins({"source": "str", "target": "str", "arrows": "tuple"}, frozen=True, order=True)
-SHAPES = {"plain": PLAIN, "defaulted": DEFAULTED, "frozen": FROZEN, "ordered": ORDERED}
+# shape -> (annotations, defaults, options)
+SPECS = {
+    "plain": ({"a": "int", "b": "str"}, None, {}),
+    "defaulted": ({"kind": "str", "n": "int", "parts": "tuple"}, {"n": 0, "parts": ()}, {}),
+    "frozen": ({"line": "int", "col": "int"}, None, {"frozen": True}),
+    "ordered": ({"source": "str", "target": "str", "arrows": "tuple"}, None, {"frozen": True, "order": True}),
+}
+SHAPES = {shape: twins(a, d, **o) for shape, (a, d, o) in SPECS.items()}
+PLAIN = SHAPES["plain"]
 
 CALLS = {
     "plain": [((1, "x"), {}), ((), {"a": 2, "b": "y"}), ((3,), {"b": "z"})],
@@ -211,3 +217,156 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# --- the first call of each generated method ------------------------------
+
+STAND_IN = _stand_in(object, "__repr__", [], {}).__code__
+
+
+def generated(shape):
+    """The methods `record` writes for `shape`."""
+    _, _, options = SPECS[shape]
+    keys = ["__init__", "__repr__", "__eq__"]
+    if options.get("order"):
+        keys += ["__lt__", "__le__", "__gt__", "__ge__"]
+    if options.get("frozen"):
+        keys += ["__hash__", "__reduce__", "__setattr__", "__delattr__"]
+    return keys
+
+
+def holds_stand_in(cls, key):
+    return cls.__dict__[key].__code__ is STAND_IN
+
+
+def fresh(shape):
+    """Twins of `shape` declared anew, so no method of the record has run yet."""
+    annotations, defaults, options = SPECS[shape]
+    oracle, mine = twins(annotations, defaults, **options)
+    assert all(holds_stand_in(mine, key) for key in generated(shape))
+    return oracle, mine
+
+
+def assert_compiled(oracle, mine, key):
+    """`mine` holds the compiled method, named as the oracle names its own."""
+    fn = mine.__dict__[key]
+    assert fn.__code__ is not STAND_IN and fn.__code__.co_name == key
+    assert fn.__qualname__ == oracle.__dict__[key].__qualname__ == f"Shape.{key}"
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("call", CALLS["plain"] + BAD_CALLS, ids=lambda c: repr(c).replace(" ", ""))
+def test_a_first_constructor_call_agrees(shape, call):
+    oracle, mine = fresh(shape)
+    args, kwargs = call
+    assert outcome(mine, args, kwargs) == outcome(oracle, args, kwargs)
+    assert_compiled(oracle, mine, "__init__")
+
+
+OPS = {
+    "repr": ("__repr__", lambda x, y: (repr(x), repr(y))),
+    "==": ("__eq__", lambda x, y: (x == y, x == x, y == x, x == 1)),
+    "!=": ("__ne__", lambda x, y: (x != y, x != x, y != x, x != 1)),
+    "<": ("__lt__", lambda x, y: (x < y, y < x, x < x)),
+    "<=": ("__le__", lambda x, y: (x <= y, y <= x, x <= x)),
+    ">": ("__gt__", lambda x, y: (x > y, y > x, x > x)),
+    ">=": ("__ge__", lambda x, y: (x >= y, y >= x, x >= x)),
+    "hash": ("__hash__", lambda x, y: (hash(x), hash(y))),
+}
+# `!=` runs the generated __eq__: neither class writes a __ne__
+FIRST_CALLS = [
+    (shape, op) for shape in SHAPES for op, (key, _) in OPS.items()
+    if key.replace("__ne__", "__eq__") in generated(shape)
+]
+
+
+@pytest.mark.parametrize("shape, op", FIRST_CALLS)
+def test_a_first_comparison_hash_or_repr_agrees(shape, op):
+    key, run = OPS[op]
+    key = key.replace("__ne__", "__eq__")
+    oracle, mine = fresh(shape)
+    (a, ka), (b, kb) = CALLS[shape][0], CALLS[shape][-1]
+    assert run(mine(*a, **ka), mine(*b, **kb)) == run(oracle(*a, **ka), oracle(*b, **kb))
+    assert_compiled(oracle, mine, key)
+    # later calls run the compiled method: the class keeps the one it was given
+    fn = mine.__dict__[key]
+    run(mine(*a, **ka), mine(*b, **kb))
+    assert mine.__dict__[key] is fn
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("how", COPIES)
+def test_a_first_copy_or_pickle_agrees(shape, how, monkeypatch):
+    oracle, mine = fresh(shape)
+    # pickle finds a class by its module and name
+    for cls, name in [(oracle, "FreshOracle"), (mine, "FreshRecord")]:
+        cls.__name__ = cls.__qualname__ = name
+        monkeypatch.setattr(sys.modules[cls.__module__], name, cls, raising=False)
+    args, kwargs = CALLS[shape][0]
+    d, r = oracle(*args, **kwargs), mine(*args, **kwargs)
+    dt, rt = COPIES[how](d), COPIES[how](r)
+    assert type(rt) is mine and rt is not r and vars(rt) == vars(r) == vars(dt)
+    if "__reduce__" in generated(shape):
+        fn = mine.__dict__["__reduce__"]
+        assert fn.__code__ is not STAND_IN and fn.__qualname__ == "FreshRecord.__reduce__"
+    assert rt == r and repr(rt) == repr(dt).replace("FreshOracle", "FreshRecord")
+
+
+@pytest.mark.parametrize("shape", ["frozen", "ordered"])
+@pytest.mark.parametrize("key", ["__setattr__", "__delattr__"])
+def test_a_first_frozen_field_assignment_agrees(shape, key):
+    oracle, mine = fresh(shape)
+    args, kwargs = CALLS[shape][0]
+    seen = []
+    for cls in (oracle, mine):
+        obj = cls(*args, **kwargs)
+        name = next(iter(vars(obj)))
+        with pytest.raises(AttributeError) as exc:
+            setattr(obj, name, 0) if key == "__setattr__" else delattr(obj, name)
+        seen.append((type(exc.value).__name__, str(exc.value), repr(obj)))
+    assert seen[0] == seen[1]
+    assert_compiled(oracle, mine, key)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_first_calls_through_a_subclass_instance_agree(shape):
+    oracle, mine = fresh(shape)
+    frozen = "__hash__" in generated(shape)
+    args, kwargs = CALLS[shape][0]
+    seen, subs = [], []
+    for cls in (oracle, mine):
+        sub = type("Sub", (cls,), {})
+        subs.append(sub)
+        obj = sub(*args, **kwargs)
+        row = [repr(obj), obj == sub(*args, **kwargs), obj == cls(*args, **kwargs)]
+        if frozen:
+            row.append(hash(obj))
+            with pytest.raises(AttributeError) as exc:
+                setattr(obj, next(iter(vars(obj))), 0)
+            row.append(str(exc.value))
+            obj.extra = 1  # a name that is not a field, on a subclass instance
+        row.append(vars(obj))
+        seen.append(row)
+    assert seen[0] == seen[1]
+    # each compiled method went to the record class, not to the subclass
+    for key in ["__init__", "__repr__", "__eq__"] + (["__hash__", "__setattr__"] if frozen else []):
+        assert_compiled(oracle, mine, key)
+        assert key not in subs[1].__dict__
+
+
+def test_a_stand_in_fetched_before_the_first_call_runs_the_compiled_method():
+    oracle, mine = fresh("ordered")
+    stale = mine.__dict__["__lt__"]
+    x, y = mine("u", "v", ()), mine("u", "w", ())
+    assert x < y
+    fn = mine.__dict__["__lt__"]
+    assert (stale(x, y), stale(y, x), stale(x, 1)) == (True, False, NotImplemented)
+    assert mine.__dict__["__lt__"] is fn
+    assert_compiled(oracle, mine, "__lt__")

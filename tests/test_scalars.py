@@ -155,7 +155,7 @@ def test_root_of_unity_normalization():
     r = RootOfUnity(4, 1)
     assert r.power(2) == RootOfUnity(2, 1)
     assert r.power(4) == RootOfUnity(1, 0)
-    assert r.inverse() == RootOfUnity(4, 3)
+    assert r.power(-1) == RootOfUnity(4, 3)
     assert r.scalar() == Cyc.root(4)
     with pytest.raises(ScalarError):
         RootOfUnity(4, 2)
@@ -190,6 +190,50 @@ def test_serialization_strings():
 
 CONDUCTORS = (1, 2, 3, 4, 5, 8, 9, 12, 24)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _fraction_inv(x):
+    """x.inv() computed through Fraction, as the integer version must agree."""
+    if x.m == 1:
+        return Cyc.rational(Fraction(x.d, x.c[0]))
+    others = Cyc.one()
+    for k in range(2, x.m):
+        if math.gcd(k, x.m) == 1:
+            others = others * Cyc._make(x.m, x.d, x._subst(x.m, k))
+    return others * Cyc.rational(1 / (x * others).rational_value())
+
+
+def test_inverse_agrees_with_the_fraction_computation():
+    rng = random.Random(37)
+    rationals = [Cyc.rational(Fraction(n, d)) for n in (-12, -7, -1, 1, 3, 10) for d in (1, 2, 9, 14)]
+    drawn = [x for x in (_random_scalar(rng) for _ in range(120)) if not x.is_zero()]
+    assert sum(x.m > 1 for x in drawn) > 40 and sum(x.m == 1 and x.d > 1 for x in drawn) > 5
+    for x in rationals + drawn:
+        got, want = x.inv(), _fraction_inv(x)
+        assert (got.m, got.d, got.c) == (want.m, want.d, want.c)
+        assert type(got.d) is int and all(type(c) is int for c in got.c)
+    assert Cyc.rational(Fraction(-3, 4)).inv().c == (-4,) and Cyc.rational(Fraction(-3, 4)).inv().d == 3
+
+
+def test_rational_input_stores_ints():
+    for x, pair in [(True, (1, 1)), (False, (0, 1)), (-5, (-5, 1)), (Fraction(-6, 4), (-3, 2))]:
+        c = Cyc.rational(x)
+        assert (c.c[0], c.d) == pair and type(c.c[0]) is int and type(c.d) is int
+    assert Cyc.rational(1.5) == Cyc.rational(Fraction(3, 2))  # a float enters as Fraction(x) does
+    assert Cyc.rational(True).rational_value() == Fraction(1)
+    for n, d in [(1, -2), (2, -4), (-2, 4), (0, -5), (6, 3), (-9, -6)]:
+        c = Cyc.ratio(n, d)
+        assert (c.m, c.c[0], c.d) == (1, Fraction(n, d).numerator, Fraction(n, d).denominator)
+        assert type(c.c[0]) is int and type(c.d) is int
+
+
+def test_comparison_with_a_value_that_is_no_number_is_false():
+    for x in (Cyc.one(), Cyc.root(4), Cyc.rational(Fraction(1, 2))):
+        assert (x == "a") is False and ("a" == x) is False and x != "a"
+        assert x.__eq__("a") is NotImplemented
+        assert (x == Fraction(1, 2)) is (x.m == 1 and x.d == 2)
+        with pytest.raises(TypeError):
+            x + "a"
 
 
 @st.composite
