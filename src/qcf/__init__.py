@@ -23,9 +23,9 @@ from .posets import (
 )
 from .forms import (
     BilinearForm,
+    all_ones_alpha,
     balanced_space_bruteforce,
-    form_from_incidence_params,
-    form_from_path_params,
+    form_from_params,
     incidence_form_params,
     is_balanced,
     path_form_params,
@@ -35,7 +35,6 @@ from .frobenius import (
     admits_hopf,
     analyze,
     check_condition_d,
-    check_condition_d_incidence,
     classify,
     iso_key,
 )

@@ -143,10 +143,11 @@ def _scalar_value(sc: dsl.ScalarExpr) -> Cyc:
 def _root_value(sc: dsl.ScalarExpr, name: str) -> RootOfUnity:
     if sc.kind == "root":
         return RootOfUnity(sc.order, sc.exponent)
-    if sc.kind == "rational" and sc.den == 1 and sc.num == -1:
-        return RootOfUnity(2, 1)
-    if sc.kind == "rational" and sc.den == 1 and sc.num == 1:
+    value = Cyc.ratio(sc.num, sc.den)  # 1/-1, 2/-2 and -2/2 are all -1
+    if value == Cyc.one():
         return RootOfUnity(1, 0)
+    if value == -Cyc.one():
+        return RootOfUnity(2, 1)
     raise InputError(f"{name} must be root(m, k), 1, or -1")
 
 
@@ -615,11 +616,11 @@ def cmd_forms(res: Resolved, flags) -> dict:
         forms.require_within_bound(_summed_dimension(parts, value.families), flags.bound)
         parts.extend(build_family(f) for f in value.families)
         coalg = direct_sum(parts) if len(parts) > 1 else parts[0]
+        # first, so that its rows, a run's largest allocation, are not held
+        # beside the parameters and the form
+        space = forms.balanced_space_bruteforce(coalg, bound=flags.bound)
         if isinstance(coalg, IncidenceSubcoalgebra):
             params = forms.incidence_form_params(coalg)
-            form = forms.form_from_incidence_params(
-                coalg, params, forms.all_ones_alpha_incidence(params)
-            )
             census: dict = {
                 "kind": "incidence",
                 "marked_classes": params.size,
@@ -635,15 +636,12 @@ def cmd_forms(res: Resolved, flags) -> dict:
             }
         else:
             params = forms.path_form_params(coalg)
-            form = forms.form_from_path_params(
-                coalg, params, forms.all_ones_alpha_path(params)
-            )
             census = {
                 "kind": "path",
                 "F_size": params.size,
                 "F": list(params.paths),
             }
-        space = forms.balanced_space_bruteforce(coalg, bound=flags.bound)
+        form = forms.form_from_params(coalg, params, forms.all_ones_alpha(params))
         balanced = forms.is_balanced(form)
         # the form's matrix is square, so its left and right radicals both
         # have dimension n - rank: one nullspace gives both

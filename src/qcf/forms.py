@@ -6,6 +6,8 @@ element: sum beta(p2, q) p1 = sum beta(p, q1) q2. Balancedness is linear
 in the values beta(p, q), so the space of balanced forms is the nullspace
 of an explicit homogeneous system; the closed-form parameterizations below
 describe the same space and the two routes are checked against each other.
+Each class's parameters name their support, a map from each parameter to
+the basis pairs on which beta takes its value, and one builder reads it.
 """
 
 from __future__ import annotations
@@ -186,21 +188,25 @@ class PathFormParams:
     factor backwards (resp. the left factor forwards) are already part of d.
     """
 
-    paths: tuple[Path, ...]
+    support: dict  # parameter path d -> the basis pairs (p, q) with d = qp
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        return tuple(self.support)
 
     @property
     def size(self) -> int:
-        return len(self.paths)
+        return len(self.support)
 
 
 def path_form_params(coalg: PathSubcoalgebra) -> PathFormParams:
-    """The parameter paths, found on arrow tuples: a basis path is keyed by
-    its arrows, a vertex path by its vertex, a candidate qp is keyed by
-    q's arrows then p's, and its splits are slices of them. Only the
-    admitted candidates are built as `Path`s."""
+    """The parameter paths and their supports, found on arrow tuples: a
+    basis path is keyed by its arrows, a vertex path by its vertex, a
+    candidate qp is keyed by q's arrows then p's, and its splits are slices
+    of them. Only the admitted candidates are built as `Path`s."""
     quiver = coalg.quiver
     target, in_arrows, out_arrows = quiver.target, quiver.in_arrows, quiver.out_arrows
-    keys = {p.arrows or p.source for p in coalg.basis}
+    by_key = {p.arrows or p.source: p for p in coalg.basis}
     by_source: dict[str, list[tuple[str, ...]]] = {}
     for p in coalg.basis:
         by_source.setdefault(p.source, []).append(p.arrows)
@@ -211,48 +217,33 @@ def path_form_params(coalg: PathSubcoalgebra) -> PathFormParams:
         for arrows in by_source.get(q.target, ())
     }
 
-    def admissible(arrows: tuple[str, ...], mid: str) -> bool:
+    def support(arrows: tuple[str, ...], mid: str) -> tuple | None:
+        """The pairs (p, q) of basis paths with qp the candidate, or None
+        when a basis arrow extends one of its factors past it."""
+        pairs = []
         for i in range(len(arrows) + 1):
             if i:
                 mid = target(arrows[i - 1])
             left, right = arrows[:i], arrows[i:]
-            if (left or mid) not in keys or (right or mid) not in keys:
+            q, p = by_key.get(left or mid), by_key.get(right or mid)
+            if q is None or p is None:
                 continue
             for aid in in_arrows(mid):
-                if (aid,) + right in keys and (not left or left[-1] != aid):
-                    return False
+                if (aid,) + right in by_key and (not left or left[-1] != aid):
+                    return None
             for bid in out_arrows(mid):
-                if left + (bid,) in keys and (not right or right[0] != bid):
-                    return False
-        return True
+                if left + (bid,) in by_key and (not right or right[0] != bid):
+                    return None
+            pairs.append((p, q))
+        return tuple(pairs)
 
-    paths = []
+    found = {}
     for d, source in candidates.items():
         arrows = () if d == source else d
-        if admissible(arrows, source):
-            paths.append(Path(source, target(arrows[-1]) if arrows else source, arrows))
-    return PathFormParams(paths=tuple(sorted(paths, key=path_sort_key)))
-
-
-def form_from_path_params(
-    coalg: PathSubcoalgebra, params: PathFormParams, alpha: dict
-) -> BilinearForm:
-    """beta(p, q) = alpha_d exactly when the composite qp is a parameter path d."""
-    missing = [d for d in params.paths if d not in alpha]
-    if missing:
-        raise FormError(f"alpha missing values for {missing[:3]!r}...")
-    param_set = set(params.paths)
-    quiver = coalg.quiver
-    entries = {}
-    for q in coalg.basis_list:
-        for p in coalg.basis_list:
-            if q.target == p.source:
-                d = quiver.concat(q, p)
-                if d in param_set:
-                    value = alpha[d]
-                    if not value.is_zero():
-                        entries[(p, q)] = value
-    return BilinearForm(coalg, entries)
+        pairs = support(arrows, source)
+        if pairs is not None:
+            found[Path(source, target(arrows[-1]) if arrows else source, arrows)] = pairs
+    return PathFormParams(support={d: found[d] for d in sorted(found, key=path_sort_key)})
 
 
 @record(frozen=True)
@@ -278,6 +269,15 @@ class IncidenceFormParams:
     @property
     def size(self) -> int:
         return len(self.marked)
+
+    @property
+    def support(self) -> dict:
+        """(x, y, members) of each marked class -> the basis pairs
+        (e(u, y), e(x, u)), one per member u."""
+        return {
+            (c.x, c.y, c.members): tuple(((u, c.y), (c.x, u)) for u in c.members)
+            for c in self.marked
+        }
 
 
 def incidence_form_params(coalg: IncidenceSubcoalgebra) -> IncidenceFormParams:
@@ -328,29 +328,22 @@ def incidence_form_params(coalg: IncidenceSubcoalgebra) -> IncidenceFormParams:
     return IncidenceFormParams(classes=tuple(classes))
 
 
-def form_from_incidence_params(
-    coalg: IncidenceSubcoalgebra, params: IncidenceFormParams, alpha: dict
-) -> BilinearForm:
-    """beta(e(t, y), e(x, z)) = alpha on the marked class of z = t between x and y."""
+def form_from_params(coalg, params, alpha: dict) -> BilinearForm:
+    """The form that is alpha[key] on each pair of the key's support and
+    zero off the supports, for path or incidence parameters."""
     entries = {}
-    for cls in params.marked:
-        key = (cls.x, cls.y, cls.members)
+    for key, pairs in params.support.items():
         if key not in alpha:
-            raise FormError(f"alpha missing value for class {key!r}")
+            raise FormError(f"alpha missing value for {key!r}")
         value = alpha[key]
-        if value.is_zero():
-            continue
-        for u in cls.members:
-            entries[((u, cls.y), (cls.x, u))] = value
+        if not value.is_zero():
+            for pair in pairs:
+                entries[pair] = value
     return BilinearForm(coalg, entries)
 
 
-def all_ones_alpha_path(params: PathFormParams) -> dict:
-    return {d: Cyc.one() for d in params.paths}
-
-
-def all_ones_alpha_incidence(params: IncidenceFormParams) -> dict:
-    return {(c.x, c.y, c.members): Cyc.one() for c in params.marked}
+def all_ones_alpha(params) -> dict:
+    return dict.fromkeys(params.support, Cyc.one())
 
 
 def radicals(form: BilinearForm) -> tuple[list[LinComb], list[LinComb]]:

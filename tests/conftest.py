@@ -5,11 +5,9 @@ import warnings
 import pytest
 
 from qcf.forms import (
-    all_ones_alpha_incidence,
-    all_ones_alpha_path,
+    all_ones_alpha,
     balanced_space_bruteforce,
-    form_from_incidence_params,
-    form_from_path_params,
+    form_from_params,
     incidence_form_params,
     path_form_params,
 )
@@ -48,7 +46,7 @@ def path_instances():
         coalg = random_path_subcoalgebra(rng)
         params = path_form_params(coalg)
         space = balanced_space_bruteforce(coalg)
-        ones = form_from_path_params(coalg, params, all_ones_alpha_path(params))
+        ones = form_from_params(coalg, params, all_ones_alpha(params))
         out.append((coalg, params, space, ones))
     return out
 
@@ -61,6 +59,6 @@ def incidence_instances():
         coalg = random_incidence_subcoalgebra(rng)
         params = incidence_form_params(coalg)
         space = balanced_space_bruteforce(coalg)
-        ones = form_from_incidence_params(coalg, params, all_ones_alpha_incidence(params))
+        ones = form_from_params(coalg, params, all_ones_alpha(params))
         out.append((coalg, params, space, ones))
     return out

@@ -477,6 +477,36 @@ def test_bad_hopf_input_exits_2_without_traceback(hopf_decl, message, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, canonical",
+    [
+        ("q=1/-1, group=cyclic(4), alpha=1", "q=-1, group=cyclic(4), alpha=1"),
+        ("q=-2/2, group=cyclic(4), alpha=1", "q=-1, group=cyclic(4), alpha=1"),
+        ("q=root(2,1), group=cyclic(2), g=1, chi=[1, 1/-1]",
+         "q=root(2,1), group=cyclic(2), g=1, chi=[1, -1]"),
+        ("q=root(2,1), group=cyclic(2), g=1, chi=[1, 2/-2]",
+         "q=root(2,1), group=cyclic(2), g=1, chi=[1, -1]"),
+        ("q=root(2,1), group=cyclic(2), g=1, chi=[1, -2/2]",
+         "q=root(2,1), group=cyclic(2), g=1, chi=[1, -1]"),
+        ("q=root(2,1), group=cyclic(2), g=1, chi=[2/2, -1]",
+         "q=root(2,1), group=cyclic(2), g=1, chi=[1, -1]"),
+        ("q=root(2,1), group=cyclic(2), g=1, chi=[-3/-3, -1]",
+         "q=root(2,1), group=cyclic(2), g=1, chi=[1, -1]"),
+    ],
+    ids=["q=1/-1", "q=-2/2", "chi1=1/-1", "chi1=2/-2", "chi1=-2/2", "chi0=2/2", "chi0=-3/-3"],
+)
+def test_a_root_entry_is_read_by_its_value(args, canonical, tmp_path, capsys):
+    """q and chi entries are read as the rational they spell, so 1/-1 is -1."""
+    doc = tmp_path / "doc.qcf"
+    reports = []
+    for text in (args, canonical):
+        doc.write_text(f"hopf H = hn(s=1, {text})\n")
+        assert main(["hopf-verify", "--input", str(doc)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["results"]["H"]["verified"] is True
+
+
 def test_hn_default_dihedral_datum_verifies(tmp_path, capsys):
     doc = tmp_path / "doc.qcf"
     doc.write_text("hopf H = hn(s=1, q=root(2,1), group=dihedral(2), alpha=1)\n")

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -11,16 +12,15 @@ from qcf.forms import (
     BalancedCheck,
     BilinearForm,
     FormError,
-    all_ones_alpha_incidence,
-    all_ones_alpha_path,
+    all_ones_alpha,
     balanced_space_bruteforce,
-    form_from_incidence_params,
-    form_from_path_params,
+    form_from_params,
     incidence_form_params,
     is_balanced,
     path_form_params,
     radicals,
 )
+from qcf.frobenius import check_condition_d
 from qcf.linalg import sparse_int_nullspace
 from qcf.lincomb import LinComb, linear
 from qcf.posets import IncidenceSubcoalgebra, Poset, full_incidence_coalgebra
@@ -61,7 +61,7 @@ def test_single_arrow_parameter_paths(single_arrow):
     quiver, coalg = single_arrow
     params = path_form_params(coalg)
     assert params.paths == (quiver.arrow_path("a"),)
-    form = form_from_path_params(coalg, params, all_ones_alpha_path(params))
+    form = form_from_params(coalg, params, all_ones_alpha(params))
     assert is_balanced(form).ok
     # the only nonzero entries pair the arrow against the matching vertices
     assert form.entry(quiver.arrow_path("a"), quiver.vertex_path("u")).is_one()
@@ -198,7 +198,7 @@ def test_form_with_partial_zero_alpha_still_balanced():
     alpha = {}
     for i, d in enumerate(params.paths):
         alpha[d] = Cyc.rational(i % 2)  # some zero entries
-    assert is_balanced(form_from_path_params(coalg, params, alpha)).ok
+    assert is_balanced(form_from_params(coalg, params, alpha)).ok
 
 
 def test_incidence_params_antichain():
@@ -218,7 +218,7 @@ def test_incidence_params_chain_has_one_marked_class():
     cls = params.marked[0]
     assert (cls.x, cls.y) == ("0", "2")
     assert cls.members == ("0", "1", "2")
-    form = form_from_incidence_params(coalg, params, all_ones_alpha_incidence(params))
+    form = form_from_params(coalg, params, all_ones_alpha(params))
     assert is_balanced(form).ok
     assert len(balanced_space_bruteforce(coalg)) == 1
 
@@ -286,7 +286,7 @@ def test_radicals_of_zero_and_identity_forms():
 def test_radical_of_non_cofrobenius_form(single_arrow):
     _, coalg = single_arrow
     params = path_form_params(coalg)
-    form = form_from_path_params(coalg, params, all_ones_alpha_path(params))
+    form = form_from_params(coalg, params, all_ones_alpha(params))
     left, right = radicals(form)
     assert len(left) == 1 and len(right) == 1
 
@@ -296,7 +296,7 @@ def test_radical_dims_invariant_under_basis_permutation(single_arrow):
     reordered = PathSubcoalgebra(quiver, list(reversed(coalg.basis_list)))
     params = path_form_params(coalg)
     for target in (coalg, reordered):
-        form = form_from_path_params(target, params, all_ones_alpha_path(params))
+        form = form_from_params(target, params, all_ones_alpha(params))
         left, right = radicals(form)
         assert (len(left), len(right)) == (1, 1)
 
@@ -305,7 +305,7 @@ def test_cyclotomic_alpha_values_stay_balanced():
     coalg = build_family(WindowedFamily.cycle(2, 1))
     params = path_form_params(coalg)
     alpha = {d: Cyc.root(3) ** k for k, d in enumerate(params.paths)}
-    form = form_from_path_params(coalg, params, alpha)
+    form = form_from_params(coalg, params, alpha)
     assert is_balanced(form).ok
     left, right = radicals(form)
     assert left == [] and right == []
@@ -354,10 +354,9 @@ def test_violation_of_all_ones_form_with_stray_entry(case):
     coalg, stray, value, expected = case()
     if isinstance(coalg, IncidenceSubcoalgebra):
         params = incidence_form_params(coalg)
-        form = form_from_incidence_params(coalg, params, all_ones_alpha_incidence(params))
     else:
         params = path_form_params(coalg)
-        form = form_from_path_params(coalg, params, all_ones_alpha_path(params))
+    form = form_from_params(coalg, params, all_ones_alpha(params))
     assert is_balanced(form).ok
     assert stray not in form.entries
     check = is_balanced(BilinearForm(coalg, {**form.entries, stray: value}))
@@ -375,11 +374,11 @@ def test_left_and_right_radical_dimensions_agree_on_random_forms():
         coalg = random_path_subcoalgebra(rng, max_basis=12)
         params = path_form_params(coalg)
         alpha = {d: rng.choice(values) for d in params.paths}
-        forms = [form_from_path_params(coalg, params, alpha)]
+        forms = [form_from_params(coalg, params, alpha)]
         coalg = random_incidence_subcoalgebra(rng, max_elements=6, max_basis=14)
         params = incidence_form_params(coalg)
         alpha = {(c.x, c.y, c.members): rng.choice(values) for c in params.marked}
-        forms.append(form_from_incidence_params(coalg, params, alpha))
+        forms.append(form_from_params(coalg, params, alpha))
         for form in forms:
             left, right = radicals(form)
             assert len(left) == len(right)
@@ -423,12 +422,12 @@ def test_is_balanced_matches_the_per_pair_check_on_random_forms():
             coalg = random_path_subcoalgebra(rng, max_basis=12)
             params = path_form_params(coalg)
             alpha = {d: rng.choice(values) for d in params.paths}
-            form = form_from_path_params(coalg, params, alpha)
+            form = form_from_params(coalg, params, alpha)
         else:
             coalg = random_incidence_subcoalgebra(rng, max_elements=6, max_basis=14)
             params = incidence_form_params(coalg)
             alpha = {(c.x, c.y, c.members): rng.choice(values) for c in params.marked}
-            form = form_from_incidence_params(coalg, params, alpha)
+            form = form_from_params(coalg, params, alpha)
         basis = coalg.basis_list
         entries = dict(form.entries)
         # 1-3 stray entries, some of which may overwrite a parameter entry
@@ -502,3 +501,86 @@ def test_path_form_params_match_the_path_based_reference():
         assert params.paths == reference_path_form_params(coalg)
         sizes.add(params.size)
     assert len(sizes) > 10
+
+
+def reference_path_entries(coalg, params, alpha) -> dict:
+    """The path form as first built: a pass over every composable pair of
+    basis paths, beta(p, q) = alpha[d] when the composite qp is a parameter
+    path d."""
+    param_set = set(params.paths)
+    entries = {}
+    for q in coalg.basis_list:
+        for p in coalg.basis_list:
+            if q.target == p.source:
+                d = coalg.quiver.concat(q, p)
+                if d in param_set and not alpha[d].is_zero():
+                    entries[(p, q)] = alpha[d]
+    return entries
+
+
+def reference_incidence_entries(coalg, params, alpha) -> dict:
+    """The incidence form from a pass over every pair of basis segments:
+    beta(e(t, y), e(x, z)) = alpha on the class of z = t between x and y,
+    when that class is marked."""
+    class_of = {(c.x, c.y, u): c for c in params.classes for u in c.members}
+    entries = {}
+    for t, y in coalg.basis_list:
+        for x, z in coalg.basis_list:
+            cls = class_of.get((x, y, z)) if z == t else None
+            if cls is not None and cls.marked:
+                value = alpha[(cls.x, cls.y, cls.members)]
+                if not value.is_zero():
+                    entries[((t, y), (x, z))] = value
+    return entries
+
+
+def reference_path_extendable(coalg, params) -> set:
+    """The prefixes q of a parameter path whose rest is a basis path."""
+    split = coalg.quiver.splits
+    return {q for d in params.paths for q, p in split(d) if p in coalg.basis}
+
+
+def reference_incidence_extendable(coalg, params) -> set:
+    """The segments (x, z) with z a member of a marked class with lower end x."""
+    return {(c.x, z) for c in params.marked for z in c.members}
+
+
+def test_form_and_condition_d_match_the_per_class_references(
+    path_instances, incidence_instances
+):
+    rng = random.Random(23)
+    values = [Cyc.zero(), Cyc.one(), Cyc.rational(-2), Cyc.root(3), Cyc.root(4, 3)]
+    sweeps = (
+        (path_instances, reference_path_entries, reference_path_extendable),
+        (incidence_instances, reference_incidence_entries, reference_incidence_extendable),
+    )
+    verdicts, zeros = set(), 0
+    for instances, entries_of, extendable_of in sweeps:
+        for coalg, params, _, _ in instances:
+            alpha = {key: rng.choice(values) for key in params.support}
+            zeros += sum(v.is_zero() for v in alpha.values())
+            form = form_from_params(coalg, params, alpha)
+            assert form.entries == entries_of(coalg, params, alpha)
+            extendable = extendable_of(coalg, params)
+            failures = tuple(b for b in coalg.basis_list if b not in extendable)
+            check = check_condition_d(coalg, params)
+            assert (check.ok, check.witness, check.failures) == (
+                not failures, failures[0] if failures else None, failures
+            )
+            verdicts.add(check.ok)
+    assert verdicts == {False, True} and zeros > 0
+
+
+@pytest.mark.parametrize("case", [_two_arrow_path_case, _chain_incidence_case],
+                         ids=["path", "incidence"])
+def test_form_from_params_names_a_missing_alpha_key(case):
+    coalg = case()[0]
+    if isinstance(coalg, IncidenceSubcoalgebra):
+        params = incidence_form_params(coalg)
+    else:
+        params = path_form_params(coalg)
+    alpha = all_ones_alpha(params)
+    key = next(iter(params.support))
+    del alpha[key]
+    with pytest.raises(FormError, match=re.escape(f"alpha missing value for {key!r}")):
+        form_from_params(coalg, params, alpha)

@@ -10,7 +10,6 @@ from qcf.frobenius import (
     admits_hopf,
     analyze,
     check_condition_d,
-    check_condition_d_incidence,
     classify,
     combine,
     iso_key,
@@ -118,12 +117,12 @@ def test_extension_condition_agrees_on_small_examples():
 
 def test_extension_condition_incidence_examples():
     antichain = full_incidence_coalgebra(Poset.from_covers(["p", "q"], []))
-    assert check_condition_d_incidence(antichain, incidence_form_params(antichain)).ok
+    assert check_condition_d(antichain, incidence_form_params(antichain)).ok
 
     chain = full_incidence_coalgebra(
         Poset.from_covers(["0", "1", "2"], [("0", "1"), ("1", "2")])
     )
-    check = check_condition_d_incidence(chain, incidence_form_params(chain))
+    check = check_condition_d(chain, incidence_form_params(chain))
     assert not check.ok
     assert ("1", "2") in check.failures
 
@@ -260,7 +259,7 @@ def test_ladder_window_interior_elements_pass():
     boundary = {f"a{levels}"} | {f"b{levels - 1}_{i}" for i in range(1, width + 1)}
     for element, info in report.per_vertex.items():
         assert info.left_ok == (element not in boundary), element
-    check = check_condition_d_incidence(coalg, incidence_form_params(coalg))
+    check = check_condition_d(coalg, incidence_form_params(coalg))
     assert not check.ok
     for x, z in check.failures:
         assert x in boundary or z in boundary
